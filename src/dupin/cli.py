@@ -146,6 +146,10 @@ def cmd_gen(args, cfg):
 
 
 def cmd_orbit(args, cfg):
+    if not np.isfinite(args.C):
+        raise GeometryError(f"--C must be finite, got {args.C}")
+    if not 0.0 < args.span < np.inf:
+        raise GeometryError(f"--span must be finite and positive, got {args.span}")
     nu, nv = parse_grid(args.grid, cfg)
     tols = tolerances(args, cfg)
     span = args.span
@@ -185,6 +189,8 @@ def cmd_orbit(args, cfg):
 
 
 def cmd_fig7(args, cfg):
+    if not np.isfinite(args.t):
+        raise GeometryError(f"--t must be finite, got {args.t}")
     nu, nv = parse_grid(args.grid, cfg) if args.grid else (33, 33)
     tols = tolerances(args, cfg)
     s_grid = np.linspace(-4.0, 4.0, nu)

@@ -182,27 +182,19 @@ def integrate_mc(mc, base, integrability_tol=5e-2, order="rows"):
 
 
 def _integrate(mc, base, rows_first):
-    nu, nv = mc.omega_u.shape[:2]
-    du, dv = mc.du, mc.dv
-    e = np.zeros_like(mc.omega_u)
-    e[0, 0] = np.asarray(base, dtype=float)
-    if rows_first:
-        for i in range(1, nu):
-            mid = 0.5 * (mc.omega_u[i - 1, 0] + mc.omega_u[i, 0])
-            e[i, 0] = e[i - 1, 0] @ mat_exp(du * mid)
-        for j in range(1, nv):
-            mid = 0.5 * (mc.omega_v[:, j - 1] + mc.omega_v[:, j])
-            for i in range(nu):
-                e[i, j] = e[i, j - 1] @ mat_exp(dv * mid[i])
-    else:
-        for j in range(1, nv):
-            mid = 0.5 * (mc.omega_v[0, j - 1] + mc.omega_v[0, j])
-            e[0, j] = e[0, j - 1] @ mat_exp(dv * mid)
-        for i in range(1, nu):
-            mid = 0.5 * (mc.omega_u[i - 1, :] + mc.omega_u[i, :])
-            for j in range(nv):
-                e[i, j] = e[i - 1, j] @ mat_exp(du * mid[j])
-    return e
+    # Columns-first is rows-first with the roles of u and v exchanged.
+    a, b, da, db = mc.omega_u, mc.omega_v, mc.du, mc.dv
+    if not rows_first:
+        a, b, da, db = b.swapaxes(0, 1), a.swapaxes(0, 1), db, da
+    step_a = mat_exp(da * (0.5 * (a[:-1, 0] + a[1:, 0])))
+    step_b = mat_exp(db * (0.5 * (b[:, :-1] + b[:, 1:])))
+    e = np.empty_like(a)
+    e[0, 0] = base
+    for i in range(1, e.shape[0]):
+        e[i, 0] = e[i - 1, 0] @ step_a[i - 1]
+    for j in range(1, e.shape[1]):
+        e[:, j] = e[:, j - 1] @ step_b[:, j - 1]
+    return e if rows_first else e.swapaxes(0, 1)
 
 
 def constant_form(X_u, X_v, domain, group):

@@ -463,11 +463,11 @@ def coset_orbit(A, s_grid, t_grid):
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     M = np.asarray(A, dtype=float) @ example_base_frame()
-    E2 = np.stack([mt.mat_exp(s * X2) for s in s_grid])
-    E3 = np.stack([mt.mat_exp(t * X3) for t in t_grid])
-    T = np.einsum("ij,sjk,tkl->stil", M, E2, E3)
-    Tu = np.einsum("ij,jk,skl,tlm->stim", M, X2, E2, E3)
-    Tv = np.einsum("ij,sjk,kl,tlm->stim", M, E2, X3, E3)
+    E2 = mt.mat_exp(s_grid[:, None, None] * X2)
+    E3 = mt.mat_exp(t_grid[:, None, None] * X3)
+    T = (M @ E2)[:, None] @ E3[None]
+    Tu = (M @ X2 @ E2)[:, None] @ E3[None]
+    Tv = (M @ E2)[:, None] @ (X3 @ E3)[None]
     domain = ParamDomain(
         (float(s_grid[0]), float(s_grid[-1])),
         (float(t_grid[0]), float(t_grid[-1])),

@@ -190,7 +190,10 @@ def bracket(X, Y):
 
 
 def mat_exp(X):
-    """Matrix exponential (scaling-and-squaring Pade via scipy)."""
+    """Matrix exponential of one matrix or of a stack of shape (..., n, n),
+    slice by slice (scipy's scaling-and-squaring Pade); leading shapes,
+    including empty ones, are kept.  The only exponential in the package:
+    callers pass whole stacks rather than looping over points."""
     return expm(np.asarray(X, dtype=float))
 
 

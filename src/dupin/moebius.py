@@ -514,11 +514,9 @@ def hc_orbit(C, s_grid, t_grid):
     base = canonical_base_frame(C)
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    exp_s = np.stack([base @ mt.mat_exp(s * X1) for s in s_grid])
-    exp_t = np.stack([mt.mat_exp(t * X2) for t in t_grid])
-    delta0 = np.zeros(5)
-    delta0[0] = 1.0
-    pts = np.einsum("sij,tjk,k->sti", exp_s, exp_t, delta0)
+    exp_s = base @ mt.mat_exp(s_grid[:, None, None] * X1)
+    # exp(t X2) delta0 is the first column, since delta0 is the first basis vector
+    pts = np.einsum("sij,tj->sti", exp_s, mt.mat_exp(t_grid[:, None, None] * X2)[..., 0])
     pts = mt.projective_normalize(pts)
     regime = hc_regime(C)
     q_eps = mt.change_basis(pts, 5, "delta", "epsilon")
@@ -550,28 +548,17 @@ def orbit_surface(C, domain=None):
     form = {"torus": "sphere", "cylinder": "euclidean", "hyperboloid": "hyperbolic"}[regime]
 
     def position(u, v):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        u_b, v_b = np.broadcast_arrays(u, v)
-        flat_u, flat_v = u_b.ravel(), v_b.ravel()
-        dim = 3 if form == "euclidean" else 4
-        out = np.empty(flat_u.shape + (dim,))
-        for k, (ss, tt) in enumerate(zip(flat_u, flat_v)):
-            q = base @ mt.mat_exp(ss * X1) @ mt.mat_exp(tt * X2) @ delta0
-            q_eps = mt.change_basis(q, 5, "delta", "epsilon")
-            if form == "sphere":
-                out[k] = sf.moebius_to_sphere(q_eps)
-            elif form == "euclidean":
-                y, ok = sf.moebius_to_euclidean(q_eps)
-                if not ok:
-                    raise GeometryError("orbit point escapes the Euclidean chart")
-                out[k] = y
-            else:
-                x, ok = sf.moebius_to_hyperbolic(q_eps)
-                if not ok:
-                    raise GeometryError("orbit point escapes the hyperbolic chart")
-                out[k] = x
-        return out.reshape(u_b.shape + (dim,))
+        u, v = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
+        E1, E2 = mt.mat_exp(u[..., None, None] * X1), mt.mat_exp(v[..., None, None] * X2)
+        q = base @ E1 @ E2 @ delta0
+        q_eps = mt.change_basis(q, 5, "delta", "epsilon")
+        if form == "sphere":
+            return sf.moebius_to_sphere(q_eps)
+        chart = sf.moebius_to_euclidean if form == "euclidean" else sf.moebius_to_hyperbolic
+        x, ok = chart(q_eps)
+        if not np.all(ok):
+            raise GeometryError(f"orbit point escapes the {form} chart")
+        return x
 
     return ParametricSurface(form, position, domain,
                              name="hc_orbit", params={"C": C})

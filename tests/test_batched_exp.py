@@ -1,0 +1,167 @@
+"""The batched exponential path: each site that exponentiates a grid agrees
+with the per-point formula it replaces, and passes whole stacks to
+``metrics.mat_exp`` instead of one call per point."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dupin
+from dupin import frames as fr
+from dupin import liesphere as ls
+from dupin import metrics as mt
+from dupin import moebius as mb
+from dupin import spaceforms as sf
+from dupin.surfaces import ParamDomain
+
+S_GRID = np.linspace(-1.0, 1.0, 7)
+T_GRID = np.linspace(-0.8, 1.2, 5)
+DELTA0 = np.eye(5)[0]
+
+
+def one(X):
+    """Per-matrix exponential, the reference the batched calls must match."""
+    assert np.ndim(X) == 2
+    return mt.mat_exp(X)
+
+
+def flat_so4_form(nu=6, nv=5):
+    """Pull-back of a non-commuting SO(4) frame field, so both integration
+    orders are exercised on a form that varies over the grid."""
+    rng = np.random.default_rng(11)
+    Y1, Y2 = (mt.algebra_project(rng.normal(size=(4, 4)), mt.R4) for _ in range(2))
+    dom = ParamDomain(u_range=(0.0, 1.0), v_range=(0.0, 1.3), nu=nu, nv=nv,
+                      periodic_u=False, periodic_v=False)
+    U, V = dom.mesh()
+    mats = np.array([[one(u * Y1) @ one(np.sin(v) * u * Y2) for u, v in zip(ru, rv)]
+                     for ru, rv in zip(U, V)])
+    return fr.pullback_mc(fr.FrameField("so4", mats, dom)), mats[0, 0]
+
+
+def integrate_per_point(mc, base, rows_first):
+    """Exponential midpoint stepping, one exponential per grid step."""
+    nu, nv = mc.omega_u.shape[:2]
+    e = np.zeros_like(mc.omega_u)
+    e[0, 0] = base
+    if rows_first:
+        for i in range(1, nu):
+            e[i, 0] = e[i - 1, 0] @ one(mc.du * (0.5 * (mc.omega_u[i - 1, 0] + mc.omega_u[i, 0])))
+        for j in range(1, nv):
+            for i in range(nu):
+                mid = 0.5 * (mc.omega_v[i, j - 1] + mc.omega_v[i, j])
+                e[i, j] = e[i, j - 1] @ one(mc.dv * mid)
+    else:
+        for j in range(1, nv):
+            e[0, j] = e[0, j - 1] @ one(mc.dv * (0.5 * (mc.omega_v[0, j - 1] + mc.omega_v[0, j])))
+        for i in range(1, nu):
+            for j in range(nv):
+                mid = 0.5 * (mc.omega_u[i - 1, j] + mc.omega_u[i, j])
+                e[i, j] = e[i - 1, j] @ one(mc.du * mid)
+    return e
+
+
+class TestAgainstPerPointFormula:
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_coset_orbit(self, t):
+        A = ls.boost(t)
+        _, ff = ls.coset_orbit(A, S_GRID, T_GRID)
+        X2, X3 = ls.slice_generators()
+        M = A @ ls.example_base_frame()
+        ref = {k: np.empty_like(ff.mats) for k in ("T", "Tu", "Tv")}
+        for a, s in enumerate(S_GRID):
+            for b, tt in enumerate(T_GRID):
+                E2, E3 = one(s * X2), one(tt * X3)
+                ref["T"][a, b] = M @ E2 @ E3
+                ref["Tu"][a, b] = M @ X2 @ E2 @ E3
+                ref["Tv"][a, b] = M @ E2 @ X3 @ E3
+        for key, got in (("T", ff.mats), ("Tu", ff.partial_u), ("Tv", ff.partial_v)):
+            rel = np.max(np.abs(got - ref[key])) / np.max(np.abs(ref[key]))
+            assert rel <= 1e-13, key
+
+    @pytest.mark.parametrize("C", [0.4, 1.0, 5 / 3, -0.4, -1.0, -2.5])
+    def test_hc_orbit(self, C):
+        orb = mb.hc_orbit(C, S_GRID, T_GRID)
+        X1, X2 = mb.hc_basis(C).elements
+        base = mb.canonical_base_frame(C)
+        ref = np.array([[base @ one(s * X1) @ one(t * X2) @ DELTA0 for t in T_GRID]
+                        for s in S_GRID])
+        ref = mt.projective_normalize(ref)
+        assert np.max(np.abs(orb.points_delta - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rows_first", [True, False])
+    def test_integrate_bitwise(self, rows_first):
+        mc, base = flat_so4_form()
+        got = fr._integrate(mc, base, rows_first)
+        assert np.array_equal(got, integrate_per_point(mc, base, rows_first))
+
+    @pytest.mark.parametrize("C", [0.4, 1.0, 5 / 3, -2.5])
+    def test_orbit_surface_position_bitwise(self, C):
+        surf = mb.orbit_surface(C)
+        rng = np.random.default_rng(2)
+        u, v = rng.uniform(-1.0, 1.0, size=(2, 3, 4))
+        got = surf.position(u, v)
+        ref = np.array([[surf.position(a, b)[0] for a, b in zip(ru, rv)]
+                        for ru, rv in zip(u, v)])
+        assert got.shape == u.shape + ref.shape[-1:]
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("C,chart", [(1.0, "moebius_to_euclidean"),
+                                         (5 / 3, "moebius_to_hyperbolic")])
+    def test_position_raises_when_one_point_leaves_chart(self, monkeypatch, C, chart):
+        real = getattr(sf, chart)
+
+        def one_invalid(q):
+            x, ok = real(q)
+            ok = np.array(ok, copy=True)
+            ok.flat[-1] = False
+            return x, ok
+
+        monkeypatch.setattr(sf, chart, one_invalid)
+        u = np.linspace(-0.5, 0.5, 6)
+        with pytest.raises(mt.GeometryError):
+            mb.orbit_surface(C).position(u, u)
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    """Shapes of every mat_exp call, through both bindings of the name."""
+    calls = []
+    real = mt.mat_exp
+
+    def counting(X):
+        calls.append(np.shape(X))
+        return real(X)
+
+    monkeypatch.setattr(mt, "mat_exp", counting)
+    monkeypatch.setattr(fr, "mat_exp", counting)
+    return calls
+
+
+class TestNoPerPointLoops:
+    def test_coset_orbit_two_calls(self, exp_calls):
+        ls.coset_orbit(ls.boost(1.0), S_GRID, T_GRID)
+        assert len(exp_calls) == 2
+
+    def test_hc_orbit_two_calls(self, exp_calls):
+        mb.hc_orbit(-2.5, S_GRID, T_GRID)
+        assert len(exp_calls) == 2
+
+    def test_orbit_surface_position_two_calls(self, exp_calls):
+        surf = mb.orbit_surface(5 / 3)
+        exp_calls.clear()
+        surf.position(*np.meshgrid(S_GRID, T_GRID, indexing="ij"))
+        assert len(exp_calls) == 2
+
+    def test_integrate_mc_calls_per_sweep(self, exp_calls):
+        nu, nv = 9, 7
+        mc, base = flat_so4_form(nu, nv)
+        exp_calls.clear()
+        fr.integrate_mc(mc, base)
+        assert 0 < len(exp_calls) <= 2 * (nu + nv)
+
+    def test_only_metrics_imports_expm(self):
+        users = [p.name for p in Path(dupin.__file__).parent.glob("*.py")
+                 if re.search(r"\bexpm\b", p.read_text())]
+        assert users == ["metrics.py"]

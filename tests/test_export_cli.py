@@ -86,6 +86,19 @@ class TestCLI:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--C", "nan"], ["orbit", "--C", "inf"], ["orbit", "--C=-inf"],
+        ["orbit", "--C", "0", "--span", "0"], ["orbit", "--C", "0", "--span", "-1"],
+        ["orbit", "--C", "0", "--span", "nan"], ["orbit", "--C", "0", "--span", "inf"],
+        ["fig7", "--t", "nan"], ["fig7", "--t", "inf"], ["fig7", "--t=-inf"],
+    ])
+    def test_orbit_fig7_bad_parameter_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad.obj"
+        assert main(argv + ["--grid", "8x8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_orbit_regimes(self, tmp_path):
         for C, regime in [("0", "torus"), ("1", "cylinder"), ("1.6667", "hyperboloid")]:
             out = str(tmp_path / f"orb{C}.obj")

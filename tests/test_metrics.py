@@ -154,6 +154,38 @@ class TestMatExp:
                 assert mt.group_residual(mt.mat_exp(X), metric) < 1e-10
 
 
+def _generator_stacks():
+    """(name, stack of shape (3, 5, n, n), group residual) for the generators the
+    package exponentiates, plus random so(4) and e(3) elements."""
+    from dupin.liesphere import slice_generators
+    from dupin.moebius import hc_basis
+
+    ts = np.linspace(-1.5, 1.5, 15).reshape(3, 5, 1, 1)
+    gens = [(f"h_C({C})", X, lambda T: mt.group_residual(T, mt.MOEB))
+            for C in (0.4, 1.0, 5 / 3, -0.4, -1.0, -2.5) for X in hc_basis(C).elements]
+    gens += [("slice", X, lambda T: mt.group_residual(T, mt.LIE)) for X in slice_generators()]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        gens.append(("so4", mt.algebra_project(rng.normal(size=(4, 4)), mt.R4),
+                     lambda T: mt.group_residual(T, mt.R4)))
+        gens.append(("e3", mt.e3_algebra_project(rng.normal(size=(4, 4))), mt.e3_residual))
+    return [(name, ts * X, residual) for name, X, residual in gens]
+
+
+class TestBatchedMatExp:
+    @pytest.mark.parametrize("name,stack,residual", _generator_stacks())
+    def test_stack_equals_per_matrix_calls(self, name, stack, residual):
+        E = mt.mat_exp(stack)
+        assert E.shape == stack.shape
+        ref = np.stack([mt.mat_exp(X) for X in stack.reshape((-1,) + stack.shape[-2:])])
+        assert np.array_equal(E, ref.reshape(stack.shape)), name
+        assert residual(E) <= 1e-12, name
+
+    @pytest.mark.parametrize("shape", [(0, 5, 5), (2, 0, 4, 4), (1, 6, 6), (4, 4)])
+    def test_leading_shape_kept(self, shape):
+        assert mt.mat_exp(np.zeros(shape)).shape == shape
+
+
 class TestProjectivePoint:
     def test_scaling_invariance(self):
         v = RNG.normal(size=5)
