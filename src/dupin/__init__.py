@@ -26,6 +26,7 @@ from .spaceforms import (
 from .surfaces import (
     ParamDomain,
     ParametricSurface,
+    Jet,
     CurvatureData,
     torus,
     hyperboloid,

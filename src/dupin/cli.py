@@ -114,18 +114,14 @@ def cmd_gen(args, cfg):
         raise GeometryError("spherical mesh needs --project stereo for 3d output")
     if s.form == "hyperbolic":
         raise GeometryError("hyperbolic mesh needs --project hyp_stereo for 3d output")
-    U, V = s.domain.mesh()
-    pts = s.position(U, V)
-    data = srf.principal_curvatures(s, U, V)
+    cls = srf.classify(s)
     mesh = grid_mesh(
-        pts,
+        s.position(*s.domain.mesh()),
         periodic_u=s.domain.periodic_u,
         periodic_v=s.domain.periodic_v,
-        scalars={"curvature_a": data.a, "curvature_c": data.c},
     )
     out = _out_path(args.out)
     write_obj(mesh, out)
-    cls = srf.classify(s)
     checks = [
         check("constraint_residual", s.constraint_residual(), 1e-10),
         check("spread_a", cls["report"]["spread_a"]),

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,46 +17,32 @@ REPORT_SCHEMA_VERSION = 1
 @dataclass
 class Mesh:
     vertices: np.ndarray                 # (n, 3)
-    faces: list                          # quads of 0-based vertex indices
+    faces: np.ndarray                    # (F, 4) quads of 0-based vertex indices
     flags: np.ndarray                    # per-vertex singular flags
-    scalars: dict = field(default_factory=dict)
 
     def validate(self):
-        n = len(self.vertices)
-        for f in self.faces:
-            if any(i < 0 or i >= n for i in f):
-                raise ValueError("face index out of range")
-            if any(self.flags[i] for i in f):
-                raise ValueError("flagged vertex used by a face")
+        if np.any((self.faces < 0) | (self.faces >= len(self.vertices))):
+            raise ValueError("face index out of range")
+        if np.any(self.flags[self.faces]):
+            raise ValueError("flagged vertex used by a face")
 
 
-def grid_mesh(points, flags=None, periodic_u=False, periodic_v=False, scalars=None):
+def grid_mesh(points, flags=None, periodic_u=False, periodic_v=False):
     """Quad mesh from an (nu, nv, 3) point grid; cells touching a flagged
-    vertex are dropped; periodic directions wrap around."""
+    vertex are dropped; periodic directions wrap around.  Faces run i-major:
+    cell (i, j) is (i, j), (i+1, j), (i+1, j+1), (i, j+1)."""
     points = np.asarray(points, dtype=float)
     nu, nv = points.shape[:2]
     if flags is None:
         flags = np.zeros((nu, nv), dtype=bool)
     verts = points.reshape(-1, 3)
     vflags = np.asarray(flags, dtype=bool).reshape(-1)
-    idx = lambda i, j: i * nv + j
-    faces = []
-    imax = nu if periodic_u else nu - 1
-    jmax = nv if periodic_v else nv - 1
-    for i in range(imax):
-        for j in range(jmax):
-            quad = (
-                idx(i, j),
-                idx((i + 1) % nu, j),
-                idx((i + 1) % nu, (j + 1) % nv),
-                idx(i, (j + 1) % nv),
-            )
-            if not any(vflags[k] for k in quad):
-                faces.append(quad)
-    out_scalars = {}
-    for name, arr in (scalars or {}).items():
-        out_scalars[name] = np.asarray(arr, dtype=float).reshape(-1)
-    return Mesh(verts, faces, vflags, out_scalars)
+    i, j = np.meshgrid(np.arange(nu if periodic_u else nu - 1),
+                       np.arange(nv if periodic_v else nv - 1), indexing="ij")
+    i1, j1 = (i + 1) % nu, (j + 1) % nv
+    quads = np.stack([i * nv + j, i1 * nv + j, i1 * nv + j1, i * nv + j1], axis=-1)
+    quads = quads.reshape(-1, 4)
+    return Mesh(verts, quads[~vflags[quads].any(axis=1)], vflags)
 
 
 def _atomic_write(path, text):
@@ -75,12 +61,12 @@ def _atomic_write(path, text):
 def write_obj(mesh, path):
     """ASCII OBJ with 'v' and 'f' records; deterministic formatting."""
     mesh.validate()
-    lines = [f"# vertices: {len(mesh.vertices)} faces: {len(mesh.faces)}"]
-    for v in mesh.vertices:
-        lines.append("v %.12g %.12g %.12g" % (v[0], v[1], v[2]))
-    for f in mesh.faces:
-        lines.append("f " + " ".join(str(i + 1) for i in f))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    n, nf = len(mesh.vertices), len(mesh.faces)
+    _atomic_write(path, "".join([
+        f"# vertices: {n} faces: {nf}\n",
+        ("v %.12g %.12g %.12g\n" * n) % tuple(mesh.vertices.ravel().tolist()),
+        ("f %d %d %d %d\n" * nf) % tuple((mesh.faces + 1).ravel().tolist()),
+    ]))
 
 
 def read_obj(path):

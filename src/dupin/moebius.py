@@ -196,8 +196,7 @@ def canonical_best_frame(surface):
     U, V = surface.domain.mesh()
     a, c = surface.constant_curvatures
     e1, e2, e3 = surface.frame(U, V)
-    x = surface.position(U, V)
-    xu, xv = surface.d1(U, V)
+    x, xu, xv = surface.jet(U, V)[:3]
 
     if name == "torus":
         sl = slice(0, 4)

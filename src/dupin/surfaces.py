@@ -10,7 +10,8 @@ returns (..., dim).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,61 +77,63 @@ _FORM_METRIC = {"euclidean": mt.R3, "sphere": mt.R4, "hyperbolic": mt.R31}
 _FORM_DIM = {"euclidean": 3, "sphere": 4, "hyperbolic": 4}
 
 
+class Jet(NamedTuple):
+    """Position and its partials up to second order at (u, v), each (..., dim)."""
+    x: np.ndarray
+    xu: np.ndarray
+    xv: np.ndarray
+    xuu: np.ndarray
+    xuv: np.ndarray
+    xvv: np.ndarray
+
+
 class ParametricSurface:
     """An immersion of a rectangular (possibly periodic) domain into a space form.
 
-    position and the optional partial-derivative callables map (u, v) arrays to
-    (..., dim) arrays.  ``frame`` optionally supplies analytic oriented
-    principal frames (e1, e2, e3) for the canonical catalog.
+    ``position(u, v)`` and ``jet(u, v) -> Jet`` map (u, v) arrays to (..., dim)
+    arrays.  Without an analytic ``jet`` the surface differentiates
+    ``position`` by central differences (``analytic`` is then False).
+    ``normal`` and ``frame`` optionally supply the analytic unit normal and
+    oriented principal frames (e1, e2, e3) of the canonical catalog.
     """
 
     def __init__(self, form, position, domain, name="surface", params=None,
-                 du=None, dv=None, duu=None, duv=None, dvv=None,
-                 normal=None, frame=None):
+                 jet=None, normal=None, frame=None):
         self.form = form
         self.position = position
         self.domain = domain
         self.name = name
         self.params = dict(params or {})
-        self.du = du
-        self.dv = dv
-        self.duu = duu
-        self.duv = duv
-        self.dvv = dvv
+        self.analytic = jet is not None
+        self.jet = jet or self._finite_difference_jet
         self.normal = normal
         self.frame = frame
-        self._fd_step_u = 1e-5 * (domain.u_range[1] - domain.u_range[0])
-        self._fd_step_v = 1e-5 * (domain.v_range[1] - domain.v_range[0])
-
-    @property
-    def has_analytic_partials(self):
-        return all(f is not None for f in (self.du, self.dv, self.duu, self.duv, self.dvv))
 
     @property
     def metric(self):
         return _FORM_METRIC[self.form]
 
-    # numerical fallbacks for the jet
-    def d1(self, u, v):
-        if self.du is not None and self.dv is not None:
-            return self.du(u, v), self.dv(u, v)
-        hu, hv = self._fd_step_u, self._fd_step_v
-        xu = (self.position(u + hu, v) - self.position(u - hu, v)) / (2 * hu)
-        xv = (self.position(u, v + hv) - self.position(u, v - hv)) / (2 * hv)
-        return xu, xv
-
-    def d2(self, u, v):
-        if self.has_analytic_partials:
-            return self.duu(u, v), self.duv(u, v), self.dvv(u, v)
-        hu = np.sqrt(self._fd_step_u)
-        hv = np.sqrt(self._fd_step_v)
-        p = self.position
-        xuu = (p(u + hu, v) - 2 * p(u, v) + p(u - hu, v)) / hu**2
-        xvv = (p(u, v + hv) - 2 * p(u, v) + p(u, v - hv)) / hv**2
-        xuv = (
-            p(u + hu, v + hv) - p(u + hu, v - hv) - p(u - hu, v + hv) + p(u - hu, v - hv)
-        ) / (4 * hu * hv)
-        return xuu, xuv, xvv
+    def _finite_difference_jet(self, u, v):
+        """Central differences of position: steps 1e-5 of the parameter span for
+        first partials, their square roots for second partials; the whole
+        stencil goes through one position call."""
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        hu = 1e-5 * (self.domain.u_range[1] - self.domain.u_range[0])
+        hv = 1e-5 * (self.domain.v_range[1] - self.domain.v_range[0])
+        Hu, Hv = np.sqrt(hu), np.sqrt(hv)
+        U = np.stack([u, u + hu, u - hu, u, u, u + Hu, u - Hu, u, u,
+                      u + Hu, u + Hu, u - Hu, u - Hu])
+        V = np.stack([v, v, v, v + hv, v - hv, v, v, v + Hv, v - Hv,
+                      v + Hv, v - Hv, v + Hv, v - Hv])
+        p = self.position(U, V)
+        return Jet(
+            p[0],
+            (p[1] - p[2]) / (2 * hu),
+            (p[3] - p[4]) / (2 * hv),
+            (p[5] - 2 * p[0] + p[6]) / Hu**2,
+            (p[9] - p[10] - p[11] + p[12]) / (4 * Hu * Hv),
+            (p[7] - 2 * p[0] + p[8]) / Hv**2,
+        )
 
     def constraint_residual(self):
         """Max deviation of sampled positions from the form's constraint set."""
@@ -160,15 +163,14 @@ def _orthogonal_complement_normal(rows_metric, x, xu, xv):
     return n / np.sqrt(np.abs(nn))[..., None]
 
 
-def surface_normal(s, u, v, xu=None, xv=None):
+def surface_normal(s, u, v, jet=None):
     """Oriented unit normal; analytic when the surface carries one, else the
-    cross-product/complement normal with a single global sign fixed at the
-    domain base corner by the mean-curvature >= 0 convention."""
+    cross-product/complement normal of the jet (evaluated here unless given)
+    with a single global sign fixed at the domain centre by the
+    mean-curvature >= 0 convention."""
     if s.normal is not None:
         return s.normal(u, v)
-    if xu is None or xv is None:
-        xu, xv = s.d1(u, v)
-    x = s.position(u, v)
+    x, xu, xv = (s.jet(u, v) if jet is None else jet)[:3]
     if s.form == "euclidean":
         n = _euclidean_normal(xu, xv)
     else:
@@ -215,25 +217,24 @@ def _base_sign(s):
 # --- fundamental forms and curvature -------------------------------------------
 
 def fundamental_forms(s, u, v):
-    """First and second fundamental forms at (u, v); raises at singular points."""
+    """First and second fundamental forms at (u, v); raises at singular points,
+    where det I <= RANK_TOL * I11 * I22 (a scale-free, per-point test)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    xu, xv = s.d1(u, v)
+    jet = s.jet(u, v)
     g = s.metric
-    I = np.empty(xu.shape[:-1] + (2, 2))
-    I[..., 0, 0] = mt.inner(xu, xu, g)
-    I[..., 0, 1] = I[..., 1, 0] = mt.inner(xu, xv, g)
-    I[..., 1, 1] = mt.inner(xv, xv, g)
+    I = np.empty(jet.xu.shape[:-1] + (2, 2))
+    I[..., 0, 0] = mt.inner(jet.xu, jet.xu, g)
+    I[..., 0, 1] = I[..., 1, 0] = mt.inner(jet.xu, jet.xv, g)
+    I[..., 1, 1] = mt.inner(jet.xv, jet.xv, g)
     det = I[..., 0, 0] * I[..., 1, 1] - I[..., 0, 1] ** 2
-    scale = np.mean(I[..., 0, 0] * I[..., 1, 1])
-    if np.min(det) < RANK_TOL * max(scale, 1e-30):
+    if np.any(det <= RANK_TOL * I[..., 0, 0] * I[..., 1, 1]):
         raise SingularPointError("first fundamental form is rank deficient")
-    n = surface_normal(s, u, v, xu, xv)
-    xuu, xuv, xvv = s.d2(u, v)
+    n = surface_normal(s, u, v, jet)
     II = np.empty_like(I)
-    II[..., 0, 0] = mt.inner(xuu, n, g)
-    II[..., 0, 1] = II[..., 1, 0] = mt.inner(xuv, n, g)
-    II[..., 1, 1] = mt.inner(xvv, n, g)
+    II[..., 0, 0] = mt.inner(jet.xuu, n, g)
+    II[..., 0, 1] = II[..., 1, 0] = mt.inner(jet.xuv, n, g)
+    II[..., 1, 1] = mt.inner(jet.xvv, n, g)
     return I, II
 
 
@@ -286,8 +287,8 @@ def principal_curvatures(s, u, v, umbilic_tol=1e-9):
 
 def ambient_direction(s, u, v, d):
     """Push a parameter-space direction to the ambient tangent vector."""
-    xu, xv = s.d1(u, v)
-    return d[..., 0:1] * xu + d[..., 1:2] * xv
+    jet = s.jet(u, v)
+    return d[..., 0:1] * jet.xu + d[..., 1:2] * jet.xv
 
 
 # --- canonical catalog ----------------------------------------------------------
@@ -305,11 +306,14 @@ def torus(alpha, domain=None):
         return np.stack(np.broadcast_arrays(a, b, c, d), axis=-1)
 
     pos = lambda u, v: stack4(r * np.cos(u), r * np.sin(u), s_ * np.cos(v), s_ * np.sin(v))
-    du = lambda u, v: stack4(-r * np.sin(u), r * np.cos(u), 0 * u, 0 * v)
-    dv = lambda u, v: stack4(0 * u, 0 * u, -s_ * np.sin(v), s_ * np.cos(v))
-    duu = lambda u, v: stack4(-r * np.cos(u), -r * np.sin(u), 0 * u, 0 * v)
-    duv = lambda u, v: stack4(0 * u, 0 * u, 0 * u, 0 * v)
-    dvv = lambda u, v: stack4(0 * u, 0 * u, -s_ * np.cos(v), -s_ * np.sin(v))
+    jet = lambda u, v: Jet(
+        pos(u, v),
+        stack4(-r * np.sin(u), r * np.cos(u), 0 * u, 0 * v),
+        stack4(0 * u, 0 * u, -s_ * np.sin(v), s_ * np.cos(v)),
+        stack4(-r * np.cos(u), -r * np.sin(u), 0 * u, 0 * v),
+        stack4(0 * u, 0 * u, 0 * u, 0 * v),
+        stack4(0 * u, 0 * u, -s_ * np.cos(v), -s_ * np.sin(v)),
+    )
     normal = lambda u, v: stack4(
         s_ * np.cos(u), s_ * np.sin(u), -r * np.cos(v), -r * np.sin(v)
     )
@@ -321,7 +325,7 @@ def torus(alpha, domain=None):
 
     surf = ParametricSurface(
         "sphere", pos, domain, name="torus", params={"alpha": alpha},
-        du=du, dv=dv, duu=duu, duv=duv, dvv=dvv, normal=normal, frame=frame,
+        jet=jet, normal=normal, frame=frame,
     )
     surf.constant_curvatures = (-np.tan(alpha), 1.0 / np.tan(alpha))
     return surf
@@ -341,10 +345,14 @@ def cylinder(radius, domain=None):
         return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
 
     pos = lambda u, v: stack3(R * np.cos(u), R * np.sin(u), v)
-    du = lambda u, v: stack3(-R * np.sin(u), R * np.cos(u), 0 * v)
-    dv = lambda u, v: stack3(0 * u, 0 * u, np.ones_like(v))
-    zero = lambda u, v: stack3(0 * u, 0 * u, 0 * v)
-    duu = lambda u, v: stack3(-R * np.cos(u), -R * np.sin(u), 0 * v)
+    jet = lambda u, v: Jet(
+        pos(u, v),
+        stack3(-R * np.sin(u), R * np.cos(u), 0 * v),
+        stack3(0 * u, 0 * u, np.ones_like(v)),
+        stack3(-R * np.cos(u), -R * np.sin(u), 0 * v),
+        stack3(0 * u, 0 * u, 0 * v),
+        stack3(0 * u, 0 * u, 0 * v),
+    )
     normal = lambda u, v: stack3(-np.cos(u), -np.sin(u), 0 * v)
 
     def frame(u, v):
@@ -354,7 +362,7 @@ def cylinder(radius, domain=None):
 
     surf = ParametricSurface(
         "euclidean", pos, domain, name="cylinder", params={"radius": R},
-        du=du, dv=dv, duu=duu, duv=zero, dvv=zero, normal=normal, frame=frame,
+        jet=jet, normal=normal, frame=frame,
     )
     surf.constant_curvatures = (0.0, 1.0 / R)
     return surf
@@ -379,11 +387,14 @@ def hyperboloid(a, domain=None):
     pos = lambda u, v: stack4(
         rho * np.cos(u), rho * np.sin(u), sc * np.sinh(v), sc * np.cosh(v)
     )
-    du = lambda u, v: stack4(-rho * np.sin(u), rho * np.cos(u), 0 * v, 0 * v)
-    dv = lambda u, v: stack4(0 * u, 0 * u, sc * np.cosh(v), sc * np.sinh(v))
-    duu = lambda u, v: stack4(-rho * np.cos(u), -rho * np.sin(u), 0 * v, 0 * v)
-    duv = lambda u, v: stack4(0 * u, 0 * u, 0 * v, 0 * v)
-    dvv = lambda u, v: stack4(0 * u, 0 * u, sc * np.sinh(v), sc * np.cosh(v))
+    jet = lambda u, v: Jet(
+        pos(u, v),
+        stack4(-rho * np.sin(u), rho * np.cos(u), 0 * v, 0 * v),
+        stack4(0 * u, 0 * u, sc * np.cosh(v), sc * np.sinh(v)),
+        stack4(-rho * np.cos(u), -rho * np.sin(u), 0 * v, 0 * v),
+        stack4(0 * u, 0 * u, 0 * v, 0 * v),
+        stack4(0 * u, 0 * u, sc * np.sinh(v), sc * np.cosh(v)),
+    )
     # orientation with curvatures (a along the hyperbola, 1/a along the circle)
     normal = lambda u, v: stack4(
         -sc * np.cos(u), -sc * np.sin(u), -rho * np.sinh(v), -rho * np.cosh(v)
@@ -396,7 +407,7 @@ def hyperboloid(a, domain=None):
 
     surf = ParametricSurface(
         "hyperbolic", pos, domain, name="hyperboloid", params={"a": a},
-        du=du, dv=dv, duu=duu, duv=duv, dvv=dvv, normal=normal, frame=frame,
+        jet=jet, normal=normal, frame=frame,
     )
     surf.constant_curvatures = (a, 1.0 / a)
     return surf
@@ -446,8 +457,9 @@ def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
 def pushforward(s, mapping, domain=None):
     """Compose a surface with stereo / hyp_stereo / identity into R^3.
 
-    Analytic partials are composed by the chain rule when the source surface
-    carries them; otherwise finite differences take over downstream.
+    An analytic source jet is composed with the chart's Jacobian and Hessian
+    by the chain rule, all three evaluated once per call; the image of any
+    other surface differentiates its own position by central differences.
     """
     domain = domain or s.domain
     if mapping == "identity":
@@ -463,46 +475,33 @@ def pushforward(s, mapping, domain=None):
     else:
         raise GeometryError(f"unknown pushforward map {mapping!r}")
 
-    pos = lambda u, v: phi(s.position(u, v))
-    kwargs = {}
-    if s.has_analytic_partials:
-        def d1(u, v, which):
-            x = s.position(u, v)
-            t = s.du(u, v) if which == "u" else s.dv(u, v)
-            return np.einsum("...kj,...j->...k", J(x), t)
-
-        def d2(u, v, which):
-            x = s.position(u, v)
-            xu, xv = s.d1(u, v)
-            Jx, Hx = J(x), H(x)
-            if which == "uu":
-                t2, ta, tb = s.duu(u, v), xu, xu
-            elif which == "uv":
-                t2, ta, tb = s.duv(u, v), xu, xv
-            else:
-                t2, ta, tb = s.dvv(u, v), xv, xv
-            return np.einsum("...kj,...j->...k", Jx, t2) + np.einsum(
-                "...kij,...i,...j->...k", Hx, ta, tb
-            )
-
-        kwargs = dict(
-            du=lambda u, v: d1(u, v, "u"),
-            dv=lambda u, v: d1(u, v, "v"),
-            duu=lambda u, v: d2(u, v, "uu"),
-            duv=lambda u, v: d2(u, v, "uv"),
-            dvv=lambda u, v: d2(u, v, "vv"),
+    def jet(u, v):
+        src = s.jet(u, v)
+        Jx, Hx = J(src.x), H(src.x)
+        push = lambda t: np.einsum("...kj,...j->...k", Jx, t)
+        bend = lambda ta, tb: np.einsum("...kij,...i,...j->...k", Hx, ta, tb)
+        return Jet(
+            phi(src.x), push(src.xu), push(src.xv),
+            push(src.xuu) + bend(src.xu, src.xu),
+            push(src.xuv) + bend(src.xu, src.xv),
+            push(src.xvv) + bend(src.xv, src.xv),
         )
+
     return ParametricSurface(
-        "euclidean", pos, domain, name=f"{s.name}_{mapping}", params=dict(s.params),
-        **kwargs,
+        "euclidean", lambda u, v: phi(s.position(u, v)), domain,
+        name=f"{s.name}_{mapping}", params=dict(s.params),
+        jet=jet if s.analytic else None,
     )
 
 
 # --- classification ---------------------------------------------------------------
 
-def _flow_curvature_derivative(s, U, V, which, arc_step=1e-3):
+def _flow_curvature_derivative(s, U, V, data, which, arc_step=1e-3):
     """Derivative of a principal curvature along its own curvature line,
-    by a central difference between two short RK4 flows of the direction field."""
+    by a central difference between two short RK4 flows of the direction field.
+
+    ``data`` is the CurvatureData on the grid (U, V): its direction field is
+    the flows' first RK4 stage and their orientation reference."""
     shape = U.shape
     pts = np.stack([U.ravel(), V.ravel()], axis=-1)
 
@@ -513,11 +512,10 @@ def _flow_curvature_derivative(s, U, V, which, arc_step=1e-3):
         sgn = np.where(sgn == 0, 1.0, sgn)
         return d * sgn[:, None]
 
-    base = principal_curvatures(s, pts[:, 0], pts[:, 1])
-    d0 = base.dir_a if which == "a" else base.dir_c
+    d0 = (data.dir_a if which == "a" else data.dir_c).reshape(-1, 2)
 
     def rk4(p, h):
-        k1 = direction(p, d0)
+        k1 = d0  # the direction field at the base points, aligned with itself
         k2 = direction(p + 0.5 * h * k1, d0)
         k3 = direction(p + 0.5 * h * k2, d0)
         k4 = direction(p + h * k3, d0)
@@ -540,7 +538,7 @@ def classify(s, iso_tol=None, dupin_tol=None, arc_step=1e-3):
     line stays below dupin_tol everywhere, with distinct curvatures; umbilic
     points make the Dupin verdict undefined there (excluded, reported).
     """
-    analytic = s.has_analytic_partials
+    analytic = s.analytic
     if iso_tol is None:
         iso_tol = 1e-6 if analytic else 1e-3
     if dupin_tol is None:
@@ -570,8 +568,8 @@ def classify(s, iso_tol=None, dupin_tol=None, arc_step=1e-3):
     if data.umbilic.any():
         warnings.warn("umbilic points found; excluded from the Dupin test")
     mask = ~data.umbilic
-    da = _flow_curvature_derivative(s, U, V, "a", arc_step)
-    dc = _flow_curvature_derivative(s, U, V, "c", arc_step)
+    da = _flow_curvature_derivative(s, U, V, data, "a", arc_step)
+    dc = _flow_curvature_derivative(s, U, V, data, "c", arc_step)
     report["dupin_derivative_a"] = float(np.max(np.abs(da[mask])))
     report["dupin_derivative_c"] = float(np.max(np.abs(dc[mask])))
     dupin = (

@@ -74,6 +74,17 @@ class TestCLI:
         assert by_name["isoparametric"]["pass"] is False
         assert by_name["dupin"]["pass"] is True
 
+    @pytest.mark.parametrize("alpha", ["0.1", "0.12"])
+    def test_gen_thin_torus_stereo(self, tmp_path, alpha):
+        # the image has a wide range of scales; the rank test is per point
+        out = str(tmp_path / "thin.obj")
+        rc = main(["gen", "torus", "--alpha", alpha, "--project", "stereo",
+                   "--grid", "32x32", "--out", out])
+        assert rc == 0
+        rep = json.loads(open(out[:-4] + ".report.json").read())
+        by_name = {c["name"]: c for c in rep["checks"]}
+        assert by_name["dupin"]["pass"] is True
+
     def test_gen_figure2(self, tmp_path):
         out = str(tmp_path / "fig2.obj")
         rc = main(["gen", "hyperboloid", "--a", "0.5", "--project", "hyp_stereo",

@@ -152,7 +152,7 @@ class TestLegendreLift:
         ninf[0], ninf[4] = -0.5, 0.5
         E3 = _pad_mid(nu) + (2.0 * np.sum(y * nu, axis=-1))[..., None] * ninf
         S = 1.0 * Fhat + E3  # curvature sphere for the circle direction (c = 1)
-        yu, yv = s.d1(U, V)
+        yu, yv = s.jet(U, V)[1:3]
         dF = (
             _pad_mid(yu) + (2.0 * np.sum(y * yu, axis=-1))[..., None] * ninf,
             _pad_mid(yv) + (2.0 * np.sum(y * yv, axis=-1))[..., None] * ninf,

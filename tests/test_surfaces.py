@@ -115,18 +115,27 @@ class TestPushforward:
         assert out["dupin"] is True
 
     def test_chain_rule_against_finite_differences(self):
-        s = srf.pushforward(srf.torus(0.6), "stereo")
-        u = np.array([0.7])
-        v = np.array([1.9])
-        xu, xv = s.d1(u, v)
-        h = 1e-6
-        fd_u = (s.position(u + h, v) - s.position(u - h, v)) / (2 * h)
-        fd_v = (s.position(u, v + h) - s.position(u, v - h)) / (2 * h)
-        assert np.max(np.abs(xu - fd_u)) < 1e-8
-        assert np.max(np.abs(xv - fd_v)) < 1e-8
-        xuu, xuv, xvv = s.d2(u, v)
-        fd_uu = (s.position(u + h, v) - 2 * s.position(u, v) + s.position(u - h, v)) / h**2
-        assert np.max(np.abs(xuu - fd_uu)) < 1e-3
+        for s, (u0, v0) in (
+            (srf.pushforward(srf.torus(0.6), "stereo"), (0.7, 1.9)),
+            (srf.pushforward(srf.hyperboloid(0.5), "hyp_stereo"), (0.7, 0.4)),
+        ):
+            u = np.array([u0])
+            v = np.array([v0])
+            p = s.position
+            jet = s.jet(u, v)
+            h = 1e-6
+            assert np.array_equal(jet.x, p(u, v))
+            fd_u = (p(u + h, v) - p(u - h, v)) / (2 * h)
+            fd_v = (p(u, v + h) - p(u, v - h)) / (2 * h)
+            assert np.max(np.abs(jet.xu - fd_u)) < 1e-8
+            assert np.max(np.abs(jet.xv - fd_v)) < 1e-8
+            fd_uu = (p(u + h, v) - 2 * p(u, v) + p(u - h, v)) / h**2
+            fd_vv = (p(u, v + h) - 2 * p(u, v) + p(u, v - h)) / h**2
+            fd_uv = (p(u + h, v + h) - p(u + h, v - h) - p(u - h, v + h)
+                     + p(u - h, v - h)) / (4 * h * h)
+            assert np.max(np.abs(jet.xuu - fd_uu)) < 1e-3
+            assert np.max(np.abs(jet.xuv - fd_uv)) < 1e-3
+            assert np.max(np.abs(jet.xvv - fd_vv)) < 1e-3
 
 
 class TestClassify:
