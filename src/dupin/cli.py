@@ -21,6 +21,7 @@ from . import surfaces as srf
 from . import verify
 from .export import check, grid_mesh, make_report, write_obj, write_report
 from .metrics import GeometryError
+from .spaceforms import hyp_stereo, stereo_off_pole
 from .surfaces import ParamDomain
 
 
@@ -50,10 +51,12 @@ def parse_grid(spec, cfg):
     if spec is None:
         return int(cfg["grid_nu"]), int(cfg["grid_nv"])
     try:
-        nu, nv = spec.lower().split("x")
-        return int(nu), int(nv)
+        nu, nv = (int(n) for n in spec.lower().split("x"))
     except ValueError as exc:
         raise GeometryError(f"grid must look like 64x64, got {spec!r}") from exc
+    if min(nu, nv) < 3:
+        raise GeometryError(f"grid must be at least 3x3, got {spec!r}")
+    return nu, nv
 
 
 def _out_path(path):
@@ -152,16 +155,10 @@ def cmd_orbit(args, cfg):
     s_grid = np.linspace(-span, span, nu)
     t_grid = np.linspace(-span, span, nv)
     orb = mb.hc_orbit(args.C, s_grid, t_grid)
-    from .spaceforms import POLE_TOL, hyp_stereo
-
     valid = orb.valid.copy()
     if orb.regime == "torus":
-        x = orb.chart_points
-        pole = np.abs(1.0 + x[..., 0]) < POLE_TOL
+        pts3, pole = stereo_off_pole(orb.chart_points)
         valid &= ~pole
-        safe = x.copy()
-        safe[pole] = np.array([1.0, 0, 0, 0])
-        pts3 = safe[..., 1:] / (1.0 + safe[..., 0])[..., None]
     elif orb.regime == "cylinder":
         pts3 = orb.chart_points
     else:

@@ -17,6 +17,10 @@ class IntegrabilityError(GeometryError):
     pass
 
 
+class FrameOrderError(GeometryError):
+    """An adapted frame field fails one of its order conditions."""
+
+
 def grid_gradient(f, h, axis, periodic):
     """Grid derivative along one axis; 4th-order central stencils inside
     (exactly so on periodic grids), 2nd-order one-sided at open boundaries."""
@@ -49,6 +53,17 @@ def grid_gradient(f, h, axis, periodic):
         else:
             out[sl(i)] = (f[sl(i + 1)] - f[sl(i - 1)]) / (2 * h)
     return out
+
+
+def grid_differential(f, domain):
+    """The pair (df/du, df/dv) of a grid field (see grid_gradient)."""
+    return (grid_gradient(f, domain.du, 0, domain.periodic_u),
+            grid_gradient(f, domain.dv, 1, domain.periodic_v))
+
+
+def wedge(f, g):
+    """du^dv coefficient of the wedge of two 1-forms given as (du, dv) pairs."""
+    return f[0] * g[1] - f[1] * g[0]
 
 
 @dataclass
@@ -119,8 +134,7 @@ def pullback_mc(ff, membership_tol=1e-8):
     if ff.partial_u is not None and ff.partial_v is not None:
         de_u, de_v = ff.partial_u, ff.partial_v
     else:
-        de_u = grid_gradient(ff.mats, ff.domain.du, 0, ff.domain.periodic_u)
-        de_v = grid_gradient(ff.mats, ff.domain.dv, 1, ff.domain.periodic_v)
+        de_u, de_v = grid_differential(ff.mats, ff.domain)
     omega_u = np.linalg.solve(ff.mats, de_u)
     omega_v = np.linalg.solve(ff.mats, de_v)
     h = ff.handle()

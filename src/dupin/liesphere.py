@@ -12,20 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
 
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
-from .frames import FrameField, pullback_mc, grid_gradient
-from .surfaces import ParamDomain, coframe_solve
+from .frames import (FrameField, FrameOrderError, grid_differential, grid_gradient,
+                     pullback_mc, wedge)
+from .surfaces import ParamDomain, coframe_solve, propagate_sign
 
 
 class DegenerateLineError(GeometryError):
-    pass
-
-
-class FrameOrderError(GeometryError):
     pass
 
 
@@ -61,6 +57,7 @@ class PencilLine:
     S1: np.ndarray
 
     def residuals(self):
+        """Quadric residuals of both representatives and their orthogonality."""
         return {
             "quadric_S0": quadric_residual(self.S0),
             "quadric_S1": quadric_residual(self.S1),
@@ -108,12 +105,7 @@ class LegendreMap:
     dS0: tuple | None = None
     dS1: tuple | None = None
 
-    def line_residuals(self):
-        return {
-            "quadric_S0": quadric_residual(self.S0),
-            "quadric_S1": quadric_residual(self.S1),
-            "orthogonality": float(np.max(np.abs(inner(self.S0, self.S1, mt.R42)))),
-        }
+    line_residuals = PencilLine.residuals
 
 
 def _fixed_norm_coordinate(field):
@@ -141,8 +133,7 @@ def contact_residual(lm):
     S0 = _smooth_normalize(lm.S0)
     S1 = _smooth_normalize(lm.S1)
     d = lm.domain
-    r_u = inner(grid_gradient(S0, d.du, 0, d.periodic_u), S1, mt.R42)
-    r_v = inner(grid_gradient(S0, d.dv, 1, d.periodic_v), S1, mt.R42)
+    r_u, r_v = (inner(dS0, S1, mt.R42) for dS0 in grid_differential(S0, d))
     return float(max(np.max(np.abs(r_u)), np.max(np.abs(r_v))))
 
 
@@ -153,17 +144,8 @@ def legendre_lift(F, S, domain, dF=None, dS=None, tangency_tol=1e-6):
     S = np.asarray(S, dtype=float)
     if np.max(np.abs(inner(F, S, mt.R41))) > tangency_tol:
         raise GeometryError("S is not a sphere through the points of F")
-    if dF is not None:
-        tang = max(
-            float(np.max(np.abs(inner(dF[0], S, mt.R41)))),
-            float(np.max(np.abs(inner(dF[1], S, mt.R41)))),
-        )
-    else:
-        Fn = _smooth_normalize(F)
-        tang = max(
-            float(np.max(np.abs(inner(grid_gradient(Fn, domain.du, 0, domain.periodic_u), S, mt.R41)))),
-            float(np.max(np.abs(inner(grid_gradient(Fn, domain.dv, 1, domain.periodic_v), S, mt.R41)))),
-        )
+    dFt = dF if dF is not None else grid_differential(_smooth_normalize(F), domain)
+    tang = max(float(np.max(np.abs(inner(dFi, S, mt.R41)))) for dFi in dFt)
     scale = float(np.median(np.abs(F).max(axis=-1)))
     if tang > tangency_tol * max(scale, 1.0):
         raise GeometryError(f"sphere map is not tangent (residual {tang:.3e})")
@@ -245,9 +227,7 @@ def sigma_rank_report(lm, rank_tol=1e-10):
     sig = spherical_projection(lm.S0, lm.S1)
     sig = _smooth_normalize(sig)
     d = lm.domain
-    Ju = grid_gradient(sig, d.du, 0, d.periodic_u)
-    Jv = grid_gradient(sig, d.dv, 1, d.periodic_v)
-    J = np.stack([Ju, Jv], axis=-1)
+    J = np.stack(grid_differential(sig, d), axis=-1)
     svals = np.linalg.svd(J, compute_uv=False)
     return {
         "max_second_singular_value": float(np.max(svals[..., 1])),
@@ -287,11 +267,8 @@ def curvature_sphere_fields(lm):
         dS0u, dS0v = lm.dS0
         dS1u, dS1v = lm.dS1
     else:
-        S0n, S1n = lm.S0, lm.S1
-        dS0u = grid_gradient(S0n, d.du, 0, d.periodic_u)
-        dS0v = grid_gradient(S0n, d.dv, 1, d.periodic_v)
-        dS1u = grid_gradient(S1n, d.du, 0, d.periodic_u)
-        dS1v = grid_gradient(S1n, d.dv, 1, d.periodic_v)
+        dS0u, dS0v = grid_differential(lm.S0, d)
+        dS1u, dS1v = grid_differential(lm.S1, d)
     u_basis = _pencil_complement(lm.S0, lm.S1)
     a_u = _component(u_basis, dS0u)
     a_v = _component(u_basis, dS0v)
@@ -357,9 +334,8 @@ def legendre_dupin_test(lm, deriv_tol=5e-3):
         ab = root["alpha_beta"]
         K = ab[..., 0:1] * lm.S0 + ab[..., 1:2] * lm.S1
         K = K / np.linalg.norm(K, axis=-1, keepdims=True)
-        K = _sign_align(K)
-        Ku = grid_gradient(K, d.du, 0, d.periodic_u)
-        Kv = grid_gradient(K, d.dv, 1, d.periodic_v)
+        K = propagate_sign(K)
+        Ku, Kv = grid_differential(K, d)
         k = root["kernel"]
         D = k[..., 0:1] * Ku + k[..., 1:2] * Kv
         D = D - np.sum(D * K, axis=-1, keepdims=True) * K
@@ -370,18 +346,6 @@ def legendre_dupin_test(lm, deriv_tol=5e-3):
         "max_derivative": worst,
         "fields": fields,
     }
-
-
-def _sign_align(field):
-    out = field.copy()
-    for i in range(1, out.shape[0]):
-        flip = np.sum(out[i, 0] * out[i - 1, 0]) < 0
-        if flip:
-            out[i, 0] = -out[i, 0]
-    for j in range(1, out.shape[1]):
-        flip = np.sum(out[:, j] * out[:, j - 1], axis=-1) < 0
-        out[:, j][flip] = -out[:, j][flip]
-    return out
 
 
 # --- the Dupin distribution subalgebra, boosts, coset orbits ---------------------------
@@ -468,6 +432,8 @@ def coset_orbit(A, s_grid, t_grid):
     T = (M @ E2)[:, None] @ E3[None]
     Tu = (M @ X2 @ E2)[:, None] @ E3[None]
     Tv = (M @ E2)[:, None] @ (X3 @ E3)[None]
+    if not all(np.isfinite(F).all() for F in (T, Tu, Tv)):
+        raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
     domain = ParamDomain(
         (float(s_grid[0]), float(s_grid[-1])),
         (float(t_grid[0]), float(t_grid[-1])),
@@ -517,16 +483,12 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
         s_grid = np.linspace(-4.0, 4.0, 33)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
-    lm, _ = coset_orbit(boost(boost_t), s_grid, t_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # coset_orbit rejects overflow
+        lm, _ = coset_orbit(boost(boost_t), s_grid, t_grid)
     sig = spherical_projection(lm.S0, lm.S1)
     x = sf.moebius_to_sphere(sig)
-    pole = np.abs(1.0 + x[..., 0]) < sf.POLE_TOL
-    safe = x.copy()
-    safe[pole] = np.array([1.0, 0, 0, 0])
-    y = sf.stereo(safe)
-    d = lm.domain
-    yu = grid_gradient(y, d.du, 0, False)
-    yv = grid_gradient(y, d.dv, 1, False)
+    y, pole = sf.stereo_off_pole(x)
+    yu, yv = grid_differential(y, lm.domain)
     E = np.sum(yu * yu, axis=-1)
     Fc = np.sum(yu * yv, axis=-1)
     Gc = np.sum(yv * yv, axis=-1)
@@ -583,7 +545,7 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
         "contact": emax(4, 0),
     }
     th2, th3 = entry(2, 1), entry(3, 0)
-    wedge23 = th2[0] * th3[1] - th2[1] * th3[0]
+    wedge23 = wedge(th2, th3)
     if np.min(np.abs(wedge23)) < 1e-12:
         res["coframe_degenerate"] = True
         raise FrameOrderError("theta^2 wedge theta^3 vanishes somewhere on the grid")
@@ -606,19 +568,10 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
     res["q_consistency"] = float(np.max(np.abs(qf - q)))
     res["p_consistency"] = float(np.max(np.abs(-mpf - p)))
 
-    def dscalar(f):
-        return (
-            grid_gradient(f, d.du, 0, d.periodic_u),
-            grid_gradient(f, d.dv, 1, d.periodic_v),
-        )
-
-    def wedge(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    lhs1 = wedge(dscalar(q), th2) + wedge(dscalar(tf), th3)
+    lhs1 = wedge(grid_differential(q, d), th2) + wedge(grid_differential(tf, d), th3)
     rhs1 = -(c2 + q * (p + tf)) * wedge23
     res["exterior_1"] = float(np.max(np.abs(lhs1 - rhs1)))
-    lhs2 = wedge(dscalar(uf), th2) - wedge(dscalar(p), th3)
+    lhs2 = wedge(grid_differential(uf, d), th2) - wedge(grid_differential(p, d), th3)
     rhs2 = (d3 + p * (q - uf)) * wedge23
     res["exterior_2"] = float(np.max(np.abs(lhs2 - rhs2)))
     coeffs = LieCoefficients(p, q, tf, uf, c2, c3, d2, d3, th2, th3)
@@ -628,6 +581,8 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
 def coset_membership_residual(ff, sub=None):
     """Max distance of log(T(0,0)^{-1} T(u,v)) from the subalgebra span: a
     numerical certificate that the frame field stays in one right coset."""
+    from scipy.linalg import logm  # the only scipy use; kept off the import path
+
     sub = sub or h_basis()
     base_inv = np.linalg.inv(ff.mats[0, 0])
     worst = 0.0

@@ -10,9 +10,9 @@ structure needed to coordinatize the matrix algebras so(gram).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
-from scipy.linalg import expm
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -189,12 +189,74 @@ def bracket(X, Y):
     return X @ Y - Y @ X
 
 
+# theta_m: the largest 1-norm at which the order-m diagonal Pade approximant
+# r_m of exp meets unit roundoff in backward error (Higham 2005, Table 2.3).
+# _PADE_B[m][k] is the coefficient of A^k in its numerator, scaled so b_m = 1.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+_PADE_B = {m: [factorial(2 * m - k) / (factorial(k) * factorial(m - k)) for k in range(m + 1)]
+           for m in _PADE_THETA}
+
+
+def _pade(A, m):
+    """r_m = (V - U)^{-1} (V + U) on a stack (N, n, n), with U the odd and V
+    the even part: whole-stack products and one batched solve."""
+    b = _PADE_B[m]
+    P = [A @ A]  # A^2, A^4, ...
+    while len(P) < (3 if m == 13 else m // 2):
+        P.append(P[-1] @ P[0])
+    U, V = np.zeros_like(A), np.zeros_like(A)
+    if m == 13:  # the terms of degree 8 to 13 share the factor A^6
+        for k, Pk in enumerate(P, start=1):
+            U += Pk * b[2 * k + 7]
+            V += Pk * b[2 * k + 6]
+        U, V = P[2] @ U, P[2] @ V
+    for k, Pk in enumerate(P, start=1):
+        U += Pk * b[2 * k + 1]
+        V += Pk * b[2 * k]
+    diag = np.arange(A.shape[-1])
+    U[:, diag, diag] += b[1]
+    V[:, diag, diag] += b[0]
+    U = A @ U
+    return np.linalg.solve(V - U, V + U)
+
+
 def mat_exp(X):
-    """Matrix exponential of one matrix or of a stack of shape (..., n, n),
-    slice by slice (scipy's scaling-and-squaring Pade); leading shapes,
-    including empty ones, are kept.  The only exponential in the package:
-    callers pass whole stacks rather than looping over points."""
-    return expm(np.asarray(X, dtype=float))
+    """Matrix exponential of one matrix or of a stack of shape (..., n, n);
+    leading shapes, including empty ones, are kept.  The only exponential in
+    the package: callers pass whole stacks rather than looping over points.
+
+    Scaling and squaring with diagonal Pade approximants (Higham, SIAM J.
+    Matrix Anal. Appl. 26(4), 2005).  Each slice picks its own order from its
+    1-norm: the lowest m in {3, 5, 7, 9, 13} with norm <= theta_m, else m = 13
+    on X / 2^s with s = ceil(log2(norm / theta_13)), squared back s times.
+    Because the choice is per slice, a slice's result does not depend on the
+    rest of the stack.  A slice with a NaN or infinite entry comes out all NaN."""
+    X = np.asarray(X, dtype=float)
+    A = X.reshape((-1,) + X.shape[-2:])
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    todo = np.isfinite(norm)
+    s = np.zeros(len(A), dtype=int)
+    big = todo & (norm > _PADE_THETA[13])
+    if big.any():
+        s[big] = np.ceil(np.log2(norm[big] / _PADE_THETA[13]))
+        A = np.ldexp(A, -s[:, None, None])
+    E = np.full_like(A, np.nan)
+    for m, theta in _PADE_THETA.items():
+        group = todo & (norm <= theta) if m < 13 else todo
+        todo = todo & ~group
+        if group.all():
+            E = _pade(A, m)
+        elif group.any():
+            E[group] = _pade(A[group], m)
+    for k in range(s.max(initial=0)):
+        sq = s > k
+        if sq.all():
+            E = E @ E
+        else:
+            Q = E[sq]
+            E[sq] = Q @ Q
+    return E.reshape(X.shape)
 
 
 @dataclass
@@ -398,34 +460,22 @@ def e3_algebra_project(X):
 
 
 class MatrixGroup:
-    """Uniform handle over the matrix groups used by the frame calculus."""
+    """Uniform handle over the matrix groups used by the frame calculus: the
+    group's membership and algebra residuals and its projection onto the
+    algebra.  Metric groups take them from their Gram matrix."""
 
-    def __init__(self, name, n, metric=None):
-        self.name = name
-        self.n = n
-        self.metric = metric
+    def __init__(self, name, n, membership_residual, algebra_residual, algebra_project):
+        self.name, self.n = name, n
+        self.membership_residual = membership_residual
+        self.algebra_residual = algebra_residual
+        self.algebra_project = algebra_project
 
-    def membership_residual(self, T):
-        if self.metric is None:
-            return e3_residual(T)
-        return group_residual(T, self.metric)
-
-    def algebra_residual(self, X):
-        if self.metric is None:
-            return e3_algebra_residual(X)
-        return algebra_residual(X, self.metric)
-
-    def algebra_project(self, X):
-        if self.metric is None:
-            return e3_algebra_project(X)
-        return algebra_project(X, self.metric)
+    @classmethod
+    def of_metric(cls, name, metric):
+        return cls(name, metric.dim, lambda T: group_residual(T, metric),
+                   lambda X: algebra_residual(X, metric), lambda X: algebra_project(X, metric))
 
 
-GROUPS = {
-    "so3": MatrixGroup("so3", 3, R3),
-    "so4": MatrixGroup("so4", 4, R4),
-    "so31": MatrixGroup("so31", 4, R31),
-    "moebius": MatrixGroup("moebius", 5, MOEB),
-    "lie": MatrixGroup("lie", 6, LIE),
-    "e3": MatrixGroup("e3", 4, None),
-}
+GROUPS = {name: MatrixGroup.of_metric(name, metric) for name, metric in
+          (("so3", R3), ("so4", R4), ("so31", R31), ("moebius", MOEB), ("lie", LIE))}
+GROUPS["e3"] = MatrixGroup("e3", 4, e3_residual, e3_algebra_residual, e3_algebra_project)

@@ -16,12 +16,9 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, SQRT2, inner
-from .frames import FrameField, MCForm, pullback_mc, grid_gradient
+from .frames import (FrameField, FrameOrderError, MCForm, grid_differential, pullback_mc,
+                     wedge)
 from .surfaces import ParamDomain, torus, cylinder, hyperboloid
-
-
-class FrameOrderError(GeometryError):
-    pass
 
 
 # --- the oriented-sphere model -------------------------------------------------
@@ -90,8 +87,7 @@ def sphere_map_dupin_test(S_grid, domain, rank_tol=1e-8):
     everywhere passes but is flagged degenerate.
     """
     S_grid = np.asarray(S_grid, dtype=float)
-    Su = grid_gradient(S_grid, domain.du, 0, domain.periodic_u)
-    Sv = grid_gradient(S_grid, domain.dv, 1, domain.periodic_v)
+    Su, Sv = grid_differential(S_grid, domain)
     J = np.stack([Su, Sv], axis=-1)  # (nu, nv, 5, 2)
     svals = np.linalg.svd(J, compute_uv=False)
     scale = max(float(np.max(svals)), 1.0)
@@ -116,15 +112,11 @@ def curvature_sphere_params(mc, i, j, double_root_tol=1e-12):
 
     w13, w23 = form(1, 3), form(2, 3)
     w10, w20 = form(1, 0), form(2, 0)
-    if abs(w10[0] * w20[1] - w10[1] * w20[0]) < 1e-14:
+    c2 = wedge(w10, w20)
+    if abs(c2) < 1e-14:
         raise GeometryError("degenerate coframe: omega^1_0 wedge omega^2_0 = 0")
-
-    def wedge(p, q):
-        return p[0] * q[1] - p[1] * q[0]
-
     c0 = wedge(w13, w23)
     c1 = wedge(w13, w20) + wedge(w10, w23)
-    c2 = wedge(w10, w20)
     scale = max(abs(c0), abs(c1), abs(c2))
     if scale < 1e-14:
         return {"roots": [], "double_root": False, "totally_umbilic": True}
@@ -375,10 +367,6 @@ def _form_add(f, g):
     return (f[0] + g[0], f[1] + g[1])
 
 
-def _wedge(f, g):
-    return f[0] * g[1] - f[1] * g[0]
-
-
 def _integrability_residuals(mc, q1, q2, p1, p2, p3, w10, w20):
     """Finite-difference residuals of the two complex compatibility equations
     satisfied by the coefficients of a third-order frame.
@@ -387,26 +375,19 @@ def _integrability_residuals(mc, q1, q2, p1, p2, p3, w10, w20):
     against phi wedge conj(phi) (wedge of phi with itself vanishes identically).
     """
     dom = mc.domain
-
-    def d(fld):
-        return (
-            grid_gradient(fld, dom.du, 0, dom.periodic_u),
-            grid_gradient(fld, dom.dv, 1, dom.periodic_v),
-        )
-
     phi = (w10[0] + 1j * w20[0], w10[1] + 1j * w20[1])
     phib = (np.conj(phi[0]), np.conj(phi[1]))
-    ppb = _wedge(phi, phib)
+    ppb = wedge(phi, phib)
 
     f1 = q2 + 1j * q1
-    df1 = d(f1)
-    lhs1 = _wedge(df1, phi)
+    df1 = grid_differential(f1, dom)
+    lhs1 = wedge(df1, phi)
     rhs1 = -0.5 * (p1 + p3 + 1.0 + q1 * q1 + q2 * q2 + 1j * p2) * ppb
     r1 = float(np.max(np.abs(lhs1 - rhs1)))
 
     f2 = p1 + p3 - 2j * p2
     f3 = p1 - p3
-    lhs2 = _wedge(d(f2), phi) + _wedge(d(f3), phib)
+    lhs2 = wedge(grid_differential(f2, dom), phi) + wedge(grid_differential(f3, dom), phib)
     rhs2 = (2.0 * p2 + 1j * (p1 + p3)) * (q1 + 1j * q2) * ppb
     r2 = float(np.max(np.abs(lhs2 - rhs2)))
     return {"integrability_1": r1, "integrability_2": r2}

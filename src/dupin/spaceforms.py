@@ -53,6 +53,16 @@ def stereo(x):
     return x[..., 1:] / den[..., None]
 
 
+def stereo_off_pole(x):
+    """stereo on every point but those within POLE_TOL of the pole, which go to
+    the origin; returns (image, pole mask)."""
+    x = np.asarray(x, dtype=float)
+    pole = np.abs(1.0 + x[..., 0]) < POLE_TOL
+    safe = x.copy()
+    safe[pole] = np.eye(4)[0]
+    return stereo(safe), pole
+
+
 def stereo_inv(y):
     """R^3 -> S^3: y -> ((1-|y|^2) eps0 + 2y) / (1+|y|^2)."""
     y = np.asarray(y, dtype=float)

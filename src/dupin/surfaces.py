@@ -293,6 +293,11 @@ def ambient_direction(s, u, v, d):
 
 # --- canonical catalog ----------------------------------------------------------
 
+def _stack(*coords):
+    """Coordinate arrays broadcast together and stacked along a new last axis."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
 def torus(alpha, domain=None):
     """Flat product torus S^1(cos a) x S^1(sin a) in S^3; curvatures
     (-tan a, cot a) with the catalog normal orientation."""
@@ -302,25 +307,22 @@ def torus(alpha, domain=None):
     r, s_ = np.cos(alpha), np.sin(alpha)
     domain = domain or ParamDomain()
 
-    def stack4(a, b, c, d):
-        return np.stack(np.broadcast_arrays(a, b, c, d), axis=-1)
-
-    pos = lambda u, v: stack4(r * np.cos(u), r * np.sin(u), s_ * np.cos(v), s_ * np.sin(v))
+    pos = lambda u, v: _stack(r * np.cos(u), r * np.sin(u), s_ * np.cos(v), s_ * np.sin(v))
     jet = lambda u, v: Jet(
         pos(u, v),
-        stack4(-r * np.sin(u), r * np.cos(u), 0 * u, 0 * v),
-        stack4(0 * u, 0 * u, -s_ * np.sin(v), s_ * np.cos(v)),
-        stack4(-r * np.cos(u), -r * np.sin(u), 0 * u, 0 * v),
-        stack4(0 * u, 0 * u, 0 * u, 0 * v),
-        stack4(0 * u, 0 * u, -s_ * np.cos(v), -s_ * np.sin(v)),
+        _stack(-r * np.sin(u), r * np.cos(u), 0 * u, 0 * v),
+        _stack(0 * u, 0 * u, -s_ * np.sin(v), s_ * np.cos(v)),
+        _stack(-r * np.cos(u), -r * np.sin(u), 0 * u, 0 * v),
+        _stack(0 * u, 0 * u, 0 * u, 0 * v),
+        _stack(0 * u, 0 * u, -s_ * np.cos(v), -s_ * np.sin(v)),
     )
-    normal = lambda u, v: stack4(
+    normal = lambda u, v: _stack(
         s_ * np.cos(u), s_ * np.sin(u), -r * np.cos(v), -r * np.sin(v)
     )
 
     def frame(u, v):
-        e1 = stack4(-np.sin(u), np.cos(u), 0 * u, 0 * v)
-        e2 = stack4(0 * u, 0 * u, -np.sin(v), np.cos(v))
+        e1 = _stack(-np.sin(u), np.cos(u), 0 * u, 0 * v)
+        e2 = _stack(0 * u, 0 * u, -np.sin(v), np.cos(v))
         return e1, e2, normal(u, v)
 
     surf = ParametricSurface(
@@ -341,23 +343,20 @@ def cylinder(radius, domain=None):
         v_range=(-2.0, 2.0), periodic_v=False
     )
 
-    def stack3(a, b, c):
-        return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
-
-    pos = lambda u, v: stack3(R * np.cos(u), R * np.sin(u), v)
+    pos = lambda u, v: _stack(R * np.cos(u), R * np.sin(u), v)
     jet = lambda u, v: Jet(
         pos(u, v),
-        stack3(-R * np.sin(u), R * np.cos(u), 0 * v),
-        stack3(0 * u, 0 * u, np.ones_like(v)),
-        stack3(-R * np.cos(u), -R * np.sin(u), 0 * v),
-        stack3(0 * u, 0 * u, 0 * v),
-        stack3(0 * u, 0 * u, 0 * v),
+        _stack(-R * np.sin(u), R * np.cos(u), 0 * v),
+        _stack(0 * u, 0 * u, np.ones_like(v)),
+        _stack(-R * np.cos(u), -R * np.sin(u), 0 * v),
+        _stack(0 * u, 0 * u, 0 * v),
+        _stack(0 * u, 0 * u, 0 * v),
     )
-    normal = lambda u, v: stack3(-np.cos(u), -np.sin(u), 0 * v)
+    normal = lambda u, v: _stack(-np.cos(u), -np.sin(u), 0 * v)
 
     def frame(u, v):
-        e1 = stack3(0 * u, 0 * u, np.ones_like(v))       # ruling: curvature 0
-        e2 = stack3(-np.sin(u), np.cos(u), 0 * v)        # circle: curvature 1/R
+        e1 = _stack(0 * u, 0 * u, np.ones_like(v))       # ruling: curvature 0
+        e2 = _stack(-np.sin(u), np.cos(u), 0 * v)        # circle: curvature 1/R
         return e1, e2, normal(u, v)
 
     surf = ParametricSurface(
@@ -381,28 +380,25 @@ def hyperboloid(a, domain=None):
     rho, sc = a / b, 1.0 / b
     domain = domain or ParamDomain(v_range=(-1.5, 1.5), periodic_v=False)
 
-    def stack4(p, q, r, w):
-        return np.stack(np.broadcast_arrays(p, q, r, w), axis=-1)
-
-    pos = lambda u, v: stack4(
+    pos = lambda u, v: _stack(
         rho * np.cos(u), rho * np.sin(u), sc * np.sinh(v), sc * np.cosh(v)
     )
     jet = lambda u, v: Jet(
         pos(u, v),
-        stack4(-rho * np.sin(u), rho * np.cos(u), 0 * v, 0 * v),
-        stack4(0 * u, 0 * u, sc * np.cosh(v), sc * np.sinh(v)),
-        stack4(-rho * np.cos(u), -rho * np.sin(u), 0 * v, 0 * v),
-        stack4(0 * u, 0 * u, 0 * v, 0 * v),
-        stack4(0 * u, 0 * u, sc * np.sinh(v), sc * np.cosh(v)),
+        _stack(-rho * np.sin(u), rho * np.cos(u), 0 * v, 0 * v),
+        _stack(0 * u, 0 * u, sc * np.cosh(v), sc * np.sinh(v)),
+        _stack(-rho * np.cos(u), -rho * np.sin(u), 0 * v, 0 * v),
+        _stack(0 * u, 0 * u, 0 * v, 0 * v),
+        _stack(0 * u, 0 * u, sc * np.sinh(v), sc * np.cosh(v)),
     )
     # orientation with curvatures (a along the hyperbola, 1/a along the circle)
-    normal = lambda u, v: stack4(
+    normal = lambda u, v: _stack(
         -sc * np.cos(u), -sc * np.sin(u), -rho * np.sinh(v), -rho * np.cosh(v)
     )
 
     def frame(u, v):
-        e1 = stack4(0 * u, 0 * u, np.cosh(v), np.sinh(v))   # curvature a
-        e2 = stack4(-np.sin(u), np.cos(u), 0 * v, 0 * v)    # curvature 1/a
+        e1 = _stack(0 * u, 0 * u, np.cosh(v), np.sinh(v))   # curvature a
+        e2 = _stack(-np.sin(u), np.cos(u), 0 * v, 0 * v)    # curvature 1/a
         return e1, e2, normal(u, v)
 
     surf = ParametricSurface(
@@ -421,10 +417,7 @@ def sphere_patch(radius=1.0, domain=None):
         periodic_u=False, periodic_v=False,
     )
 
-    def stack3(a, b, c):
-        return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
-
-    pos = lambda u, v: stack3(
+    pos = lambda u, v: _stack(
         R * np.cos(u) * np.cos(v), R * np.sin(u) * np.cos(v), R * np.sin(v)
     )
     return ParametricSurface("euclidean", pos, domain, name="sphere_patch",
@@ -436,11 +429,8 @@ def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
     a non-Dupin negative control for the residual pipelines."""
     domain = domain or ParamDomain()
 
-    def stack3(a, b, c):
-        return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
-
     def pos(u, v):
-        base = stack3(
+        base = _stack(
             (R + r * np.cos(v)) * np.cos(u),
             (R + r * np.cos(v)) * np.sin(u),
             r * np.sin(v),
@@ -602,8 +592,8 @@ def euclidean_best_frame(s):
     e2 = ambient_direction(s, U, V, data.dir_c)
     e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
-    e1 = _propagate_sign(e1)
-    e2 = _propagate_sign(e2)
+    e1 = propagate_sign(e1)
+    e2 = propagate_sign(e2)
     e3 = np.cross(e1, e2)
     x = s.position(U, V)
     nu, nv = U.shape
@@ -618,7 +608,7 @@ def euclidean_best_frame(s):
     return FrameField("e3", mats, s.domain)
 
 
-def _propagate_sign(field):
+def propagate_sign(field):
     """Flip vector signs along row 0 then down each column for continuity."""
     out = field.copy()
     for i in range(1, out.shape[0]):

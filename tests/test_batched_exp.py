@@ -161,7 +161,9 @@ class TestNoPerPointLoops:
         fr.integrate_mc(mc, base)
         assert 0 < len(exp_calls) <= 2 * (nu + nv)
 
-    def test_only_metrics_imports_expm(self):
-        users = [p.name for p in Path(dupin.__file__).parent.glob("*.py")
-                 if re.search(r"\bexpm\b", p.read_text())]
-        assert users == ["metrics.py"]
+    def test_mat_exp_is_the_only_exponential(self):
+        sources = {p.name: p.read_text() for p in Path(dupin.__file__).parent.glob("*.py")}
+        assert [name for name, text in sources.items() if re.search(r"\bexpm\b", text)] == []
+        exps = [(name, fn) for name, text in sources.items()
+                for fn in re.findall(r"^def (\w*exp\w*)\(", text, re.M)]
+        assert exps == [("metrics.py", "mat_exp")]

@@ -102,10 +102,15 @@ class TestCLI:
         ["orbit", "--C", "0", "--span", "0"], ["orbit", "--C", "0", "--span", "-1"],
         ["orbit", "--C", "0", "--span", "nan"], ["orbit", "--C", "0", "--span", "inf"],
         ["fig7", "--t", "nan"], ["fig7", "--t", "inf"], ["fig7", "--t=-inf"],
+        ["fig7", "--t", "1000"], ["fig7", "--t=-1000"],
+        ["orbit", "--C", "0", "--grid", "1x1"], ["orbit", "--C", "0", "--grid", "2x2"],
+        ["fig7", "--t", "1", "--grid", "2x8"], ["gen", "cylinder", "--radius", "1", "--grid", "3x2"],
     ])
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     def test_orbit_fig7_bad_parameter_exit_code(self, tmp_path, capsys, argv):
         out = tmp_path / "bad.obj"
-        assert main(argv + ["--grid", "8x8", "--out", str(out)]) == 2
+        # a --grid in argv comes later and overrides the default 8x8
+        assert main(argv[:1] + ["--grid", "8x8"] + argv[1:] + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []

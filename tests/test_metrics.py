@@ -1,6 +1,11 @@
 """Indefinite linear algebra: inner products, basis changes, group/algebra
 membership, exponentials, and constraint subalgebras."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -184,6 +189,95 @@ class TestBatchedMatExp:
     @pytest.mark.parametrize("shape", [(0, 5, 5), (2, 0, 4, 4), (1, 6, 6), (4, 4)])
     def test_leading_shape_kept(self, shape):
         assert mt.mat_exp(np.zeros(shape)).shape == shape
+
+
+def _rel_err(E, ref):
+    """Worst per-slice max-abs error relative to the slice's max-abs entry."""
+    axes = (-2, -1)
+    return float(np.max(np.max(np.abs(E - ref), axis=axes) / np.max(np.abs(ref), axis=axes)))
+
+
+class TestPadeKernel:
+    """The numpy Pade kernel against scipy's expm, imported here only."""
+
+    @pytest.mark.parametrize("name,stack,residual", _generator_stacks())
+    def test_generators_match_scipy(self, name, stack, residual):
+        expm = pytest.importorskip("scipy.linalg").expm
+        assert _rel_err(mt.mat_exp(stack), expm(stack)) <= 1e-13, name
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_random_stacks_match_scipy(self, n):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(40 + n)
+        X = rng.normal(size=(60, n, n))
+        X *= (np.geomspace(1e-3, 50.0, 60) / np.abs(X).sum(axis=-2).max(axis=-1))[:, None, None]
+        assert _rel_err(mt.mat_exp(X), expm(X)) <= 1e-11
+
+    def test_order_switches_at_each_theta(self, monkeypatch):
+        # A symmetric Y, so exp(X) = V exp(w) V^T is the reference; scipy's own
+        # error reaches 5e-13 just above theta_13 on it.
+        orders = list(mt._PADE_THETA)
+        rng = np.random.default_rng(7)
+        Y = rng.normal(size=(5, 4))
+        Y = Y.T @ Y - np.eye(4)
+        Y /= np.abs(Y).sum(axis=0).max()
+        norms, expected = [], []
+        for m, theta in mt._PADE_THETA.items():
+            above = orders[orders.index(m) + 1] if m < 13 else 13
+            norms += [theta * (1 - 1e-9), theta * (1 + 1e-9)]
+            expected += [m, above]
+        X = np.array(norms)[:, None, None] * Y
+        seen = []
+        real = mt._pade
+
+        def spy(A, m):
+            seen.append((m, len(A)))
+            return real(A, m)
+
+        monkeypatch.setattr(mt, "_pade", spy)
+        for Xi, m in zip(X, expected):
+            seen.clear()
+            mt.mat_exp(Xi)
+            assert [o for o, _ in seen] == [m]
+        seen.clear()
+        E = mt.mat_exp(X)
+        assert sorted(seen) == sorted((m, expected.count(m)) for m in set(expected))
+        w, V = np.linalg.eigh(X)
+        assert _rel_err(E, (V * np.exp(w)[:, None, :]) @ np.swapaxes(V, -1, -2)) <= 1e-13
+
+    def test_boost_closed_form_large_t(self):
+        t = 20.0
+        X = np.zeros((6, 6))
+        X[0, 5] = X[5, 0] = 1.0
+        E = mt.mat_exp(t * X)
+        assert abs(E[0, 0] - np.cosh(t)) <= 1e-13 * np.cosh(t)
+        assert abs(E[0, 5] - np.sinh(t)) <= 1e-13 * np.sinh(t)
+        assert np.allclose(E[1:5, 1:5], np.eye(4), atol=1e-13 * np.cosh(t))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slice_is_nan_and_isolated(self, bad):
+        _, stack, _ = _generator_stacks()[0]
+        flat = stack.reshape((-1,) + stack.shape[-2:])
+        mixed = flat.copy()
+        mixed[4, 1, 2] = bad
+        E = mt.mat_exp(mixed)
+        assert np.isnan(E[4]).all()
+        keep = np.arange(len(flat)) != 4
+        assert np.array_equal(E[keep], mt.mat_exp(flat[keep]))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_huge_finite_slice_terminates(self):
+        E = mt.mat_exp(np.stack([np.eye(4), np.full((4, 4), 1e300)]))
+        assert np.array_equal(E[0], mt.mat_exp(np.eye(4)))
+        assert not np.isfinite(E[1]).any()
+
+    def test_import_does_not_load_scipy(self):
+        code = "import sys, dupin, dupin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(Path(mt.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestProjectivePoint:
