@@ -1,10 +1,13 @@
 """Numerical Maurer-Cartan calculus on frame-field grids: pull-backs of
 g^{-1} dg, structure-equation residuals, the congruence test, and integration
-of flat algebra-valued forms by exponential midpoint stepping."""
+of flat algebra-valued forms by exponential midpoint stepping.
+
+A 1-form f_u du + f_v dv on a grid is one array whose axis 0 holds (f_u, f_v);
+grid_differential, exterior_d, wedge and coframe_solve all use that layout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +59,29 @@ def grid_gradient(f, h, axis, periodic):
 
 
 def grid_differential(f, domain):
-    """The pair (df/du, df/dv) of a grid field (see grid_gradient)."""
-    return (grid_gradient(f, domain.du, 0, domain.periodic_u),
-            grid_gradient(f, domain.dv, 1, domain.periodic_v))
+    """The 1-form df of a grid field: (df/du, df/dv) stacked on a new axis 0
+    (see grid_gradient)."""
+    return np.stack([grid_gradient(f, domain.du, 0, domain.periodic_u),
+                     grid_gradient(f, domain.dv, 1, domain.periodic_v)])
+
+
+def exterior_d(form, domain):
+    """du^dv coefficient of the exterior derivative of a grid 1-form:
+    d_u f_v - d_v f_u."""
+    return (grid_gradient(form[1], domain.du, 0, domain.periodic_u)
+            - grid_gradient(form[0], domain.dv, 1, domain.periodic_v))
 
 
 def wedge(f, g):
-    """du^dv coefficient of the wedge of two 1-forms given as (du, dv) pairs."""
+    """du^dv coefficient of the wedge of two 1-forms."""
     return f[0] * g[1] - f[1] * g[0]
+
+
+def coframe_solve(theta1, theta2, psi):
+    """Coefficients (x, y) of the 1-form psi = x theta1 + y theta2, pointwise."""
+    A = np.moveaxis(np.stack([theta1, theta2], axis=-1), 0, -2)
+    sol = np.linalg.solve(A, np.moveaxis(psi, 0, -1)[..., None])[..., 0]
+    return sol[..., 0], sol[..., 1]
 
 
 @dataclass
@@ -98,14 +116,21 @@ class FrameField:
 
 @dataclass
 class MCForm:
-    """Pulled-back Maurer-Cartan form: algebra-valued coefficient matrices for
-    the two parameter directions at every grid point."""
+    """Pulled-back Maurer-Cartan form: an algebra-valued 1-form on the grid,
+    ``omega`` of shape (2, nu, nv, n, n) holding its du and dv coefficients."""
 
     group: str
-    omega_u: np.ndarray
-    omega_v: np.ndarray
+    omega: np.ndarray
     domain: ParamDomain
     projection_noise: float = 0.0
+
+    @property
+    def omega_u(self):
+        return self.omega[0]
+
+    @property
+    def omega_v(self):
+        return self.omega[1]
 
     @property
     def du(self):
@@ -116,8 +141,7 @@ class MCForm:
         return self.domain.dv
 
     def algebra_residual(self):
-        h = GROUPS[self.group]
-        return max(h.algebra_residual(self.omega_u), h.algebra_residual(self.omega_v))
+        return GROUPS[self.group].algebra_residual(self.omega)
 
 
 def pullback_mc(ff, membership_tol=1e-8):
@@ -132,23 +156,19 @@ def pullback_mc(ff, membership_tol=1e-8):
             f"frame field leaves the group (residual {ff.membership_residual():.2e})"
         )
     if ff.partial_u is not None and ff.partial_v is not None:
-        de_u, de_v = ff.partial_u, ff.partial_v
+        omega = np.stack([ff.partial_u, ff.partial_v])
     else:
-        de_u, de_v = grid_differential(ff.mats, ff.domain)
-    omega_u = np.linalg.solve(ff.mats, de_u)
-    omega_v = np.linalg.solve(ff.mats, de_v)
-    h = ff.handle()
-    pu, pv = h.algebra_project(omega_u), h.algebra_project(omega_v)
-    noise = max(float(np.max(np.abs(pu - omega_u))), float(np.max(np.abs(pv - omega_v))))
-    return MCForm(ff.group, pu, pv, ff.domain, projection_noise=noise)
+        omega = grid_differential(ff.mats, ff.domain)
+    omega = np.linalg.solve(ff.mats, omega)
+    p = ff.handle().algebra_project(omega)
+    omega -= p  # in place: the discarded mass is only needed for its maximum
+    return MCForm(ff.group, p, ff.domain, projection_noise=float(np.max(np.abs(omega))))
 
 
 def structure_residual(mc):
     """Max-abs entry of d_u omega_v - d_v omega_u + [omega_u, omega_v], the
     coordinate form of the flatness equation."""
-    du_ov = grid_gradient(mc.omega_v, mc.du, 0, mc.domain.periodic_u)
-    dv_ou = grid_gradient(mc.omega_u, mc.dv, 1, mc.domain.periodic_v)
-    resid = du_ov - dv_ou + mt.bracket(mc.omega_u, mc.omega_v)
+    resid = exterior_d(mc.omega, mc.domain) + mt.bracket(*mc.omega)
     if not (mc.domain.periodic_u and mc.domain.periodic_v):
         iu = slice(None) if mc.domain.periodic_u else slice(2, -2)
         iv = slice(None) if mc.domain.periodic_v else slice(2, -2)
@@ -183,11 +203,9 @@ def integrate_mc(mc, base, integrability_tol=5e-2, order="rows"):
     dev = float(np.max(np.abs(e_rows - e_cols)))
     mats = e_rows if order == "rows" else e_cols
     ff = FrameField(mc.group, mats, mc.domain)
-    back = pullback_mc(ff)
-    recon = max(
-        float(np.max(np.abs(back.omega_u - mc.omega_u))),
-        float(np.max(np.abs(back.omega_v - mc.omega_v))),
-    )
+    back = pullback_mc(ff).omega
+    back -= mc.omega
+    recon = float(np.max(np.abs(back)))
     return ff, {
         "path_independence": dev,
         "structure_residual": sr,
@@ -197,7 +215,7 @@ def integrate_mc(mc, base, integrability_tol=5e-2, order="rows"):
 
 def _integrate(mc, base, rows_first):
     # Columns-first is rows-first with the roles of u and v exchanged.
-    a, b, da, db = mc.omega_u, mc.omega_v, mc.du, mc.dv
+    (a, b), da, db = mc.omega, mc.du, mc.dv
     if not rows_first:
         a, b, da, db = b.swapaxes(0, 1), a.swapaxes(0, 1), db, da
     step_a = mat_exp(da * (0.5 * (a[:-1, 0] + a[1:, 0])))
@@ -213,8 +231,6 @@ def _integrate(mc, base, rows_first):
 
 def constant_form(X_u, X_v, domain, group):
     """MCForm with constant coefficient matrices (for exact exponential orbits)."""
-    nu = len(domain.grids()[0])
-    nv = len(domain.grids()[1])
-    ou = np.broadcast_to(X_u, (nu, nv) + X_u.shape).copy()
-    ov = np.broadcast_to(X_v, (nu, nv) + X_v.shape).copy()
-    return MCForm(group, ou, ov, domain)
+    nu, nv = len(domain.grids()[0]), len(domain.grids()[1])
+    omega = np.stack([np.broadcast_to(X, (nu, nv) + X.shape) for X in (X_u, X_v)])
+    return MCForm(group, omega, domain)

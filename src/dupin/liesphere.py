@@ -16,9 +16,9 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
-from .frames import (FrameField, FrameOrderError, grid_differential, grid_gradient,
-                     pullback_mc, wedge)
-from .surfaces import ParamDomain, coframe_solve, propagate_sign
+from .frames import (FrameField, FrameOrderError, coframe_solve, exterior_d,
+                     grid_differential, pullback_mc, wedge)
+from .surfaces import ParamDomain, propagate_sign
 
 
 class DegenerateLineError(GeometryError):
@@ -227,7 +227,7 @@ def sigma_rank_report(lm, rank_tol=1e-10):
     sig = spherical_projection(lm.S0, lm.S1)
     sig = _smooth_normalize(sig)
     d = lm.domain
-    J = np.stack(grid_differential(sig, d), axis=-1)
+    J = np.moveaxis(grid_differential(sig, d), 0, -1)
     svals = np.linalg.svd(J, compute_uv=False)
     return {
         "max_second_singular_value": float(np.max(svals[..., 1])),
@@ -369,27 +369,7 @@ def slice_generators():
     """The two h-basis elements dual to the coframe entries theta^2 = omega^2_1
     and theta^3 = omega^3_0 (the order-condition kernel directions have zero
     components there)."""
-    sub = h_basis()
-
-    def dual_to(entry):
-        vals = np.array([X[entry] for X in sub.elements])
-        k = int(np.argmax(np.abs(vals)))
-        if abs(vals[k]) < 1e-9:
-            raise GeometryError(f"no basis element with a {entry} component")
-        X = sub.elements[k] / vals[k]
-        # clean off components along the other duals
-        for e2 in [(2, 1), (3, 0)]:
-            if e2 != entry and abs(X[e2]) > 1e-12:
-                other = dual_raw(sub, e2)
-                X = X - X[e2] * other
-        return X
-
-    def dual_raw(sub, entry):
-        vals = np.array([Y[entry] for Y in sub.elements])
-        k = int(np.argmax(np.abs(vals)))
-        return sub.elements[k] / vals[k]
-
-    return dual_to((2, 1)), dual_to((3, 0))
+    return h_basis().duals([(2, 1), (3, 0)])
 
 
 def boost(t):
@@ -468,10 +448,13 @@ def _check_line_immersion(lm, tol=1e-8):
     )
     J = np.stack([mu, mv], axis=-1)  # (..., 4, 2)
     svals = np.linalg.svd(J, compute_uv=False)
-    if np.min(svals[..., 1]) < tol * max(float(np.max(svals)), 1.0):
+    dependent = svals[..., 1] < tol * max(float(np.max(svals)), 1.0)
+    if dependent.any():
+        nu, nv = dependent.shape
         raise GeometryError(
-            "slice fails to immerse into the line space on this grid; "
-            "choose a different slice of the subgroup"
+            f"the line motions of the coset orbit are dependent at {dependent.sum()} of the "
+            f"{nu}x{nv} grid points (a large boost leaves one below rounding); "
+            "use a smaller boost"
         )
 
 
@@ -520,8 +503,8 @@ class LieCoefficients:
     c3: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
-    theta2: tuple
-    theta3: tuple
+    theta2: np.ndarray
+    theta3: np.ndarray
 
 
 def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
@@ -529,14 +512,10 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
     plus the derived coefficient functions and their exterior-derivative
     compatibility residuals."""
     mc = mc or pullback_mc(ff)
-    ou, ov = mc.omega_u, mc.omega_v
-
-    def entry(a, b):
-        return ou[..., a, b], ov[..., a, b]
+    w = mc.omega
 
     def emax(a, b):
-        f = entry(a, b)
-        return max(float(np.max(np.abs(f[0]))), float(np.max(np.abs(f[1]))))
+        return float(np.max(np.abs(w[..., a, b])))
 
     res = {
         "order1": max(emax(2, 0), emax(3, 1)),
@@ -544,7 +523,7 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
         "order3": max(emax(0, 2), emax(1, 3), emax(0, 4)),
         "contact": emax(4, 0),
     }
-    th2, th3 = entry(2, 1), entry(3, 0)
+    th2, th3 = w[..., 2, 1], w[..., 3, 0]
     wedge23 = wedge(th2, th3)
     if np.min(np.abs(wedge23)) < 1e-12:
         res["coframe_degenerate"] = True
@@ -553,18 +532,12 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
         raise FrameOrderError(f"order-1 conditions fail (residual {res['order1']:.3e})")
 
     d = mc.domain
-
-    def ext_d(form):
-        du_fv = grid_gradient(form[1], d.du, 0, d.periodic_u)
-        dv_fu = grid_gradient(form[0], d.dv, 1, d.periodic_v)
-        return du_fv - dv_fu
-
-    p = ext_d(th2) / wedge23
-    q = ext_d(th3) / wedge23
-    qf, tf = coframe_solve(th2, th3, entry(0, 0))
-    uf, mpf = coframe_solve(th2, th3, entry(1, 1))
-    c2, c3 = coframe_solve(th2, th3, entry(0, 3))
-    d2, d3 = coframe_solve(th2, th3, entry(1, 2))
+    p = exterior_d(th2, d) / wedge23
+    q = exterior_d(th3, d) / wedge23
+    qf, tf = coframe_solve(th2, th3, w[..., 0, 0])
+    uf, mpf = coframe_solve(th2, th3, w[..., 1, 1])
+    c2, c3 = coframe_solve(th2, th3, w[..., 0, 3])
+    d2, d3 = coframe_solve(th2, th3, w[..., 1, 2])
     res["q_consistency"] = float(np.max(np.abs(qf - q)))
     res["p_consistency"] = float(np.max(np.abs(-mpf - p)))
 

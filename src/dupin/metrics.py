@@ -134,10 +134,6 @@ def inner(u, v, metric):
     return np.einsum("...i,ij,...j->...", u, metric.gram, v)
 
 
-def norm2(u, metric):
-    return inner(u, u, metric)
-
-
 def change_basis(x, dim, src, dst, kind="vector"):
     """Convert coordinates between the named bases of R^{4,1} / R^{4,2}.
 
@@ -348,6 +344,18 @@ class SubalgebraBasis:
     @property
     def dim(self):
         return len(self.elements)
+
+    def duals(self, entries):
+        """Elements of the span dual to the given Maurer-Cartan entries:
+        the k-th has entry k equal to 1 and every other listed entry 0.
+        Solved over the basis elements with a component on the entries."""
+        basis = [X for X in self.elements if max(abs(X[e]) for e in entries) > 1e-12]
+        if len(basis) != len(entries):
+            raise GeometryError(f"{len(basis)} basis elements have a component "
+                                f"on the {len(entries)} entries {entries}")
+        A = np.array([[X[e] for e in entries] for X in basis]).T
+        coeff = np.linalg.solve(A, np.eye(len(entries)))
+        return [sum(c * X for c, X in zip(col, basis)) for col in coeff.T]
 
 
 def _rref(A, tol=1e-11):

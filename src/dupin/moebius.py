@@ -16,9 +16,9 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, SQRT2, inner
-from .frames import (FrameField, FrameOrderError, MCForm, grid_differential, pullback_mc,
-                     wedge)
-from .surfaces import ParamDomain, torus, cylinder, hyperboloid
+from .frames import (FrameField, FrameOrderError, coframe_solve, grid_differential,
+                     pullback_mc, wedge)
+from .surfaces import ParamDomain, ParametricSurface, torus, cylinder, hyperboloid
 
 
 # --- the oriented-sphere model -------------------------------------------------
@@ -87,8 +87,7 @@ def sphere_map_dupin_test(S_grid, domain, rank_tol=1e-8):
     everywhere passes but is flagged degenerate.
     """
     S_grid = np.asarray(S_grid, dtype=float)
-    Su, Sv = grid_differential(S_grid, domain)
-    J = np.stack([Su, Sv], axis=-1)  # (nu, nv, 5, 2)
+    J = np.moveaxis(grid_differential(S_grid, domain), 0, -1)  # (nu, nv, 5, 2)
     svals = np.linalg.svd(J, compute_uv=False)
     scale = max(float(np.max(svals)), 1.0)
     second = svals[..., 1]
@@ -107,11 +106,8 @@ def sphere_map_dupin_test(S_grid, domain, rank_tol=1e-8):
 def curvature_sphere_params(mc, i, j, double_root_tol=1e-12):
     """Real roots r of (omega^1_3 + r omega^1_0) wedge (omega^2_3 + r omega^2_0)
     at grid point (i, j) of a first-order Moebius frame's pulled-back form."""
-    def form(a, b):
-        return np.array([mc.omega_u[i, j, a, b], mc.omega_v[i, j, a, b]])
-
-    w13, w23 = form(1, 3), form(2, 3)
-    w10, w20 = form(1, 0), form(2, 0)
+    w = mc.omega[:, i, j]
+    w13, w23, w10, w20 = w[:, 1, 3], w[:, 2, 3], w[:, 1, 0], w[:, 2, 0]
     c2 = wedge(w10, w20)
     if abs(c2) < 1e-14:
         raise GeometryError("degenerate coframe: omega^1_0 wedge omega^2_0 = 0")
@@ -299,7 +295,7 @@ class MoebiusCoefficients:
     p3: np.ndarray
     C: float
     C_spread: float
-    phi: tuple    # (omega^1_0, omega^2_0) as (du, dv) coefficient grids
+    phi: tuple    # the 1-forms (omega^1_0, omega^2_0)
 
 
 def frame_order_check(ff, order_tol=1e-6, mc=None):
@@ -310,38 +306,25 @@ def frame_order_check(ff, order_tol=1e-6, mc=None):
     naming the first failed order.
     """
     mc = mc or pullback_mc(ff)
-    ou, ov = mc.omega_u, mc.omega_v
-
-    def entry(a, b):
-        return ou[..., a, b], ov[..., a, b]
-
+    w = mc.omega
     res = {}
-    res["first_order"] = _form_max(entry(3, 0))
+    res["first_order"] = float(np.max(np.abs(w[..., 3, 0])))
     if res["first_order"] > order_tol:
         raise FrameOrderError(f"first order fails: |omega^3_0| = {res['first_order']:.3e}")
-    w10, w20 = entry(1, 0), entry(2, 0)
-    res["second_order"] = max(
-        _form_max(_form_sub(entry(3, 1), w10)),
-        _form_max(_form_add(entry(3, 2), w20)),
-    )
+    w10, w20 = w[..., 1, 0], w[..., 2, 0]
+    res["second_order"] = float(np.max(np.abs([w[..., 3, 1] - w10, w[..., 3, 2] + w20])))
     if res["second_order"] > order_tol:
         raise FrameOrderError(f"second order fails: residual {res['second_order']:.3e}")
-    res["third_order"] = _form_max(entry(0, 3))
+    res["third_order"] = float(np.max(np.abs(w[..., 0, 3])))
     if res["third_order"] > order_tol:
         raise FrameOrderError(f"third order fails: |omega^0_3| = {res['third_order']:.3e}")
 
-    from .surfaces import coframe_solve
-
-    q1, q2 = coframe_solve(w10, w20, entry(2, 1))
-    p1, p2 = coframe_solve(w10, w20, entry(0, 1))
-    p2n, p3 = coframe_solve(w10, w20, entry(0, 2))
+    q1, q2 = coframe_solve(w10, w20, w[..., 2, 1])
+    p1, p2 = coframe_solve(w10, w20, w[..., 0, 1])
+    p2n, p3 = coframe_solve(w10, w20, w[..., 0, 2])
     res["p2_consistency"] = float(np.max(np.abs(p2 + p2n)))
-    w00_fit_u = -2.0 * (q2 * w10[0] - q1 * w20[0])
-    w00_fit_v = -2.0 * (q2 * w10[1] - q1 * w20[1])
-    res["w00_structure"] = max(
-        float(np.max(np.abs(entry(0, 0)[0] - w00_fit_u))),
-        float(np.max(np.abs(entry(0, 0)[1] - w00_fit_v))),
-    )
+    w00_fit = -2.0 * (q2 * w10 - q1 * w20)
+    res["w00_structure"] = float(np.max(np.abs(w[..., 0, 0] - w00_fit)))
     res["q1"] = float(np.max(np.abs(q1)))
     res["q2"] = float(np.max(np.abs(q2)))
     res["p2"] = float(np.max(np.abs(p2)))
@@ -350,33 +333,20 @@ def frame_order_check(ff, order_tol=1e-6, mc=None):
     C = float(np.mean(C_field))
     res["C_spread"] = float(np.ptp(C_field))
     res["dupin"] = bool(max(res["q1"], res["q2"], res["p2"]) < order_tol)
-    res.update(_integrability_residuals(mc, q1, q2, p1, p2, p3, w10, w20))
+    res.update(_integrability_residuals(mc.domain, q1, q2, p1, p2, p3, w10, w20))
     coeffs = MoebiusCoefficients(q1, q2, p1, p2, p3, C, res["C_spread"], (w10, w20))
     return coeffs, res
 
 
-def _form_max(f):
-    return max(float(np.max(np.abs(f[0]))), float(np.max(np.abs(f[1]))))
-
-
-def _form_sub(f, g):
-    return (f[0] - g[0], f[1] - g[1])
-
-
-def _form_add(f, g):
-    return (f[0] + g[0], f[1] + g[1])
-
-
-def _integrability_residuals(mc, q1, q2, p1, p2, p3, w10, w20):
+def _integrability_residuals(dom, q1, q2, p1, p2, p3, w10, w20):
     """Finite-difference residuals of the two complex compatibility equations
     satisfied by the coefficients of a third-order frame.
 
     phi = omega^1_0 + i omega^2_0; the second equation's right side is taken
     against phi wedge conj(phi) (wedge of phi with itself vanishes identically).
     """
-    dom = mc.domain
-    phi = (w10[0] + 1j * w20[0], w10[1] + 1j * w20[1])
-    phib = (np.conj(phi[0]), np.conj(phi[1]))
+    phi = w10 + 1j * w20
+    phib = np.conj(phi)
     ppb = wedge(phi, phib)
 
     f1 = q2 + 1j * q1
@@ -416,15 +386,8 @@ def hc_basis(C):
     sub = mt.subalgebra_from_constraints(hc_constraints(C), mt.MOEB)
     if sub.dim != 2:
         raise GeometryError(f"h_C solution space has dimension {sub.dim}, expected 2")
-    # canonical combination: entries (1,0) and (2,0) pick out the coframe duals
-    A = np.array([[X[1, 0], X[2, 0]] for X in sub.elements]).T
-    coeff = np.linalg.solve(A, np.eye(2))
-    X1 = sum(c * X for c, X in zip(coeff[:, 0], sub.elements))
-    X2 = sum(c * X for c, X in zip(coeff[:, 1], sub.elements))
-    sub.elements = [X1, X2]
-    sub.coords = np.stack(
-        [mt.algebra_coordinates(X1, mt.MOEB), mt.algebra_coordinates(X2, mt.MOEB)]
-    )
+    sub.elements = sub.duals([(1, 0), (2, 0)])
+    sub.coords = np.stack([mt.algebra_coordinates(X, mt.MOEB) for X in sub.elements])
     return sub
 
 
@@ -488,15 +451,19 @@ def canonical_base_frame(C):
 def hc_orbit(C, s_grid, t_grid):
     """Orbit surface base * exp(s X1) exp(t X2) [delta0] of the h_C subgroup,
     pulled back to the space form indicated by the regime of C; chart failures
-    are flagged, not fatal."""
+    are flagged, not fatal, and placed at the chart's origin.  Raises
+    GeometryError if the orbit overflows on the grid."""
     sub = hc_basis(C)
     X1, X2 = sub.elements
     base = canonical_base_frame(C)
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    exp_s = base @ mt.mat_exp(s_grid[:, None, None] * X1)
-    # exp(t X2) delta0 is the first column, since delta0 is the first basis vector
-    pts = np.einsum("sij,tj->sti", exp_s, mt.mat_exp(t_grid[:, None, None] * X2)[..., 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        exp_s = base @ mt.mat_exp(s_grid[:, None, None] * X1)
+        # exp(t X2) delta0 is the first column, since delta0 is the first basis vector
+        pts = np.einsum("sij,tj->sti", exp_s, mt.mat_exp(t_grid[:, None, None] * X2)[..., 0])
+    if not np.isfinite(pts).all():
+        raise GeometryError("h_C orbit is not finite on this grid; use a smaller span")
     pts = mt.projective_normalize(pts)
     regime = hc_regime(C)
     q_eps = mt.change_basis(pts, 5, "delta", "epsilon")
@@ -505,16 +472,16 @@ def hc_orbit(C, s_grid, t_grid):
         valid = np.ones(chart.shape[:-1], dtype=bool)
     elif regime == "cylinder":
         chart, valid = sf.moebius_to_euclidean(q_eps)
+        chart[~valid] = 0.0
     else:
         chart, valid = sf.moebius_to_hyperbolic(q_eps)
+        chart[~valid] = np.eye(4)[3]
     return OrbitResult(C, regime, pts, chart, valid, X1, X2, s_grid, t_grid)
 
 
 def orbit_surface(C, domain=None):
     """The h_C orbit as a ParametricSurface in its regime's space form, with
     positions evaluable at arbitrary parameters (for the curvature pipeline)."""
-    from .surfaces import ParametricSurface
-
     sub = hc_basis(C)
     X1, X2 = sub.elements
     base = canonical_base_frame(C)

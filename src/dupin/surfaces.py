@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +114,21 @@ class ParametricSurface:
     def metric(self):
         return _FORM_METRIC[self.form]
 
+    @cached_property
+    def orientation(self):
+        """Sign of the computed normals: -1 when the unoriented normal gives
+        mean curvature a + c < 0 at the domain centre, else +1 (also when
+        the centre cannot be evaluated)."""
+        u0 = np.atleast_1d(0.5 * (self.domain.u_range[0] + self.domain.u_range[1]))
+        v0 = np.atleast_1d(0.5 * (self.domain.v_range[0] + self.domain.v_range[1]))
+        try:
+            data = _curvatures(*_forms(self, self.jet(u0, v0),
+                                       lambda jet: _unoriented_normal(self, jet)))
+        except GeometryError:
+            return 1.0
+        mean = float(data.a[0] + data.c[0])
+        return -1.0 if abs(mean) > 1e-9 and mean < 0 else 1.0
+
     def _finite_difference_jet(self, u, v):
         """Central differences of position: steps 1e-5 of the parameter span for
         first partials, their square roots for second partials; the whole
@@ -148,40 +164,23 @@ class ParametricSurface:
 
 # --- normals ------------------------------------------------------------------
 
-def _euclidean_normal(xu, xv):
-    n = np.cross(xu, xv)
-    return n / np.linalg.norm(n, axis=-1, keepdims=True)
-
-
-def _orthogonal_complement_normal(rows_metric, x, xu, xv):
-    """Unit normal in S^3 / H^3: the <,>-orthogonal complement of {x, xu, xv}."""
-    g = rows_metric.gram
-    A = np.stack([x, xu, xv], axis=-2) @ g  # (..., 3, 4): rows pair against v
-    _, _, vh = np.linalg.svd(A)
-    n = vh[..., -1, :]
-    nn = mt.inner(n, n, rows_metric)
-    return n / np.sqrt(np.abs(nn))[..., None]
+def _unoriented_normal(s, jet):
+    """Unit normal of a jet: the cross product in R^3; in S^3 / H^3 the
+    cofactor vector <,>-orthogonal to x, xu and xv."""
+    if s.form == "euclidean":
+        n = np.cross(jet.xu, jet.xv)
+        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+    n = _generalized_cross(s.metric, jet.x, jet.xu, jet.xv)
+    return n / np.sqrt(np.abs(mt.inner(n, n, s.metric)))[..., None]
 
 
 def surface_normal(s, u, v, jet=None):
     """Oriented unit normal; analytic when the surface carries one, else the
-    cross-product/complement normal of the jet (evaluated here unless given)
-    with a single global sign fixed at the domain centre by the
-    mean-curvature >= 0 convention."""
+    unoriented normal of the jet (evaluated here unless given) times the
+    surface's orientation."""
     if s.normal is not None:
         return s.normal(u, v)
-    x, xu, xv = (s.jet(u, v) if jet is None else jet)[:3]
-    if s.form == "euclidean":
-        n = _euclidean_normal(xu, xv)
-    else:
-        n = _orthogonal_complement_normal(s.metric, x, xu, xv)
-        # SVD sign is arbitrary per point; align smoothly against a cross-product
-        # style reference built from the triple (x, xu, xv).
-        ref = _generalized_cross(s.metric, x, xu, xv)
-        sgn = np.sign(np.sum(n * ref, axis=-1))
-        sgn = np.where(sgn == 0, 1.0, sgn)
-        n = n * sgn[..., None]
-    return n * _base_sign(s)
+    return _unoriented_normal(s, s.jet(u, v) if jet is None else jet) * s.orientation
 
 
 def _generalized_cross(metric, a, b, c):
@@ -195,33 +194,12 @@ def _generalized_cross(metric, a, b, c):
     return np.einsum("ij,...j->...i", np.linalg.inv(metric.gram), out)
 
 
-def _base_sign(s):
-    cached = getattr(s, "_normal_sign", None)
-    if cached is not None:
-        return cached
-    u0 = 0.5 * (s.domain.u_range[0] + s.domain.u_range[1])
-    v0 = 0.5 * (s.domain.v_range[0] + s.domain.v_range[1])
-    sign = 1.0
-    s._normal_sign = 1.0  # avoid recursion while probing
-    try:
-        data = principal_curvatures(s, np.atleast_1d(u0), np.atleast_1d(v0))
-        mean = float(data.a[0] + data.c[0])
-        if abs(mean) > 1e-9 and mean < 0:
-            sign = -1.0
-    except GeometryError:
-        sign = 1.0
-    s._normal_sign = sign
-    return sign
-
-
 # --- fundamental forms and curvature -------------------------------------------
 
-def fundamental_forms(s, u, v):
-    """First and second fundamental forms at (u, v); raises at singular points,
-    where det I <= RANK_TOL * I11 * I22 (a scale-free, per-point test)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    jet = s.jet(u, v)
+def _forms(s, jet, normal):
+    """First and second fundamental forms of a jet, the second against the
+    unit normal normal(jet); raises at singular points, where
+    det I <= RANK_TOL * I11 * I22 (a scale-free, per-point test)."""
     g = s.metric
     I = np.empty(jet.xu.shape[:-1] + (2, 2))
     I[..., 0, 0] = mt.inner(jet.xu, jet.xu, g)
@@ -230,12 +208,20 @@ def fundamental_forms(s, u, v):
     det = I[..., 0, 0] * I[..., 1, 1] - I[..., 0, 1] ** 2
     if np.any(det <= RANK_TOL * I[..., 0, 0] * I[..., 1, 1]):
         raise SingularPointError("first fundamental form is rank deficient")
-    n = surface_normal(s, u, v, jet)
+    n = normal(jet)
     II = np.empty_like(I)
     II[..., 0, 0] = mt.inner(jet.xuu, n, g)
     II[..., 0, 1] = II[..., 1, 0] = mt.inner(jet.xuv, n, g)
     II[..., 1, 1] = mt.inner(jet.xvv, n, g)
     return I, II
+
+
+def fundamental_forms(s, u, v):
+    """First and second fundamental forms at (u, v), the second against
+    surface_normal; raises SingularPointError at singular points."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return _forms(s, s.jet(u, v), lambda jet: surface_normal(s, u, v, jet))
 
 
 @dataclass
@@ -249,7 +235,10 @@ class CurvatureData:
 
 def principal_curvatures(s, u, v, umbilic_tol=1e-9):
     """Principal curvatures (ordered a <= c) and I-orthonormal directions."""
-    I, II = fundamental_forms(s, u, v)
+    return _curvatures(*fundamental_forms(s, u, v), umbilic_tol)
+
+
+def _curvatures(I, II, umbilic_tol=1e-9):
     detI = I[..., 0, 0] * I[..., 1, 1] - I[..., 0, 1] ** 2
     # shape operator W = I^{-1} II (2x2, closed form)
     Iinv = np.empty_like(I)
@@ -621,18 +610,6 @@ def propagate_sign(field):
     return out
 
 
-def coframe_solve(theta1, theta2, psi):
-    """Express a 1-form psi = x theta1 + y theta2 given (du, dv) coefficient
-    grids of all three; returns (x, y) grids."""
-    A = np.stack(
-        [np.stack([theta1[0], theta2[0]], axis=-1),
-         np.stack([theta1[1], theta2[1]], axis=-1)], axis=-2
-    )
-    b = np.stack([psi[0], psi[1]], axis=-1)
-    sol = np.linalg.solve(A, b[..., None])[..., 0]
-    return sol[..., 0], sol[..., 1]
-
-
 def dupin_pde_residual(ff):
     """Residuals of the Dupin system for an adapted Euclidean frame field:
 
@@ -642,33 +619,22 @@ def dupin_pde_residual(ff):
     with the first two taken as full 1-form residuals (their theta^1 resp.
     theta^2 components are the statements "each curvature is constant along
     its own curvature line"; the remaining components are Codazzi)."""
-    from .frames import pullback_mc, grid_gradient
+    from .frames import coframe_solve, grid_differential, pullback_mc
 
     mc = pullback_mc(ff)
-    th1 = (mc.omega_u[..., 1, 0], mc.omega_v[..., 1, 0])
-    th2 = (mc.omega_u[..., 2, 0], mc.omega_v[..., 2, 0])
-    th3 = (mc.omega_u[..., 3, 0], mc.omega_v[..., 3, 0])
-    w31 = (mc.omega_u[..., 3, 1], mc.omega_v[..., 3, 1])
-    w32 = (mc.omega_u[..., 3, 2], mc.omega_v[..., 3, 2])
-    w21 = (mc.omega_u[..., 2, 1], mc.omega_v[..., 2, 1])
-    a, ra = coframe_solve(th1, th2, w31)
-    rc, c = coframe_solve(th1, th2, w32)
-    p, q = coframe_solve(th1, th2, w21)
-
-    def coframe_derivatives(f):
-        fu = grid_gradient(f, mc.du, axis=0, periodic=mc.domain.periodic_u)
-        fv = grid_gradient(f, mc.dv, axis=1, periodic=mc.domain.periodic_v)
-        return coframe_solve(th1, th2, (fu, fv))
-
-    a1, a2 = coframe_derivatives(a)
-    c1, c2 = coframe_derivatives(c)
-    p1, p2 = coframe_derivatives(p)
-    q1, q2 = coframe_derivatives(q)
+    w = mc.omega
+    th1, th2 = w[..., 1, 0], w[..., 2, 0]
+    a, ra = coframe_solve(th1, th2, w[..., 3, 1])
+    rc, c = coframe_solve(th1, th2, w[..., 3, 2])
+    p, q = coframe_solve(th1, th2, w[..., 2, 1])
+    (a1, a2), (c1, c2), (p1, p2), (q1, q2) = (
+        coframe_solve(th1, th2, grid_differential(f, mc.domain)) for f in (a, c, p, q)
+    )
     return {
         "eq_a": float(max(np.max(np.abs(a1)), np.max(np.abs(a2 - p * (a - c))))),
         "eq_c": float(max(np.max(np.abs(c2)), np.max(np.abs(c1 - q * (a - c))))),
         "eq_gauss": float(np.max(np.abs(p2 - q1 - (a * c + p * p + q * q)))),
-        "theta3": float(np.max(np.abs(th3[0])) + np.max(np.abs(th3[1]))),
+        "theta3": float(np.max(np.abs(w[0, ..., 3, 0])) + np.max(np.abs(w[1, ..., 3, 0]))),
         "offdiag_a": float(np.max(np.abs(ra))),
         "offdiag_c": float(np.max(np.abs(rc))),
         "fields": {"a": a, "c": c, "p": p, "q": q},

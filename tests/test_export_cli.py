@@ -105,6 +105,9 @@ class TestCLI:
         ["fig7", "--t", "1000"], ["fig7", "--t=-1000"],
         ["orbit", "--C", "0", "--grid", "1x1"], ["orbit", "--C", "0", "--grid", "2x2"],
         ["fig7", "--t", "1", "--grid", "2x8"], ["gen", "cylinder", "--radius", "1", "--grid", "3x2"],
+        ["orbit", "--C", "1", "--span", "1e10", "--grid", "5x5"],
+        ["orbit", "--C", "1.6667", "--span", "1000", "--grid", "5x5"],
+        ["fig7", "--t", "100"],
     ])
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     def test_orbit_fig7_bad_parameter_exit_code(self, tmp_path, capsys, argv):
@@ -115,12 +118,29 @@ class TestCLI:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the chart maps
     def test_orbit_regimes(self, tmp_path):
-        for C, regime in [("0", "torus"), ("1", "cylinder"), ("1.6667", "hyperboloid")]:
-            out = str(tmp_path / f"orb{C}.obj")
-            assert main(["orbit", "--C", C, "--grid", "12x12", "--out", out]) == 0
-            rep = json.loads(open(out[:-4] + ".report.json").read())
+        for argv, regime, chart_failures, passed in [
+            (["--C", "0"], "torus", 0, True),
+            (["--C", "1"], "cylinder", 0, True),
+            (["--C", "1.6667"], "hyperboloid", 0, True),
+            # lower-sheet points: flagged and written at a finite placeholder
+            (["--C", "1.6667", "--span", "50", "--grid", "5x5"], "hyperboloid", 15, True),
+            (["--C", "-1.6667", "--span", "50", "--grid", "5x5"], "hyperboloid", 15, True),
+            # rounding noise: the measured null-cone residual fails its check
+            (["--C", "0", "--span", "1e10", "--grid", "5x5"], "torus", 0, False),
+        ]:
+            out = str(tmp_path / "orb.obj")
+            assert main(["orbit", "--grid", "12x12"] + argv + ["--out", out]) == 0
+            with open(out[:-4] + ".report.json") as fh:
+                rep = json.load(fh)
             assert rep["parameters"]["regime"] == regime
+            checks = {c["name"]: c for c in rep["checks"]}
+            assert checks["chart_failures"]["value"] == chart_failures
+            assert (checks["null_cone"]["value"] < 1e-13) is passed
+            assert checks["null_cone"]["pass"] is passed and rep["passed"] is passed
+            verts, _ = ex.read_obj(out)
+            assert np.isfinite(verts).all()
 
     def test_fig7_singular_set(self, tmp_path):
         out = str(tmp_path / "f7.obj")

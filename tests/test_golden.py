@@ -5,6 +5,9 @@ files in ``tests/golden/``: vertices at 1e-12, face lists exactly, reports
 structurally (same keys, lists and non-float values; floats at 1e-12 absolute
 plus 1e-9 relative).
 
+The ``verify all`` report is compared the same way, which pins C, the order
+residuals and every other value it records.
+
 Re-capture the files (only after a deliberate output change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +38,9 @@ CASES = {
     "fig7_t1": ["fig7", "--t", "1", "--grid", "17x17"],
     "fig7_t0": ["fig7", "--t", "0", "--grid", "9x9"],
 }
+
+
+VERIFY_ALL = "verify_all.report.json"
 
 
 def run_case(name, outdir, monkeypatch=None):
@@ -76,6 +82,15 @@ def test_matches_golden(name, tmp_path, monkeypatch):
         assert_same_structure(json.load(fh), json.load(gh))
 
 
+def test_verify_all_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.delenv("DUPIN_CONFIG", raising=False)
+    monkeypatch.setenv("DUPIN_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "all", "--out", VERIFY_ALL]) == 0
+    with open(tmp_path / VERIFY_ALL) as fh, open(os.path.join(GOLDEN, VERIFY_ALL)) as gh:
+        assert_same_structure(json.load(fh), json.load(gh))
+
+
 if __name__ == "__main__":
     os.environ.pop("DUPIN_CONFIG", None)
     os.makedirs(GOLDEN, exist_ok=True)
@@ -83,4 +98,5 @@ if __name__ == "__main__":
     os.chdir(GOLDEN)
     for case in CASES:
         run_case(case, GOLDEN)
+    main(["verify", "all", "--out", VERIFY_ALL])
     sys.exit(0)

@@ -326,6 +326,21 @@ class TestSubalgebras:
                 B = mt.bracket(sub.elements[i], sub.elements[j])
                 assert mt.span_projection_residual(B, sub) < 1e-10
 
+    @pytest.mark.parametrize("C", [0.0, 0.5, 1.0, 5.0 / 3.0, -2.5])
+    def test_duals_are_dual(self, C):
+        sub = mt.subalgebra_from_constraints(hc_constraints(C), mt.MOEB)
+        entries = [(1, 0), (2, 0)]
+        duals = sub.duals(entries)
+        pairing = np.array([[X[e] for e in entries] for X in duals])
+        assert np.max(np.abs(pairing - np.eye(2))) < 1e-14
+        for X in duals:
+            assert mt.span_projection_residual(X, sub) < 1e-12
+
+    def test_duals_need_one_element_per_entry(self):
+        sub = mt.subalgebra_from_constraints(h_constraints(), mt.LIE)
+        with pytest.raises(mt.GeometryError):
+            sub.duals([(2, 0)])  # annihilated by every element of h
+
     def test_coordinates_round_trip(self):
         for metric in [mt.MOEB, mt.LIE]:
             X = mt.algebra_project(RNG.normal(size=(metric.dim, metric.dim)), metric)

@@ -53,6 +53,25 @@ class TestCatalog:
         assert np.allclose(II[0], np.diag([R, 0.0]), atol=1e-12)
 
 
+class TestComputedNormal:
+    @pytest.mark.parametrize("make", [lambda: srf.torus(np.pi / 6), lambda: srf.hyperboloid(0.5)])
+    def test_matches_catalog_normal_in_both_parametrizations(self, make):
+        # without an analytic normal the cofactor normal changes sign with the
+        # parametrization; the orientation restores the catalog's (a + c > 0)
+        cat = make()
+        d = cat.domain
+        U, V = d.mesh()
+        swapped = ParamDomain(d.v_range, d.u_range, d.nv, d.nu, d.periodic_v, d.periodic_u)
+        orientations = set()
+        for pos, dom, args in [(cat.position, d, (U, V)),
+                               (lambda u, v: cat.position(v, u), swapped, (V, U))]:
+            s = srf.ParametricSurface(cat.form, pos, dom)
+            n = srf.surface_normal(s, *args)
+            assert np.max(np.abs(n - cat.normal(U, V))) < 1e-6
+            orientations.add(s.orientation)
+        assert orientations == {1.0, -1.0}
+
+
 class TestCurvatureIdentities:
     def test_torus_product_minus_one(self):
         for alpha in np.linspace(0.04, np.pi / 4, 20):
