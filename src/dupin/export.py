@@ -108,4 +108,4 @@ def check(name, value, tolerance=None, passed=None, mode="abs_below"):
 
 
 def write_report(report, path):
-    _atomic_write(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")

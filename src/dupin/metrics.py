@@ -131,7 +131,7 @@ def inner(u, v, metric):
         raise MembershipError(
             f"dimension mismatch: got {u.shape[-1]}/{v.shape[-1]}, metric {metric.dim}"
         )
-    return np.einsum("...i,ij,...j->...", u, metric.gram, v)
+    return np.sum(u[..., metric.dual_index] * np.asarray(metric.eta) * v, axis=-1)
 
 
 def change_basis(x, dim, src, dst, kind="vector"):

@@ -72,11 +72,6 @@ def tangent_sphere(x, e3, r):
     return out
 
 
-def point_lift(x):
-    """Null lift x + eps4 of an S^3 point (epsilon coordinates)."""
-    return sf.embed_sphere(x)
-
-
 # --- sphere-map Dupin test -------------------------------------------------------
 
 def sphere_map_dupin_test(S_grid, domain, rank_tol=1e-8):

@@ -100,53 +100,6 @@ def poincare_factor(y):
     return 2.0 / (1.0 - y2)
 
 
-# --- Jacobians / Hessians of the chart maps (for pushforwards) ---------------
-
-def stereo_jac(x):
-    """d stereo: (..., 3, 4) with S^k = x^k/(1+x^0)."""
-    x = np.asarray(x, dtype=float)
-    den = 1.0 + x[..., 0]
-    J = np.zeros(x.shape[:-1] + (3, 4))
-    for k in range(3):
-        J[..., k, k + 1] = 1.0 / den
-        J[..., k, 0] = -x[..., k + 1] / den**2
-    return J
-
-
-def stereo_hess(x):
-    """Second derivatives of stereo: (..., 3, 4, 4)."""
-    x = np.asarray(x, dtype=float)
-    den = 1.0 + x[..., 0]
-    H = np.zeros(x.shape[:-1] + (3, 4, 4))
-    for k in range(3):
-        H[..., k, k + 1, 0] = -1.0 / den**2
-        H[..., k, 0, k + 1] = -1.0 / den**2
-        H[..., k, 0, 0] = 2.0 * x[..., k + 1] / den**3
-    return H
-
-
-def hyp_stereo_jac(x):
-    """d hyp_stereo: (..., 3, 4) with S^k = x^k/(1+x^4), slots (eps1..eps4)."""
-    x = np.asarray(x, dtype=float)
-    den = 1.0 + x[..., 3]
-    J = np.zeros(x.shape[:-1] + (3, 4))
-    for k in range(3):
-        J[..., k, k] = 1.0 / den
-        J[..., k, 3] = -x[..., k] / den**2
-    return J
-
-
-def hyp_stereo_hess(x):
-    x = np.asarray(x, dtype=float)
-    den = 1.0 + x[..., 3]
-    H = np.zeros(x.shape[:-1] + (3, 4, 4))
-    for k in range(3):
-        H[..., k, k, 3] = -1.0 / den**2
-        H[..., k, 3, k] = -1.0 / den**2
-        H[..., k, 3, 3] = 2.0 * x[..., k] / den**3
-    return H
-
-
 # --- embeddings into Moebius space (epsilon-basis representatives) -----------
 
 def embed_sphere(x):

@@ -325,8 +325,8 @@ def torus(alpha, domain=None):
 def cylinder(radius, domain=None):
     """Circular cylinder of radius R in R^3 (ruling along eps3); curvatures
     (0, 1/R) with the inward normal."""
-    if radius <= 0:
-        raise GeometryError("cylinder radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise GeometryError("cylinder radius must be finite and positive")
     R = float(radius)
     domain = domain or ParamDomain(
         v_range=(-2.0, 2.0), periodic_v=False
@@ -436,9 +436,13 @@ def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
 def pushforward(s, mapping, domain=None):
     """Compose a surface with stereo / hyp_stereo / identity into R^3.
 
-    An analytic source jet is composed with the chart's Jacobian and Hessian
-    by the chain rule, all three evaluated once per call; the image of any
-    other surface differentiates its own position by central differences.
+    Both charts are phi = y/d, with y a slice of three coordinates and d one
+    plus the fourth. An analytic source jet goes through the quotient rule
+        phi_a  = (y_a - phi d_a) / d,
+        phi_ab = (y_ab - phi d_ab - phi_a d_b - phi_b d_a) / d,
+    with phi itself from the chart, so the pole check still applies; the
+    image of any other surface differentiates its own position by central
+    differences.
     """
     domain = domain or s.domain
     if mapping == "identity":
@@ -446,24 +450,27 @@ def pushforward(s, mapping, domain=None):
     if mapping == "stereo":
         if s.form != "sphere":
             raise GeometryError("stereo pushforward needs a spherical surface")
-        phi, J, H = sf.stereo, sf.stereo_jac, sf.stereo_hess
+        phi, num, den = sf.stereo, slice(1, 4), 0
     elif mapping == "hyp_stereo":
         if s.form != "hyperbolic":
             raise GeometryError("hyp_stereo pushforward needs a hyperbolic surface")
-        phi, J, H = sf.hyp_stereo, sf.hyp_stereo_jac, sf.hyp_stereo_hess
+        phi, num, den = sf.hyp_stereo, slice(0, 3), 3
     else:
         raise GeometryError(f"unknown pushforward map {mapping!r}")
 
     def jet(u, v):
         src = s.jet(u, v)
-        Jx, Hx = J(src.x), H(src.x)
-        push = lambda t: np.einsum("...kj,...j->...k", Jx, t)
-        bend = lambda ta, tb: np.einsum("...kij,...i,...j->...k", Hx, ta, tb)
+        x = phi(src.x)
+        dd = lambda t: t[..., den, None]
+        d = 1.0 + dd(src.x)
+        xu, xv = ((t[..., num] - x * dd(t)) / d for t in (src.xu, src.xv))
+        second = lambda t, pa, ta, pb, tb: (
+            t[..., num] - x * dd(t) - pa * dd(tb) - pb * dd(ta)) / d
         return Jet(
-            phi(src.x), push(src.xu), push(src.xv),
-            push(src.xuu) + bend(src.xu, src.xu),
-            push(src.xuv) + bend(src.xu, src.xv),
-            push(src.xvv) + bend(src.xv, src.xv),
+            x, xu, xv,
+            second(src.xuu, xu, src.xu, xu, src.xu),
+            second(src.xuv, xu, src.xu, xv, src.xv),
+            second(src.xvv, xv, src.xv, xv, src.xv),
         )
 
     return ParametricSurface(

@@ -108,6 +108,7 @@ class TestCLI:
         ["orbit", "--C", "1", "--span", "1e10", "--grid", "5x5"],
         ["orbit", "--C", "1.6667", "--span", "1000", "--grid", "5x5"],
         ["fig7", "--t", "100"],
+        ["gen", "cylinder", "--radius", "inf"], ["gen", "cylinder", "--radius", "nan"],
     ])
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     def test_orbit_fig7_bad_parameter_exit_code(self, tmp_path, capsys, argv):

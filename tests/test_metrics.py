@@ -50,6 +50,18 @@ class TestInner:
         with pytest.raises(mt.MembershipError):
             mt.inner(np.zeros(4), np.zeros(4), mt.R41)
 
+    @pytest.mark.parametrize("metric", [mt.R3, mt.R4, mt.R31, mt.R41, mt.R42, mt.MOEB, mt.LIE],
+                             ids=lambda m: m.name)
+    def test_matches_gram(self, metric):
+        rng = np.random.default_rng(7)
+        n = metric.dim
+        for su, sv in [((n,), (n,)), ((9, n), (9, n)), ((7, 1, n), (1, 5, n)), ((n,), (4, 3, n))]:
+            u, v = rng.normal(size=su), rng.normal(size=sv)
+            expected = (u[..., None, :] @ metric.gram @ v[..., :, None])[..., 0, 0]
+            got = mt.inner(u, v, metric)
+            assert got.shape == np.broadcast_shapes(su[:-1], sv[:-1])
+            assert np.max(np.abs(got - expected)) < 1e-12
+
 
 class TestChangeBasis:
     def test_delta0_definition(self):

@@ -73,7 +73,7 @@ class TestTangentSphere:
     def test_incidence_and_norm(self):
         for r in (0.3, 1.2, 2.5):
             S = mb.tangent_sphere(self.x, self.e3, r)
-            F = mb.point_lift(self.x)
+            F = sf.embed_sphere(self.x)
             assert np.max(np.abs(mt.inner(S, F, mt.R41))) < 1e-12
             assert mb.sphere_vec_residual(S) < 1e-12
 

@@ -4,6 +4,7 @@ adapted frames, and the Dupin PDE residuals."""
 import numpy as np
 import pytest
 
+from dupin import spaceforms as sf
 from dupin import surfaces as srf
 from dupin.surfaces import ParamDomain
 
@@ -155,6 +156,29 @@ class TestPushforward:
             assert np.max(np.abs(jet.xuu - fd_uu)) < 1e-3
             assert np.max(np.abs(jet.xuv - fd_uv)) < 1e-3
             assert np.max(np.abs(jet.xvv - fd_vv)) < 1e-3
+
+    @pytest.mark.filterwarnings("error")  # the check comes before any division
+    def test_jet_through_the_pole_raises(self):
+        # a great 2-sphere in S^3 through -eps0 at (u, v) = (pi, 0)
+        stack = srf._stack
+        pos = lambda u, v: stack(np.cos(u) * np.cos(v), np.sin(u) * np.cos(v), np.sin(v), 0 * u)
+        jet = lambda u, v: srf.Jet(
+            pos(u, v),
+            stack(-np.sin(u) * np.cos(v), np.cos(u) * np.cos(v), 0 * v, 0 * u),
+            stack(-np.cos(u) * np.sin(v), -np.sin(u) * np.sin(v), np.cos(v), 0 * u),
+            stack(-np.cos(u) * np.cos(v), -np.sin(u) * np.cos(v), 0 * v, 0 * u),
+            stack(np.sin(u) * np.sin(v), -np.cos(u) * np.sin(v), 0 * v, 0 * u),
+            stack(-np.cos(u) * np.cos(v), -np.sin(u) * np.cos(v), -np.sin(v), 0 * u),
+        )
+        s = srf.ParametricSurface("sphere", pos, ParamDomain(), name="great_sphere", jet=jet)
+        image = srf.pushforward(s, "stereo")
+        assert image.analytic
+        u = np.array([0.3, np.pi, 2.0])
+        v = np.array([0.1, 0.0, -0.4])
+        with pytest.raises(sf.PoleError):
+            image.jet(u, v)
+        away = image.jet(u[[0, 2]], v[[0, 2]])
+        assert all(np.all(np.isfinite(t)) for t in away)
 
 
 class TestClassify:
