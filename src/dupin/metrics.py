@@ -131,7 +131,14 @@ def inner(u, v, metric):
         raise MembershipError(
             f"dimension mismatch: got {u.shape[-1]}/{v.shape[-1]}, metric {metric.dim}"
         )
-    return np.sum(u[..., metric.dual_index] * np.asarray(metric.eta) * v, axis=-1)
+    # a sum of whole-array terms eta_a u_{a*} v_a, one per coordinate: a
+    # reduction over the short last axis would loop over it once per point
+    terms = (e * u[..., b] * v[..., a]
+             for a, (b, e) in enumerate(zip(metric.dual_index, metric.eta)))
+    out = next(terms)
+    for t in terms:
+        out += t
+    return out
 
 
 def change_basis(x, dim, src, dst, kind="vector"):

@@ -380,7 +380,7 @@ def hc_basis(C):
     to omega^2_0."""
     sub = mt.subalgebra_from_constraints(hc_constraints(C), mt.MOEB)
     if sub.dim != 2:
-        raise GeometryError(f"h_C solution space has dimension {sub.dim}, expected 2")
+        raise GeometryError(f"C = {C:g}: h_C has dimension {sub.dim}, not 2; use a smaller |C|")
     sub.elements = sub.duals([(1, 0), (2, 0)])
     sub.coords = np.stack([mt.algebra_coordinates(X, mt.MOEB) for X in sub.elements])
     return sub
@@ -458,7 +458,7 @@ def hc_orbit(C, s_grid, t_grid):
         # exp(t X2) delta0 is the first column, since delta0 is the first basis vector
         pts = np.einsum("sij,tj->sti", exp_s, mt.mat_exp(t_grid[:, None, None] * X2)[..., 0])
     if not np.isfinite(pts).all():
-        raise GeometryError("h_C orbit is not finite on this grid; use a smaller span")
+        raise GeometryError(f"C = {C:g}: the h_C orbit overflows; use a smaller |C| or span")
     pts = mt.projective_normalize(pts)
     regime = hc_regime(C)
     q_eps = mt.change_basis(pts, 5, "delta", "epsilon")

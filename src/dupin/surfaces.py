@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -106,7 +106,9 @@ class ParametricSurface:
         self.name = name
         self.params = dict(params or {})
         self.analytic = jet is not None
-        self.jet = jet or self._finite_difference_jet
+        # partial, not a bound method: self.jet = self.method would be a
+        # reference cycle, which only the cycle collector frees
+        self.jet = jet or partial(self._finite_difference_jet, position, domain)
         self.normal = normal
         self.frame = frame
 
@@ -129,19 +131,20 @@ class ParametricSurface:
         mean = float(data.a[0] + data.c[0])
         return -1.0 if abs(mean) > 1e-9 and mean < 0 else 1.0
 
-    def _finite_difference_jet(self, u, v):
+    @staticmethod
+    def _finite_difference_jet(position, domain, u, v):
         """Central differences of position: steps 1e-5 of the parameter span for
         first partials, their square roots for second partials; the whole
         stencil goes through one position call."""
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        hu = 1e-5 * (self.domain.u_range[1] - self.domain.u_range[0])
-        hv = 1e-5 * (self.domain.v_range[1] - self.domain.v_range[0])
+        hu = 1e-5 * (domain.u_range[1] - domain.u_range[0])
+        hv = 1e-5 * (domain.v_range[1] - domain.v_range[0])
         Hu, Hv = np.sqrt(hu), np.sqrt(hv)
         U = np.stack([u, u + hu, u - hu, u, u, u + Hu, u - Hu, u, u,
                       u + Hu, u + Hu, u - Hu, u - Hu])
         V = np.stack([v, v, v, v + hv, v - hv, v, v, v + Hv, v - Hv,
                       v + Hv, v - Hv, v + Hv, v - Hv])
-        p = self.position(U, V)
+        p = position(U, V)
         return Jet(
             p[0],
             (p[1] - p[2]) / (2 * hu),
@@ -201,36 +204,57 @@ def _forms(s, jet, normal):
     unit normal normal(jet); raises at singular points, where
     det I <= RANK_TOL * I11 * I22 (a scale-free, per-point test)."""
     g = s.metric
-    I = np.empty(jet.xu.shape[:-1] + (2, 2))
-    I[..., 0, 0] = mt.inner(jet.xu, jet.xu, g)
-    I[..., 0, 1] = I[..., 1, 0] = mt.inner(jet.xu, jet.xv, g)
-    I[..., 1, 1] = mt.inner(jet.xv, jet.xv, g)
-    det = I[..., 0, 0] * I[..., 1, 1] - I[..., 0, 1] ** 2
-    if np.any(det <= RANK_TOL * I[..., 0, 0] * I[..., 1, 1]):
+    E, F, G = (mt.inner(p, q, g) for p, q in ((jet.xu, jet.xu), (jet.xu, jet.xv), (jet.xv, jet.xv)))
+    if np.any(E * G - F ** 2 <= RANK_TOL * E * G):
         raise SingularPointError("first fundamental form is rank deficient")
     n = normal(jet)
-    II = np.empty_like(I)
-    II[..., 0, 0] = mt.inner(jet.xuu, n, g)
-    II[..., 0, 1] = II[..., 1, 0] = mt.inner(jet.xuv, n, g)
-    II[..., 1, 1] = mt.inner(jet.xvv, n, g)
-    return I, II
+    return _sym2(E, F, G), _sym2(mt.inner(jet.xuu, n, g), mt.inner(jet.xuv, n, g),
+                                 mt.inner(jet.xvv, n, g))
+
+
+def _sym2(e, f, g):
+    """The symmetric (..., 2, 2) array [[e, f], [f, g]], each entry stored as
+    one contiguous plane."""
+    out = np.empty((2, 2) + np.shape(e))
+    out[0, 0], out[0, 1], out[1, 0], out[1, 1] = e, f, f, g
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def fundamental_forms(s, u, v):
     """First and second fundamental forms at (u, v), the second against
     surface_normal; raises SingularPointError at singular points."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     return _forms(s, s.jet(u, v), lambda jet: surface_normal(s, u, v, jet))
 
 
 @dataclass
 class CurvatureData:
+    """Principal curvatures a <= c of the shape operator W = I^{-1} II, in
+    closed form from the six scalar fields of I and II (given as (..., 2, 2)
+    arrays), and the umbilic mask.  The parameter-space principal directions
+    dir_a and dir_c, I-unit, are computed on first access."""
     a: np.ndarray          # smaller principal curvature
     c: np.ndarray          # larger principal curvature
-    dir_a: np.ndarray      # parameter-space direction (du, dv), I-unit
-    dir_c: np.ndarray
     umbilic: np.ndarray    # boolean mask
+    I: np.ndarray
+    II: np.ndarray
+
+    dir_a = cached_property(lambda self: self._direction(self.a))
+    dir_c = cached_property(lambda self: self._direction(self.c))
+
+    def _direction(self, kappa):
+        """Null vector (d0, d1) of W - kappa from its row of larger 1-norm,
+        (1, 0) where both rows vanish (umbilics), scaled to unit length in I."""
+        E, F, G, L, M, N, detI = _entries(self.I, self.II)
+        w00, w01 = (G * L - F * M) / detI - kappa, (G * M - F * N) / detI
+        w10, w11 = (E * M - F * L) / detI, (E * N - F * M) / detI - kappa
+        use0 = np.abs(w00) + np.abs(w01) >= np.abs(w10) + np.abs(w11)
+        d0 = np.where(use0, w01, w11)
+        d1 = np.where(use0, -w00, -w10)
+        degenerate = np.abs(d0) + np.abs(d1) < 1e-14
+        d0, d1 = np.where(degenerate, 1.0, d0), np.where(degenerate, 0.0, d1)
+        norm = np.sqrt(E * d0 * d0 + 2.0 * F * d0 * d1 + G * d1 * d1)
+        return np.stack([d0 / norm, d1 / norm], axis=-1)
 
 
 def principal_curvatures(s, u, v, umbilic_tol=1e-9):
@@ -238,46 +262,21 @@ def principal_curvatures(s, u, v, umbilic_tol=1e-9):
     return _curvatures(*fundamental_forms(s, u, v), umbilic_tol)
 
 
+def _entries(I, II):
+    """E, F, G of I, L, M, N of II and det I, as (...) fields."""
+    E, F, G = I[..., 0, 0], I[..., 0, 1], I[..., 1, 1]
+    return E, F, G, II[..., 0, 0], II[..., 0, 1], II[..., 1, 1], E * G - F * F
+
+
 def _curvatures(I, II, umbilic_tol=1e-9):
-    detI = I[..., 0, 0] * I[..., 1, 1] - I[..., 0, 1] ** 2
-    # shape operator W = I^{-1} II (2x2, closed form)
-    Iinv = np.empty_like(I)
-    Iinv[..., 0, 0] = I[..., 1, 1] / detI
-    Iinv[..., 1, 1] = I[..., 0, 0] / detI
-    Iinv[..., 0, 1] = Iinv[..., 1, 0] = -I[..., 0, 1] / detI
-    W = Iinv @ II
-    tr = W[..., 0, 0] + W[..., 1, 1]
-    det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
-    disc = np.maximum(tr * tr - 4 * det, 0.0)
-    root = np.sqrt(disc)
+    E, F, G, L, M, N, detI = _entries(I, II)
+    tr = (G * L - 2.0 * F * M + E * N) / detI
+    det = (L * N - M * M) / detI
+    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     a = 0.5 * (tr - root)
     c = 0.5 * (tr + root)
     umb = root < umbilic_tol * (1.0 + np.abs(tr))
-
-    def eigdir(kappa):
-        # nullvector of W - kappa I from the numerically larger row
-        r0 = np.stack([W[..., 0, 0] - kappa, W[..., 0, 1]], axis=-1)
-        r1 = np.stack([W[..., 1, 0], W[..., 1, 1] - kappa], axis=-1)
-        use0 = (np.abs(r0[..., 0]) + np.abs(r0[..., 1])) >= (
-            np.abs(r1[..., 0]) + np.abs(r1[..., 1])
-        )
-        row = np.where(use0[..., None], r0, r1)
-        d = np.stack([row[..., 1], -row[..., 0]], axis=-1)
-        # umbilic fallback: any direction; pick du
-        degenerate = np.abs(d).sum(axis=-1) < 1e-14
-        d = np.where(degenerate[..., None], np.array([1.0, 0.0]), d)
-        q = np.einsum("...i,...ij,...j->...", d, I, d)
-        return d / np.sqrt(q)[..., None]
-
-    dir_a = eigdir(a)
-    dir_c = eigdir(c)
-    return CurvatureData(a, c, dir_a, dir_c, umb)
-
-
-def ambient_direction(s, u, v, d):
-    """Push a parameter-space direction to the ambient tangent vector."""
-    jet = s.jet(u, v)
-    return d[..., 0:1] * jet.xu + d[..., 1:2] * jet.xv
+    return CurvatureData(a, c, umb, I, II)
 
 
 # --- canonical catalog ----------------------------------------------------------
@@ -285,6 +284,13 @@ def ambient_direction(s, u, v, d):
 def _stack(*coords):
     """Coordinate arrays broadcast together and stacked along a new last axis."""
     return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
+def _jet_planes(u, v, dim):
+    """Zeros (6, dim, ...) over the broadcast shape of (u, v), plane [k, i] for
+    coordinate i of Jet field k: Jet(*np.moveaxis(J, 1, -1)) has contiguous
+    coordinate planes, so charts and inner products run over whole planes."""
+    return np.zeros((6, dim) + np.broadcast(u, v).shape)
 
 
 def torus(alpha, domain=None):
@@ -297,17 +303,16 @@ def torus(alpha, domain=None):
     domain = domain or ParamDomain()
 
     pos = lambda u, v: _stack(r * np.cos(u), r * np.sin(u), s_ * np.cos(v), s_ * np.sin(v))
-    jet = lambda u, v: Jet(
-        pos(u, v),
-        _stack(-r * np.sin(u), r * np.cos(u), 0 * u, 0 * v),
-        _stack(0 * u, 0 * u, -s_ * np.sin(v), s_ * np.cos(v)),
-        _stack(-r * np.cos(u), -r * np.sin(u), 0 * u, 0 * v),
-        _stack(0 * u, 0 * u, 0 * u, 0 * v),
-        _stack(0 * u, 0 * u, -s_ * np.cos(v), -s_ * np.sin(v)),
-    )
-    normal = lambda u, v: _stack(
-        s_ * np.cos(u), s_ * np.sin(u), -r * np.cos(v), -r * np.sin(v)
-    )
+
+    def jet(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        J = _jet_planes(u, v, 4)
+        J[0, 0], J[0, 1], J[0, 2], J[0, 3] = r * cu, r * su, s_ * cv, s_ * sv
+        J[1, 0], J[1, 1], J[2, 2], J[2, 3] = -r * su, r * cu, -s_ * sv, s_ * cv
+        J[3, 0], J[3, 1], J[5, 2], J[5, 3] = -r * cu, -r * su, -s_ * cv, -s_ * sv
+        return Jet(*np.moveaxis(J, 1, -1))
+
+    normal = lambda u, v: _stack(s_ * np.cos(u), s_ * np.sin(u), -r * np.cos(v), -r * np.sin(v))
 
     def frame(u, v):
         e1 = _stack(-np.sin(u), np.cos(u), 0 * u, 0 * v)
@@ -328,19 +333,18 @@ def cylinder(radius, domain=None):
     if not (np.isfinite(radius) and radius > 0):
         raise GeometryError("cylinder radius must be finite and positive")
     R = float(radius)
-    domain = domain or ParamDomain(
-        v_range=(-2.0, 2.0), periodic_v=False
-    )
+    domain = domain or ParamDomain(v_range=(-2.0, 2.0), periodic_v=False)
 
     pos = lambda u, v: _stack(R * np.cos(u), R * np.sin(u), v)
-    jet = lambda u, v: Jet(
-        pos(u, v),
-        _stack(-R * np.sin(u), R * np.cos(u), 0 * v),
-        _stack(0 * u, 0 * u, np.ones_like(v)),
-        _stack(-R * np.cos(u), -R * np.sin(u), 0 * v),
-        _stack(0 * u, 0 * u, 0 * v),
-        _stack(0 * u, 0 * u, 0 * v),
-    )
+
+    def jet(u, v):
+        cu, su = np.cos(u), np.sin(u)
+        J = _jet_planes(u, v, 3)
+        J[0, 0], J[0, 1], J[0, 2] = R * cu, R * su, v
+        J[1, 0], J[1, 1], J[2, 2] = -R * su, R * cu, 1.0
+        J[3, 0], J[3, 1] = -R * cu, -R * su
+        return Jet(*np.moveaxis(J, 1, -1))
+
     normal = lambda u, v: _stack(-np.cos(u), -np.sin(u), 0 * v)
 
     def frame(u, v):
@@ -372,14 +376,15 @@ def hyperboloid(a, domain=None):
     pos = lambda u, v: _stack(
         rho * np.cos(u), rho * np.sin(u), sc * np.sinh(v), sc * np.cosh(v)
     )
-    jet = lambda u, v: Jet(
-        pos(u, v),
-        _stack(-rho * np.sin(u), rho * np.cos(u), 0 * v, 0 * v),
-        _stack(0 * u, 0 * u, sc * np.cosh(v), sc * np.sinh(v)),
-        _stack(-rho * np.cos(u), -rho * np.sin(u), 0 * v, 0 * v),
-        _stack(0 * u, 0 * u, 0 * v, 0 * v),
-        _stack(0 * u, 0 * u, sc * np.sinh(v), sc * np.cosh(v)),
-    )
+
+    def jet(u, v):
+        cu, su, chv, shv = np.cos(u), np.sin(u), np.cosh(v), np.sinh(v)
+        J = _jet_planes(u, v, 4)
+        J[0, 0], J[0, 1], J[0, 2], J[0, 3] = rho * cu, rho * su, sc * shv, sc * chv
+        J[1, 0], J[1, 1], J[2, 2], J[2, 3] = -rho * su, rho * cu, sc * chv, sc * shv
+        J[3, 0], J[3, 1], J[5, 2], J[5, 3] = -rho * cu, -rho * su, sc * shv, sc * chv
+        return Jet(*np.moveaxis(J, 1, -1))
+
     # orientation with curvatures (a along the hyperbola, 1/a along the circle)
     normal = lambda u, v: _stack(
         -sc * np.cos(u), -sc * np.sin(u), -rho * np.sinh(v), -rho * np.cosh(v)
@@ -461,17 +466,14 @@ def pushforward(s, mapping, domain=None):
     def jet(u, v):
         src = s.jet(u, v)
         x = phi(src.x)
-        dd = lambda t: t[..., den, None]
-        d = 1.0 + dd(src.x)
-        xu, xv = ((t[..., num] - x * dd(t)) / d for t in (src.xu, src.xv))
-        second = lambda t, pa, ta, pb, tb: (
-            t[..., num] - x * dd(t) - pa * dd(tb) - pb * dd(ta)) / d
-        return Jet(
-            x, xu, xv,
-            second(src.xuu, xu, src.xu, xu, src.xu),
-            second(src.xuv, xu, src.xu, xv, src.xv),
-            second(src.xvv, xv, src.xv, xv, src.xv),
-        )
+        inv_d = 1.0 / (1.0 + src.x[..., den, None])
+        du, dv = src.xu[..., den, None], src.xv[..., den, None]
+        xu = (src.xu[..., num] - x * du) * inv_d
+        xv = (src.xv[..., num] - x * dv) * inv_d
+        second = lambda t, pa, da, pb, db: (
+            t[..., num] - x * t[..., den, None] - pa * db - pb * da) * inv_d
+        return Jet(x, xu, xv, second(src.xuu, xu, du, xu, du),
+                   second(src.xuv, xu, du, xv, dv), second(src.xvv, xv, dv, xv, dv))
 
     return ParametricSurface(
         "euclidean", lambda u, v: phi(s.position(u, v)), domain,
@@ -488,17 +490,14 @@ def _flow_curvature_derivative(s, U, V, data, which, arc_step=1e-3):
 
     ``data`` is the CurvatureData on the grid (U, V): its direction field is
     the flows' first RK4 stage and their orientation reference."""
-    shape = U.shape
-    pts = np.stack([U.ravel(), V.ravel()], axis=-1)
+    field = "dir_" + which  # read on the stage points only, so only it is computed
 
     def direction(p, ref):
-        data = principal_curvatures(s, p[:, 0], p[:, 1])
-        d = data.dir_a if which == "a" else data.dir_c
+        d = getattr(principal_curvatures(s, p[:, 0], p[:, 1]), field)
         sgn = np.sign(np.sum(d * ref, axis=-1))
-        sgn = np.where(sgn == 0, 1.0, sgn)
-        return d * sgn[:, None]
+        return d * np.where(sgn == 0, 1.0, sgn)[:, None]
 
-    d0 = (data.dir_a if which == "a" else data.dir_c).reshape(-1, 2)
+    d0 = getattr(data, field).reshape(-1, 2)
 
     def rk4(p, h):
         k1 = d0  # the direction field at the base points, aligned with itself
@@ -507,13 +506,10 @@ def _flow_curvature_derivative(s, U, V, data, which, arc_step=1e-3):
         k4 = direction(p + h * k3, d0)
         return p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    plus = rk4(pts, arc_step)
-    minus = rk4(pts, -arc_step)
-    kp = principal_curvatures(s, plus[:, 0], plus[:, 1])
-    km = principal_curvatures(s, minus[:, 0], minus[:, 1])
-    fp = kp.a if which == "a" else kp.c
-    fm = km.a if which == "a" else km.c
-    return ((fp - fm) / (2 * arc_step)).reshape(shape)
+    pts = np.stack([U.ravel(), V.ravel()], axis=-1)
+    fp, fm = (getattr(principal_curvatures(s, q[:, 0], q[:, 1]), which)
+              for q in (rk4(pts, arc_step), rk4(pts, -arc_step)))
+    return ((fp - fm) / (2 * arc_step)).reshape(U.shape)
 
 
 def classify(s, iso_tol=None, dupin_tol=None, arc_step=1e-3):
@@ -584,12 +580,9 @@ def euclidean_best_frame(s):
     if data.umbilic.any():
         bad = np.argwhere(data.umbilic).tolist()
         raise UmbilicError(f"umbilic grid points: {bad[:8]}{'...' if len(bad) > 8 else ''}")
-    e1 = ambient_direction(s, U, V, data.dir_a)
-    e2 = ambient_direction(s, U, V, data.dir_c)
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
-    e1 = propagate_sign(e1)
-    e2 = propagate_sign(e2)
+    jet = s.jet(U, V)
+    e1, e2 = (d[..., 0:1] * jet.xu + d[..., 1:2] * jet.xv for d in (data.dir_a, data.dir_c))
+    e1, e2 = (propagate_sign(e / np.linalg.norm(e, axis=-1, keepdims=True)) for e in (e1, e2))
     e3 = np.cross(e1, e2)
     x = s.position(U, V)
     nu, nv = U.shape

@@ -54,6 +54,10 @@ class TestReports:
         assert rep["passed"] is False
 
 
+# |C| so large that h_C overflows on the grid (1e8) or loses its rank (1e300)
+LARGE_C = (["orbit", "--C", "1e8"], ["orbit", "--C", "1e300"])
+
+
 class TestCLI:
     def test_gen_cylinder(self, tmp_path):
         out = str(tmp_path / "cyl.obj")
@@ -109,6 +113,7 @@ class TestCLI:
         ["orbit", "--C", "1.6667", "--span", "1000", "--grid", "5x5"],
         ["fig7", "--t", "100"],
         ["gen", "cylinder", "--radius", "inf"], ["gen", "cylinder", "--radius", "nan"],
+        *LARGE_C,
     ])
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     def test_orbit_fig7_bad_parameter_exit_code(self, tmp_path, capsys, argv):
@@ -117,6 +122,8 @@ class TestCLI:
         assert main(argv[:1] + ["--grid", "8x8"] + argv[1:] + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if argv in LARGE_C:  # the message names the cause
+            assert "|C|" in err and f"C = {float(argv[2]):g}" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the chart maps

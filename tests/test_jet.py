@@ -2,6 +2,9 @@
 the finite-difference jet builder, and the number of points classify and gen
 send through a surface's jet."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +96,19 @@ class TestFiniteDifferenceJet:
         assert orbit.form == "sphere" and not orbit.analytic
         assert not srf.pushforward(orbit, "stereo").analytic
 
+    def test_surface_is_freed_without_the_cycle_collector(self):
+        # a reference cycle would keep the surface, and the frames its
+        # position closes over, alive until the cycle collector runs
+        gc.disable()
+        try:
+            s = mb.orbit_surface(1.8, ParamDomain((-1.0, 1.0), (-1.0, 1.0), 4, 4, False, False))
+            s.jet(np.array([0.1]), np.array([0.2]))
+            ref = weakref.ref(s)
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 def count_jet_points(s):
     """Replace s.jet by a wrapper that records the points of every call."""
@@ -110,18 +126,38 @@ def count_jet_points(s):
 GRID16 = ParamDomain(nu=16, nv=16)
 
 
-@pytest.mark.parametrize("make", [
+CLASSIFY_SURFACES = pytest.mark.parametrize("make", [
     lambda: srf.pushforward(srf.torus(0.6, GRID16), "stereo"),
     lambda: srf.pushforward(
         srf.hyperboloid(0.5, ParamDomain(v_range=(-1.5, 1.5), nu=16, nv=16, periodic_v=False)),
         "hyp_stereo"),
     lambda: srf.warped_torus(domain=GRID16),
 ], ids=["torus_stereo", "hyperboloid_hyp_stereo", "warped_torus"])
+
+
+@CLASSIFY_SURFACES
 def test_classify_jet_points(make):
     s = make()
     counts = count_jet_points(s)
     srf.classify(s)
     assert sum(counts) <= 17 * 16 * 16 + 1
+
+
+@CLASSIFY_SURFACES
+def test_classify_direction_points(make, monkeypatch):
+    # principal directions are computed on first access: both fields on the
+    # grid, one field at each of the 12 RK4 stage evaluations, none at the
+    # 4 flow end points, which read only a curvature
+    directions = []
+    real = srf.CurvatureData._direction
+
+    def counted(self, kappa):
+        directions.append(np.size(kappa))
+        return real(self, kappa)
+
+    monkeypatch.setattr(srf.CurvatureData, "_direction", counted)
+    srf.classify(make())
+    assert sum(directions) <= 14 * 16 * 16
 
 
 def test_gen_jet_points_are_classify_points(tmp_path, monkeypatch):

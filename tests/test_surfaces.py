@@ -3,6 +3,7 @@ adapted frames, and the Dupin PDE residuals."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
@@ -100,6 +101,48 @@ class TestCurvatureIdentities:
         d = srf.principal_curvatures(s, U, V)
         cross = np.einsum("...i,...ij,...j->...", d.dir_a, I, d.dir_c)
         assert np.max(np.abs(cross)) < 1e-8
+
+
+def forms(E, F, G, L, M, N):
+    """One point's I and II as (1, 2, 2) arrays."""
+    return np.array([[[E, F], [F, G]]]), np.array([[[L, M], [M, N]]])
+
+
+class TestCurvatureKernel:
+    """The closed-form shape operator against numpy on random forms: I
+    symmetric positive definite (entries of order 1, |F| < 0.8 sqrt(EG)),
+    II symmetric."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(E=st.floats(0.5, 2.0), G=st.floats(0.5, 2.0), rho=st.floats(-0.8, 0.8),
+           L=st.floats(-2.0, 2.0), M=st.floats(-2.0, 2.0), N=st.floats(-2.0, 2.0))
+    def test_matches_eigen_decomposition(self, E, G, rho, L, M, N):
+        I, II = forms(E, rho * np.sqrt(E * G), G, L, M, N)
+        W = np.linalg.solve(I[0], II[0])
+        eig = np.sort(np.linalg.eigvals(W).real)
+        scale = np.max(np.abs(eig))
+        # a double root is only determined to sqrt(roundoff): test distinct ones
+        assume(eig[1] - eig[0] > 1e-3 * scale)
+        d = srf._curvatures(I, II)
+        assert abs(d.a[0] - eig[0]) <= 1e-12 * scale
+        assert abs(d.c[0] - eig[1]) <= 1e-12 * scale
+        for kappa, dvec in ((d.a, d.dir_a), (d.c, d.dir_c)):
+            assert abs(dvec[0] @ I[0] @ dvec[0] - 1.0) < 1e-12
+            residual = (II[0] - kappa[0] * I[0]) @ dvec[0]
+            assert np.max(np.abs(residual)) < 1e-12 * (1.0 + abs(kappa[0]))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(E=st.integers(1, 64), G=st.integers(1, 64), F=st.integers(-8, 8),
+           lam=st.integers(-16, 16))
+    def test_umbilic_takes_du_fallback(self, E, G, F, lam):
+        # II = lam I in small integers: every step is exact, both rows of
+        # W - lam vanish, and either direction is (1, 0) / sqrt(I00)
+        assume(E * G - F * F > 0)
+        I, II = forms(E, F, G, lam * E, lam * F, lam * G)
+        d = srf._curvatures(I, II)
+        assert d.a[0] == d.c[0] == lam and d.umbilic[0]
+        for dvec in (d.dir_a, d.dir_c):
+            assert np.array_equal(dvec[0], [1.0 / np.sqrt(E), 0.0])
 
 
 class TestUmbilic:
