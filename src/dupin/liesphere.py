@@ -96,14 +96,14 @@ def spherical_projection(S0, S1):
 
 @dataclass
 class LegendreMap:
-    """Grid of pencil lines over a parameter domain; optional analytic partials
-    of the two representative fields."""
+    """Grid of pencil lines over a parameter domain; optional analytic
+    differentials of the two representative fields, as 1-forms (2, ..., 6)."""
 
     S0: np.ndarray
     S1: np.ndarray
     domain: ParamDomain
-    dS0: tuple | None = None
-    dS1: tuple | None = None
+    dS0: np.ndarray | None = None
+    dS1: np.ndarray | None = None
 
     line_residuals = PencilLine.residuals
 
@@ -122,24 +122,18 @@ def _smooth_normalize(field):
 
 def contact_residual(lm):
     """Max over the grid of |<dS0, S1>| in both parameter directions, with the
-    representatives rescaled by a fixed coordinate functional."""
-    if lm.dS0 is not None:
-        dS0u, dS0v = lm.dS0
-        f = np.abs(lm.S0[..., _fixed_norm_coordinate(lm.S0)])
-        g = np.abs(lm.S1[..., _fixed_norm_coordinate(lm.S1)])
-        r_u = inner(dS0u, lm.S1, mt.R42) / (f * g)
-        r_v = inner(dS0v, lm.S1, mt.R42) / (f * g)
-        return float(max(np.max(np.abs(r_u)), np.max(np.abs(r_v))))
-    S0 = _smooth_normalize(lm.S0)
-    S1 = _smooth_normalize(lm.S1)
-    d = lm.domain
-    r_u, r_v = (inner(dS0, S1, mt.R42) for dS0 in grid_differential(S0, d))
-    return float(max(np.max(np.abs(r_u)), np.max(np.abs(r_v))))
+    representatives rescaled by a fixed coordinate functional f.  An analytic
+    dS0 is divided by f: it differs from d(S0/f) by a multiple of S0, which
+    pairs to zero with S1."""
+    f = lm.S0[..., _fixed_norm_coordinate(lm.S0), None]
+    dS0 = grid_differential(lm.S0 / f, lm.domain) if lm.dS0 is None else lm.dS0 / f
+    return float(np.max(np.abs(inner(dS0, _smooth_normalize(lm.S1), mt.R42))))
 
 
 def legendre_lift(F, S, domain, dF=None, dS=None, tangency_tol=1e-6):
     """Legendre lift [F, S + eps5] of an immersion into Moebius space with a
-    tangent sphere map S along it."""
+    tangent sphere map S along it; the optional analytic differentials dF and
+    dS are 1-forms, (2, ..., 5) arrays or (d/du, d/dv) pairs."""
     F = np.asarray(F, dtype=float)
     S = np.asarray(S, dtype=float)
     if np.max(np.abs(inner(F, S, mt.R41))) > tangency_tol:
@@ -151,8 +145,8 @@ def legendre_lift(F, S, domain, dF=None, dS=None, tangency_tol=1e-6):
         raise GeometryError(f"sphere map is not tangent (residual {tang:.3e})")
     S0 = include_point(F)
     S1 = include_sphere(S)
-    dS0 = None if dF is None else (include_point(dF[0]), include_point(dF[1]))
-    dS1 = None if dS is None else (include_point(dS[0]), include_point(dS[1]))
+    dS0 = None if dF is None else include_point(dF)
+    dS1 = None if dS is None else include_point(dS)
     return LegendreMap(S0, S1, domain, dS0, dS1)
 
 
@@ -164,14 +158,10 @@ def example_lambda(domain=None):
     Z = np.zeros_like(U)
     S0 = np.stack([np.cos(U), Z, Z, np.sin(U), np.ones_like(U), Z], axis=-1)
     S1 = np.stack([Z, np.cos(V), np.sin(V), Z, Z, np.ones_like(V)], axis=-1)
-    dS0 = (
-        np.stack([-np.sin(U), Z, Z, np.cos(U), Z, Z], axis=-1),
-        np.zeros(U.shape + (6,)),
-    )
-    dS1 = (
-        np.zeros(U.shape + (6,)),
-        np.stack([Z, -np.sin(V), np.cos(V), Z, Z, Z], axis=-1),
-    )
+    dS0 = np.stack([np.stack([-np.sin(U), Z, Z, np.cos(U), Z, Z], axis=-1),
+                    np.zeros(U.shape + (6,))])
+    dS1 = np.stack([np.zeros(U.shape + (6,)),
+                    np.stack([Z, -np.sin(V), np.cos(V), Z, Z, Z], axis=-1)])
     return LegendreMap(S0, S1, domain, dS0, dS1)
 
 
@@ -262,25 +252,14 @@ def _component(u_basis, w):
 def curvature_sphere_fields(lm):
     """Per-point pencil parameters (alpha : beta) where alpha S0 + beta S1 has
     singular differential modulo the line, as two root fields with kernels."""
-    d = lm.domain
-    if lm.dS0 is not None:
-        dS0u, dS0v = lm.dS0
-        dS1u, dS1v = lm.dS1
-    else:
-        dS0u, dS0v = grid_differential(lm.S0, d)
-        dS1u, dS1v = grid_differential(lm.S1, d)
+    dS0 = grid_differential(lm.S0, lm.domain) if lm.dS0 is None else lm.dS0
+    dS1 = grid_differential(lm.S1, lm.domain) if lm.dS1 is None else lm.dS1
     u_basis = _pencil_complement(lm.S0, lm.S1)
-    a_u = _component(u_basis, dS0u)
-    a_v = _component(u_basis, dS0v)
-    b_u = _component(u_basis, dS1u)
-    b_v = _component(u_basis, dS1v)
-
-    def cross(p, q):
-        return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-
-    A2 = cross(a_u, a_v)
-    B2 = cross(a_u, b_v) + cross(b_u, a_v)
-    C2 = cross(b_u, b_v)
+    # the 1-forms (2, ..., 2) of the two line motions' complement components
+    a, b = _component(u_basis, dS0), _component(u_basis, dS1)
+    A2 = wedge(a[..., 0], a[..., 1])
+    B2 = wedge(a[..., 0], b[..., 1]) + wedge(b[..., 0], a[..., 1])
+    C2 = wedge(b[..., 0], b[..., 1])
     scale = np.max(np.abs(np.stack([A2, B2, C2])))
     if scale < 1e-13:
         return {"degenerate": True, "roots": []}
@@ -307,9 +286,7 @@ def curvature_sphere_fields(lm):
 
     out = []
     for ab in roots:
-        Mu = ab[..., 0:1] * a_u + ab[..., 1:2] * b_u      # (..., 2) column for du
-        Mv = ab[..., 0:1] * a_v + ab[..., 1:2] * b_v
-        M = np.stack([Mu, Mv], axis=-1)                   # (..., 2 comps, 2 cols)
+        M = np.moveaxis(ab[..., 0:1] * a + ab[..., 1:2] * b, 0, -1)  # (..., 2 comps, 2 cols)
         k_a = np.stack([M[..., 0, 1], -M[..., 0, 0]], axis=-1)
         k_b = np.stack([M[..., 1, 1], -M[..., 1, 0]], axis=-1)
         use_a = np.linalg.norm(k_a, axis=-1) >= np.linalg.norm(k_b, axis=-1)
@@ -420,17 +397,9 @@ def coset_orbit(A, s_grid, t_grid):
         len(s_grid), len(t_grid), periodic_u=False, periodic_v=False,
     )
     ff = FrameField("lie", T, domain, Tu, Tv)
-    P = mt.P_LAMBDA
-    S0 = np.einsum("ij,...j->...i", P, T[..., :, 0])
-    S1 = np.einsum("ij,...j->...i", P, T[..., :, 1])
-    dS0 = (
-        np.einsum("ij,...j->...i", P, Tu[..., :, 0]),
-        np.einsum("ij,...j->...i", P, Tv[..., :, 0]),
-    )
-    dS1 = (
-        np.einsum("ij,...j->...i", P, Tu[..., :, 1]),
-        np.einsum("ij,...j->...i", P, Tv[..., :, 1]),
-    )
+    eps = lambda col: np.einsum("ij,...j->...i", mt.P_LAMBDA, col)  # lambda -> epsilon
+    S0, S1 = eps(T[..., :, 0]), eps(T[..., :, 1])
+    dS0, dS1 = (eps(np.stack([Tu[..., :, k], Tv[..., :, k]])) for k in (0, 1))
     lm = LegendreMap(S0, S1, domain, dS0, dS1)
     _check_line_immersion(lm)
     return lm, ff
@@ -440,13 +409,8 @@ def _check_line_immersion(lm, tol=1e-8):
     """The two line motions, taken modulo the pencil plane, must be
     independent at every grid point."""
     u_basis = _pencil_complement(lm.S0, lm.S1)
-    mu = np.concatenate(
-        [_component(u_basis, lm.dS0[0]), _component(u_basis, lm.dS1[0])], axis=-1
-    )
-    mv = np.concatenate(
-        [_component(u_basis, lm.dS0[1]), _component(u_basis, lm.dS1[1])], axis=-1
-    )
-    J = np.stack([mu, mv], axis=-1)  # (..., 4, 2)
+    m = np.concatenate([_component(u_basis, lm.dS0), _component(u_basis, lm.dS1)], axis=-1)
+    J = np.moveaxis(m, 0, -1)  # (..., 4, 2)
     svals = np.linalg.svd(J, compute_uv=False)
     dependent = svals[..., 1] < tol * max(float(np.max(svals)), 1.0)
     if dependent.any():

@@ -9,13 +9,13 @@ lifts are handled in epsilon coordinates and converted where needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metrics as mt
 from . import spaceforms as sf
-from .metrics import GeometryError, SQRT2, inner
+from .metrics import GeometryError, inner
 from .frames import (FrameField, FrameOrderError, coframe_solve, grid_differential,
                      pullback_mc, wedge)
 from .surfaces import ParamDomain, ParametricSurface, torus, cylinder, hyperboloid
@@ -132,151 +132,99 @@ def curvature_sphere_params(mc, i, j, double_root_tol=1e-12):
 
 # --- canonical adapted frames -----------------------------------------------------
 
-def _moebius_frame_from_columns(cols, partial_u=None, partial_v=None, domain=None):
-    """Assemble epsilon-coordinate column stacks into a delta-basis FrameField."""
-    Y = np.stack(cols, axis=-1)  # (..., 5, 5) columns Y_0..Y_4
-    P = mt.P_DELTA
-    Y = np.einsum("ij,...jk->...ik", P.T, Y)
-    pu = pv = None
-    if partial_u is not None:
-        pu = np.einsum("ij,...jk->...ik", P.T, np.stack(partial_u, axis=-1))
-        pv = np.einsum("ij,...jk->...ik", P.T, np.stack(partial_v, axis=-1))
-    return FrameField("moebius", Y, domain, pu, pv)
+_EPS = np.eye(5)
+_NINF = 0.5 * (_EPS[4] - _EPS[0])
+# space form -> (slots, o, w, xi, K).  A point x of the form of curvature K
+# lifts to the null vector F = pad(x) + o + |x|^2 w, x placed in ``slots`` and
+# w = 0 off R^3, normalised by <F, xi> = -1; so q[slots] / (-<q, xi>) is the
+# form's quotient chart
+_LIFTS = {
+    "sphere": (slice(0, 4), _EPS[4], np.zeros(5), _EPS[4], 1.0),
+    "euclidean": (slice(1, 4), 0.5 * (_EPS[0] + _EPS[4]), _NINF, 2.0 * _NINF, 0.0),
+    "hyperbolic": (slice(1, 5), _EPS[0], np.zeros(5), -_EPS[0], -1.0),
+}
 
 
-def _adapted_columns(F, dF, E1, dE1, E2, dE2, E3, dE3, G, dG, a, c):
-    """Adapted Moebius frame from the null lift F, the embedded tangent frame
-    E1 (direction of the smaller curvature a), E2, the tangent-plane sphere
-    vector E3, and the complementary null vector G with <F, G> = -1.
+def _lifted_frame(form, x, e1, e2, e3):
+    """V = [F E1 E2 E3 G] (..., 5, 5) in epsilon coordinates: the null lift F
+    of x, E_k = dF_x(e_k) for the tangent frame and normal, and the null
+    G = xi + <xi, xi>/2 F = xi - (K/2) F with <F, G> = -1."""
+    slots, o, w, xi, K = _LIFTS[form]
+    S = _EPS[slots]
+    E = [t @ S + 2.0 * np.sum(x * t, axis=-1)[..., None] * w for t in (e1, e2, e3)]
+    F = x @ S + o + np.sum(x * x, axis=-1)[..., None] * w
+    return np.stack([F, *E, xi - 0.5 * K * F], axis=-1)
 
-    Columns: Y0 = sigma F, Y1 = E1, Y2 = E2, Y3 = -(m F + E3),
-    Y4 = G/sigma + (m^2/(2 sigma)) F + (m/sigma) E3,
-    with m = (a+c)/2 and sigma = (c-a)/2.  For constant a < c this frame
-    passes the first, second, and third order conditions.
-    """
-    m = 0.5 * (a + c)
-    sg = 0.5 * (c - a)
+
+def _adapted_mix(a, c):
+    """The constant M(a, c) taking V to the adapted columns Y = V M:
+    Y0 = sigma F, Y1 = E1, Y2 = E2, Y3 = -(m F + E3),
+    Y4 = G/sigma + (m^2/(2 sigma)) F + (m/sigma) E3, with m = (a+c)/2 and
+    sigma = (c-a)/2.  For constant a < c this frame passes the first, second
+    and third order conditions."""
+    m, sg = 0.5 * (a + c), 0.5 * (c - a)
     if sg <= 0:
         raise GeometryError("adapted frame needs distinct curvatures a < c")
-    cols = [sg * F, E1, E2, -(m * F + E3), G / sg + (m * m / (2 * sg)) * F + (m / sg) * E3]
-    dcols_u = [sg * dF[0], dE1[0], dE2[0], -(m * dF[0] + dE3[0]),
-               dG[0] / sg + (m * m / (2 * sg)) * dF[0] + (m / sg) * dE3[0]]
-    dcols_v = [sg * dF[1], dE1[1], dE2[1], -(m * dF[1] + dE3[1]),
-               dG[1] / sg + (m * m / (2 * sg)) * dF[1] + (m / sg) * dE3[1]]
-    return cols, dcols_u, dcols_v
+    M = np.eye(5)
+    M[0, 0] = sg
+    M[[0, 3], 3] = -m, -1.0
+    M[[0, 3, 4], 4] = m * m / (2 * sg), m / sg, 1.0 / sg
+    return M
 
 
-def _pad5(x, slot_range):
-    out = np.zeros(x.shape[:-1] + (5,))
-    out[..., slot_range] = x
-    return out
+def _lifted_connection(k, kappa, K):
+    """A_k in dV = V (theta_1 A_1 + theta_2 A_2) for the lifted frame of a
+    surface with constant principal curvatures.  Codazzi then gives
+    omega^1_2 = 0, and with theta_k(d_j) = <x_j, e_k> the space-form structure
+    equations de_k = theta_k (kappa_k e3 - K x), de3 = -sum kappa_k theta_k e_k
+    lift to dF = sum theta_k E_k, dE_k = theta_k (kappa_k E3 + G - (K/2) F),
+    dE3 = -sum kappa_k theta_k E_k and dG = -(K/2) dF."""
+    A = np.zeros((5, 5))
+    A[k, 0] = 1.0
+    A[[0, 3, 4], k] = -0.5 * K, kappa, 1.0
+    A[k, [3, 4]] = -kappa, -0.5 * K
+    return A
 
 
 def canonical_best_frame(surface):
-    """Adapted Moebius frame field along a canonical isoparametric surface
-    (torus / cylinder / hyperboloid), with analytic partials."""
-    name = surface.name
-    U, V = surface.domain.mesh()
+    """Adapted Moebius frame field P_DELTA^T V M(a, c) along a catalog surface
+    (torus in S^3, cylinder in R^3, hyperboloid in H^3) with constant
+    principal curvatures a < c: V = [F E1 E2 E3 G] lifts the surface's
+    principal frame by its space form's row of ``_LIFTS``, and the analytic
+    partials P_DELTA^T dV M come from the structure equations (see
+    ``_lifted_connection``)."""
+    if surface.frame is None or not hasattr(surface, "constant_curvatures"):
+        raise GeometryError(f"no canonical frame for {surface.name!r}: it needs an "
+                            "analytic principal frame and constant curvatures")
     a, c = surface.constant_curvatures
-    e1, e2, e3 = surface.frame(U, V)
-    x, xu, xv = surface.jet(U, V)[:3]
-
-    if name == "torus":
-        sl = slice(0, 4)
-        F = _pad5(x, sl); F[..., 4] = 1.0
-        dF = (_pad5(xu, sl), _pad5(xv, sl))
-        G = _pad5(-x, sl) / 2.0; G[..., 4] = 0.5
-        dG = (_pad5(-xu, sl) / 2.0, _pad5(-xv, sl) / 2.0)
-        alpha = surface.params["alpha"]
-        de1_u = np.stack([-np.cos(U), -np.sin(U), 0 * U, 0 * U], axis=-1)
-        de1_v = np.zeros_like(de1_u)
-        de2_u = np.zeros_like(de1_u)
-        de2_v = np.stack([0 * V, 0 * V, -np.cos(V), -np.sin(V)], axis=-1)
-        sA, cA = np.sin(alpha), np.cos(alpha)
-        de3_u = np.stack([-sA * np.sin(U), sA * np.cos(U), 0 * U, 0 * U], axis=-1)
-        de3_v = np.stack([0 * V, 0 * V, cA * np.sin(V), -cA * np.cos(V)], axis=-1)
-        E1, dE1 = _pad5(e1, sl), (_pad5(de1_u, sl), _pad5(de1_v, sl))
-        E2, dE2 = _pad5(e2, sl), (_pad5(de2_u, sl), _pad5(de2_v, sl))
-        E3, dE3 = _pad5(e3, sl), (_pad5(de3_u, sl), _pad5(de3_v, sl))
-    elif name == "cylinder":
-        y, yu, yv = x, xu, xv
-        # conformal null basis: n0 = (eps0+eps4)/2, ninf = (eps4-eps0)/2
-        n0 = np.zeros(5); n0[0] = n0[4] = 0.5
-        ninf = np.zeros(5); ninf[0], ninf[4] = -0.5, 0.5
-        y2 = np.sum(y * y, axis=-1)
-        mid = slice(1, 4)
-        F = _pad5(y, mid) + n0 + y2[..., None] * ninf
-        dF = tuple(
-            _pad5(t, mid) + (2.0 * np.sum(y * t, axis=-1))[..., None] * ninf
-            for t in (yu, yv)
-        )
-        G = np.broadcast_to(2.0 * ninf, F.shape).copy()
-        dG = (np.zeros_like(F), np.zeros_like(F))
-        R = surface.params["radius"]
-        de1 = (np.zeros_like(yu), np.zeros_like(yu))
-        de2 = (np.stack([-np.cos(U), -np.sin(U), 0 * U], axis=-1), np.zeros_like(yu))
-        de3 = (np.stack([np.sin(U), -np.cos(U), 0 * U], axis=-1), np.zeros_like(yu))
-
-        def embed_dir(w, dw_u, dw_v):
-            E = _pad5(w, mid) + (2.0 * np.sum(y * w, axis=-1))[..., None] * ninf
-            dEu = _pad5(dw_u, mid) + (
-                2.0 * (np.sum(yu * w, axis=-1) + np.sum(y * dw_u, axis=-1))
-            )[..., None] * ninf
-            dEv = _pad5(dw_v, mid) + (
-                2.0 * (np.sum(yv * w, axis=-1) + np.sum(y * dw_v, axis=-1))
-            )[..., None] * ninf
-            return E, (dEu, dEv)
-
-        E1, dE1 = embed_dir(e1, *de1)
-        E2, dE2 = embed_dir(e2, *de2)
-        E3, dE3 = embed_dir(e3, *de3)
-    elif name == "hyperboloid":
-        sl = slice(1, 5)
-        F = _pad5(x, sl); F[..., 0] = 1.0
-        dF = (_pad5(xu, sl), _pad5(xv, sl))
-        G = _pad5(x, sl) / 2.0; G[..., 0] = -0.5
-        dG = (_pad5(xu, sl) / 2.0, _pad5(xv, sl) / 2.0)
-        aa = surface.params["a"]
-        b = np.sqrt(1 - aa * aa)
-        rho, sc = aa / b, 1.0 / b
-        de1_u = np.zeros(U.shape + (4,))
-        de1_v = np.stack([0 * V, 0 * V, np.sinh(V), np.cosh(V)], axis=-1)
-        de2_u = np.stack([-np.cos(U), -np.sin(U), 0 * U, 0 * U], axis=-1)
-        de2_v = np.zeros_like(de1_u)
-        de3_u = np.stack([sc * np.sin(U), -sc * np.cos(U), 0 * U, 0 * U], axis=-1)
-        de3_v = np.stack([0 * V, 0 * V, -rho * np.cosh(V), -rho * np.sinh(V)], axis=-1)
-        E1, dE1 = _pad5(e1, sl), (_pad5(de1_u, sl), _pad5(de1_v, sl))
-        E2, dE2 = _pad5(e2, sl), (_pad5(de2_u, sl), _pad5(de2_v, sl))
-        E3, dE3 = _pad5(e3, sl), (_pad5(de3_u, sl), _pad5(de3_v, sl))
-    else:
-        raise GeometryError(f"no canonical frame construction for {name!r}")
-
-    cols, dcu, dcv = _adapted_columns(F, dF, E1, dE1, E2, dE2, E3, dE3, G, dG, a, c)
-    return _moebius_frame_from_columns(cols, dcu, dcv, surface.domain)
+    M = _adapted_mix(a, c)
+    uv = surface.domain.mesh()
+    x, xu, xv = surface.jet(*uv)[:3]
+    e = surface.frame(*uv)
+    V = _lifted_frame(surface.form, x, *e)
+    K = _LIFTS[surface.form][4]
+    VA = [V @ _lifted_connection(k, kappa, K) for k, kappa in ((1, a), (2, c))]
+    P = mt.P_DELTA.T
+    partials = [
+        P @ (sum(inner(xj, ek, surface.metric)[..., None, None] * VAk
+                 for ek, VAk in zip(e[:2], VA)) @ M)
+        for xj in (xu, xv)
+    ]
+    return FrameField("moebius", P @ (V @ M), surface.domain, *partials)
 
 
 def first_order_frame_umbilic(x_grid, e3_grid, kappa, dx, de3, domain):
     """First-order (not second-order normalizable) frame along a totally
-    umbilic surface in S^3, for pencil-degeneracy tests."""
-    sl = slice(0, 4)
-    F = _pad5(x_grid, sl); F[..., 4] = 1.0
-    dF = (_pad5(dx[0], sl), _pad5(dx[1], sl))
-    G = _pad5(-x_grid, sl) / 2.0; G[..., 4] = 0.5
-    dG = (_pad5(-dx[0], sl) / 2.0, _pad5(-dx[1], sl) / 2.0)
-    E3 = _pad5(e3_grid, sl)
-    dE3 = (_pad5(de3[0], sl), _pad5(de3[1], sl))
+    umbilic surface in S^3, for pencil-degeneracy tests: P_DELTA^T V
+    M(kappa - 1, kappa + 1) for the sphere lift V of x, a Gram-Schmidt tangent
+    frame from ``dx`` and the normal.  It carries no analytic partials, so
+    ``de3`` goes unused."""
     xu, xv = dx
-    E1amb = xu / np.linalg.norm(xu, axis=-1, keepdims=True)
-    # Gram-Schmidt for the second tangent direction
-    proj = np.sum(xv * E1amb, axis=-1, keepdims=True)
-    E2amb = xv - proj * E1amb
-    E2amb = E2amb / np.linalg.norm(E2amb, axis=-1, keepdims=True)
-    E1, E2 = _pad5(E1amb, sl), _pad5(E2amb, sl)
-    m = kappa
-    cols = [F, E1, E2, -(m * F + E3), G + (m * m / 2.0) * F + m * E3]
-    Y = np.stack(cols, axis=-1)
-    Y = np.einsum("ij,...jk->...ik", mt.P_DELTA.T, Y)
-    return FrameField("moebius", Y, domain)
+    e1 = xu / np.linalg.norm(xu, axis=-1, keepdims=True)
+    e2 = xv - np.sum(xv * e1, axis=-1, keepdims=True) * e1
+    e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
+    V = _lifted_frame("sphere", x_grid, e1, e2, e3_grid)
+    return FrameField("moebius", mt.P_DELTA.T @ (V @ _adapted_mix(kappa - 1, kappa + 1)), domain)
 
 
 # --- order conditions and the conformal invariant ---------------------------------
@@ -435,12 +383,9 @@ def canonical_base_frame(C):
     surface; right-translating the exponential slice by an adapted frame puts
     the orbit on the surface itself.  Negative C composes with the coframe
     swap (conjugating h_|C| onto h_C)."""
-    surf = canonical_surface_for_C(C)
-    ff = canonical_best_frame(surf)
-    base = ff.mats[0, 0]
-    if C < 0:
-        base = base @ hc_swap_conjugation()
-    return base
+    corner = replace(canonical_surface_for_C(C).domain, nu=3, nv=3)  # same [0, 0] point
+    base = canonical_best_frame(canonical_surface_for_C(C, corner)).mats[0, 0]
+    return base @ hc_swap_conjugation() if C < 0 else base.copy()
 
 
 def hc_orbit(C, s_grid, t_grid):
@@ -458,7 +403,9 @@ def hc_orbit(C, s_grid, t_grid):
         # exp(t X2) delta0 is the first column, since delta0 is the first basis vector
         pts = np.einsum("sij,tj->sti", exp_s, mt.mat_exp(t_grid[:, None, None] * X2)[..., 0])
     if not np.isfinite(pts).all():
-        raise GeometryError(f"C = {C:g}: the h_C orbit overflows; use a smaller |C| or span")
+        span = max(np.max(np.abs(s_grid)), np.max(np.abs(t_grid)))
+        raise GeometryError(f"C = {C:g}, span = {span:g}: the h_C orbit overflows; "
+                            "use a smaller |C| or span")
     pts = mt.projective_normalize(pts)
     regime = hc_regime(C)
     q_eps = mt.change_basis(pts, 5, "delta", "epsilon")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import metrics as mt
-from .metrics import GeometryError, inner, R31, R41, SQRT2
+from .metrics import GeometryError, inner, R31, SQRT2
 
 POLE_TOL = 1e-9
 

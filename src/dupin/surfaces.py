@@ -484,12 +484,12 @@ def pushforward(s, mapping, domain=None):
 
 # --- classification ---------------------------------------------------------------
 
-def _flow_curvature_derivative(s, U, V, data, which, arc_step=1e-3):
+def _flow_curvature_derivative(s, U, V, d0, which, arc_step=1e-3):
     """Derivative of a principal curvature along its own curvature line,
     by a central difference between two short RK4 flows of the direction field.
 
-    ``data`` is the CurvatureData on the grid (U, V): its direction field is
-    the flows' first RK4 stage and their orientation reference."""
+    ``d0`` is that direction field on the grid (U, V): the flows' first RK4
+    stage and their orientation reference."""
     field = "dir_" + which  # read on the stage points only, so only it is computed
 
     def direction(p, ref):
@@ -497,7 +497,7 @@ def _flow_curvature_derivative(s, U, V, data, which, arc_step=1e-3):
         sgn = np.sign(np.sum(d * ref, axis=-1))
         return d * np.where(sgn == 0, 1.0, sgn)[:, None]
 
-    d0 = getattr(data, field).reshape(-1, 2)
+    d0 = d0.reshape(-1, 2)
 
     def rk4(p, h):
         k1 = d0  # the direction field at the base points, aligned with itself
@@ -549,15 +549,17 @@ def classify(s, iso_tol=None, dupin_tol=None, arc_step=1e-3):
         }
     if data.umbilic.any():
         warnings.warn("umbilic points found; excluded from the Dupin test")
-    mask = ~data.umbilic
-    da = _flow_curvature_derivative(s, U, V, data, "a", arc_step)
-    dc = _flow_curvature_derivative(s, U, V, data, "c", arc_step)
+    umbilic, dir_a, dir_c = data.umbilic, data.dir_a, data.dir_c
+    del data  # the grid forms need not live through the flows
+    da = _flow_curvature_derivative(s, U, V, dir_a, "a", arc_step)
+    dc = _flow_curvature_derivative(s, U, V, dir_c, "c", arc_step)
+    mask = ~umbilic
     report["dupin_derivative_a"] = float(np.max(np.abs(da[mask])))
     report["dupin_derivative_c"] = float(np.max(np.abs(dc[mask])))
     dupin = (
         report["dupin_derivative_a"] < dupin_tol
         and report["dupin_derivative_c"] < dupin_tol
-        and not data.umbilic.any()
+        and not umbilic.any()
     )
     return {
         "isoparametric": isoparametric,

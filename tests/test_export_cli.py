@@ -124,6 +124,8 @@ class TestCLI:
         assert err.startswith("error: ") and err.count("\n") == 1
         if argv in LARGE_C:  # the message names the cause
             assert "|C|" in err and f"C = {float(argv[2]):g}" in err
+        if argv[:5] == ["orbit", "--C", "1", "--span", "1e10"]:  # and both values
+            assert "C = 1, span = 1e+10" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the chart maps

@@ -3,12 +3,13 @@ adapted frames and the invariant C, and the h_C orbit surfaces."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dupin import metrics as mt
 from dupin import moebius as mb
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
-from dupin.frames import pullback_mc, FrameField
+from dupin.frames import grid_differential, pullback_mc, FrameField
 from dupin.surfaces import ParamDomain
 
 RNG = np.random.default_rng(123)
@@ -177,6 +178,33 @@ class TestFrameOrderCheck:
             coeffs, _ = mb.frame_order_check(ff)
             assert abs(coeffs.C - np.cos(2 * alpha)) < 1e-9
 
+    @pytest.mark.parametrize("make,lo,hi,C_of", [
+        (srf.torus, 0.1, np.pi / 4, lambda alpha: np.cos(2 * alpha)),
+        (srf.cylinder, 0.5, 2.0, lambda R: 1.0),
+        (srf.hyperboloid, 0.1, 0.9, lambda a: (1 + a * a) / (1 - a * a)),
+    ], ids=["torus", "cylinder", "hyperboloid"])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(t=st.floats(0.0, 1.0))
+    def test_lifted_frame_on_catalog(self, make, lo, hi, C_of, t):
+        # one null-lift construction for all three space forms: C, the order
+        # conditions, and the structure-equation partials against the grid
+        # differential of the frame itself, where its stencil is 4th order
+        param = lo + t * (hi - lo)
+        ff = mb.canonical_best_frame(make(param))
+        coeffs, res = mb.frame_order_check(ff)
+        assert abs(coeffs.C - C_of(param)) < 1e-9
+        assert max(res["first_order"], res["second_order"], res["third_order"]) < 1e-9
+        fd = grid_differential(ff.mats, ff.domain)[:, 2:-2, 2:-2]
+        for exact, approx in zip((ff.partial_u, ff.partial_v), fd):
+            exact = exact[2:-2, 2:-2]
+            assert np.max(np.abs(exact - approx)) < 1e-5 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("make", [srf.warped_torus, lambda: mb.orbit_surface(0.5)],
+                             ids=["warped_torus", "orbit_surface"])
+    def test_non_catalog_surface_rejected(self, make):
+        with pytest.raises(mt.GeometryError, match="no canonical frame"):
+            mb.canonical_best_frame(make())
+
     def test_embedded_so4_frame_fails_second_order(self):
         s = srf.torus(np.pi / 4)
         U, V = s.domain.mesh()
@@ -209,6 +237,16 @@ class TestHCOrbits:
             Xm = mb.hc_basis(-C).elements
             assert np.max(np.abs(W @ Xm[0] @ W - Xp[1])) < 1e-12
             assert np.max(np.abs(W @ Xm[1] @ W - Xp[0])) < 1e-12
+
+    @pytest.mark.parametrize("C", [0.5, -0.7, 1.0, -1.0, 5.0 / 3.0, -2.5])
+    def test_base_frame_is_owned_corner_frame(self, C):
+        # read on a 3x3 grid, not the whole default grid, and not a view of it
+        base = mb.canonical_base_frame(C)
+        assert base.shape == (5, 5) and base.base is None
+        want = mb.canonical_best_frame(mb.canonical_surface_for_C(C)).mats[0, 0]
+        if C < 0:
+            want = want @ mb.hc_swap_conjugation()
+        assert np.max(np.abs(base - want)) <= 1e-15
 
     def test_cylinder_axis_distance(self):
         s = np.linspace(-1.0, 1.0, 17)
