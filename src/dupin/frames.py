@@ -156,10 +156,11 @@ def pullback_mc(ff, membership_tol=1e-8):
             f"frame field leaves the group (residual {ff.membership_residual():.2e})"
         )
     if ff.partial_u is not None and ff.partial_v is not None:
-        omega = np.stack([ff.partial_u, ff.partial_v])
+        de = (ff.partial_u, ff.partial_v)
     else:
-        omega = grid_differential(ff.mats, ff.domain)
-    omega = np.linalg.solve(ff.mats, omega)
+        de = grid_differential(ff.mats, ff.domain)
+    # one solve against [de_u | de_v] factors each frame once
+    omega = np.stack(np.split(np.linalg.solve(ff.mats, np.concatenate(de, axis=-1)), 2, axis=-1))
     p = ff.handle().algebra_project(omega)
     omega -= p  # in place: the discarded mass is only needed for its maximum
     return MCForm(ff.group, p, ff.domain, projection_noise=float(np.max(np.abs(omega))))

@@ -235,10 +235,10 @@ def _pencil_complement(S0, S1):
     A = np.stack([S0, S1], axis=-2) @ G                    # (..., 2, 6)
     _, _, vh = np.linalg.svd(A)
     N = vh[..., 2:, :]                                     # (..., 4, 6) basis of U
-    gram = np.einsum("...ai,ij,...bj->...ab", N, G, N)     # rank-2 PSD
+    gram = N @ G @ np.swapaxes(N, -1, -2)                  # rank-2 PSD
     w, vec = np.linalg.eigh(gram)
     top = vec[..., :, 2:]                                  # eigvecs of the 2 positive eigvals
-    u = np.einsum("...ab,...ai->...bi", top, N)
+    u = np.swapaxes(top, -1, -2) @ N
     norm = np.sqrt(np.maximum(w[..., 2:], 1e-300))
     return u / norm[..., None]                             # (..., 2, 6)
 
@@ -246,7 +246,7 @@ def _pencil_complement(S0, S1):
 def _component(u_basis, w):
     """Components of w in the complement basis (pairing with ghat)."""
     G = mt.R42.gram
-    return np.einsum("...bi,ij,...j->...b", u_basis, G, w)
+    return (u_basis @ G @ w[..., None])[..., 0]
 
 
 def curvature_sphere_fields(lm):
@@ -397,7 +397,7 @@ def coset_orbit(A, s_grid, t_grid):
         len(s_grid), len(t_grid), periodic_u=False, periodic_v=False,
     )
     ff = FrameField("lie", T, domain, Tu, Tv)
-    eps = lambda col: np.einsum("ij,...j->...i", mt.P_LAMBDA, col)  # lambda -> epsilon
+    eps = lambda col: col @ mt.P_LAMBDA.T  # lambda -> epsilon
     S0, S1 = eps(T[..., :, 0]), eps(T[..., :, 1])
     dS0, dS1 = (eps(np.stack([Tu[..., :, k], Tv[..., :, k]])) for k in (0, 1))
     lm = LegendreMap(S0, S1, domain, dS0, dS1)
@@ -440,7 +440,10 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
     Fc = np.sum(yu * yv, axis=-1)
     Gc = np.sum(yv * yv, axis=-1)
     det = E * Gc - Fc * Fc
-    scale = max(float(np.median(E) * np.median(Gc)), 1e-30)
+    # the floor keeps a round-off E or G (a projection that is a curve) from
+    # shrinking the cut to round-off itself
+    scale = max(float(np.median(E) * np.median(Gc)), 1e-16 * float(np.median(E + Gc)) ** 2,
+                1e-30)
     singular = (det < rank_tol * scale) | pole
     degenerate = bool(np.mean(singular) > 0.5)
     return {

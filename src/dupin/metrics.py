@@ -156,7 +156,7 @@ def change_basis(x, dim, src, dst, kind="vector"):
         raise MembershipError(f"no basis change {src}->{dst} in dimension {dim}")
     B = _BASIS_CHANGE[key]
     if kind == "vector":
-        return np.einsum("ij,...j->...i", B, x)
+        return x @ B.T
     if kind == "frame":
         return B @ x
     if kind == "operator":

@@ -18,7 +18,8 @@ from . import spaceforms as sf
 from .metrics import GeometryError, inner
 from .frames import (FrameField, FrameOrderError, coframe_solve, grid_differential,
                      pullback_mc, wedge)
-from .surfaces import ParamDomain, ParametricSurface, torus, cylinder, hyperboloid
+from .surfaces import (Jet, ParamDomain, ParametricSurface, cylinder, hyperboloid,
+                       quotient_jet, torus)
 
 
 # --- the oriented-sphere model -------------------------------------------------
@@ -388,6 +389,25 @@ def canonical_base_frame(C):
     return base @ hc_swap_conjugation() if C < 0 else base.copy()
 
 
+_REGIME_FORM = {"torus": "sphere", "cylinder": "euclidean", "hyperboloid": "hyperbolic"}
+
+
+def _quotient_chart(form):
+    """(numerator slots, denominator coordinates) of the form's quotient chart
+    q[slots] / (-<q, xi>) on epsilon coordinates, read off ``_LIFTS``: every
+    xi there makes -<q, xi> a plain sum of coordinates (q4, q0 + q4, q0)."""
+    slots, xi = _LIFTS[form][0], _LIFTS[form][3]
+    return slots, tuple(int(k) for k in np.flatnonzero(-mt.R41.gram @ xi))
+
+
+def _chart(form, q):
+    """The form's chart of epsilon-coordinate points q: (x, valid)."""
+    if form == "sphere":
+        x = sf.moebius_to_sphere(q)
+        return x, np.ones(x.shape[:-1], dtype=bool)
+    return (sf.moebius_to_euclidean if form == "euclidean" else sf.moebius_to_hyperbolic)(q)
+
+
 def hc_orbit(C, s_grid, t_grid):
     """Orbit surface base * exp(s X1) exp(t X2) [delta0] of the h_C subgroup,
     pulled back to the space form indicated by the regime of C; chart failures
@@ -400,54 +420,65 @@ def hc_orbit(C, s_grid, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
         exp_s = base @ mt.mat_exp(s_grid[:, None, None] * X1)
-        # exp(t X2) delta0 is the first column, since delta0 is the first basis vector
-        pts = np.einsum("sij,tj->sti", exp_s, mt.mat_exp(t_grid[:, None, None] * X2)[..., 0])
+        # exp(t X2) delta0 is the first column, since delta0 is the first basis
+        # vector; pts[s, t] = exp_s[s] @ that column
+        pts = mt.mat_exp(t_grid[:, None, None] * X2)[..., 0] @ np.swapaxes(exp_s, -1, -2)
     if not np.isfinite(pts).all():
         span = max(np.max(np.abs(s_grid)), np.max(np.abs(t_grid)))
         raise GeometryError(f"C = {C:g}, span = {span:g}: the h_C orbit overflows; "
                             "use a smaller |C| or span")
     pts = mt.projective_normalize(pts)
     regime = hc_regime(C)
-    q_eps = mt.change_basis(pts, 5, "delta", "epsilon")
-    if regime == "torus":
-        chart = sf.moebius_to_sphere(q_eps)
-        valid = np.ones(chart.shape[:-1], dtype=bool)
-    elif regime == "cylinder":
-        chart, valid = sf.moebius_to_euclidean(q_eps)
-        chart[~valid] = 0.0
-    else:
-        chart, valid = sf.moebius_to_hyperbolic(q_eps)
-        chart[~valid] = np.eye(4)[3]
+    form = _REGIME_FORM[regime]
+    chart, valid = _chart(form, mt.change_basis(pts, 5, "delta", "epsilon"))
+    chart[~valid] = 0.0 if form == "euclidean" else np.eye(4)[3]
     return OrbitResult(C, regime, pts, chart, valid, X1, X2, s_grid, t_grid)
 
 
 def orbit_surface(C, domain=None):
-    """The h_C orbit as a ParametricSurface in its regime's space form, with
-    positions evaluable at arbitrary parameters (for the curvature pipeline)."""
+    """The h_C orbit q = base e^{u X1} e^{v X2} delta0 as a ParametricSurface
+    in its regime's space form, with an exact jet from the Lie algebra: with
+    A = base e^{u X1} and w_k = e^{v X2} X2^k delta0,
+        q = A w0,  q_u = A X1 w0,  q_v = A w1,
+        q_uu = A X1^2 w0,  q_uv = A X1 w1,  q_vv = A w2,
+    one mat_exp per generator for the whole jet; the chart's quotient rule
+    (``surfaces.quotient_jet``) carries it into the space form.  Position and
+    jet raise GeometryError when a point escapes the chart."""
     sub = hc_basis(C)
     X1, X2 = sub.elements
-    base = canonical_base_frame(C)
-    regime = hc_regime(C)
-    delta0 = np.zeros(5)
-    delta0[0] = 1.0
+    # the frame in epsilon coordinates, so q comes out in them (change_basis is linear)
+    base = mt.change_basis(canonical_base_frame(C), 5, "delta", "epsilon", kind="frame")
+    W0 = np.stack([np.eye(5)[0], X2[:, 0], X2 @ X2[:, 0]], axis=-1)  # X2^k delta0, k = 0, 1, 2
     domain = domain or ParamDomain(
         u_range=(-1.0, 1.0), v_range=(-1.0, 1.0),
         nu=32, nv=32, periodic_u=False, periodic_v=False,
     )
-    form = {"torus": "sphere", "cylinder": "euclidean", "hyperboloid": "hyperbolic"}[regime]
+    form = _REGIME_FORM[hc_regime(C)]
+    num, den = _quotient_chart(form)
 
-    def position(u, v):
+    def lift(u, v, partials):
+        """q, and with ``partials`` its five partials, in epsilon coordinates."""
         u, v = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
-        E1, E2 = mt.mat_exp(u[..., None, None] * X1), mt.mat_exp(v[..., None, None] * X2)
-        q = base @ E1 @ E2 @ delta0
-        q_eps = mt.change_basis(q, 5, "delta", "epsilon")
-        if form == "sphere":
-            return sf.moebius_to_sphere(q_eps)
-        chart = sf.moebius_to_euclidean if form == "euclidean" else sf.moebius_to_hyperbolic
-        x, ok = chart(q_eps)
+        A = base @ mt.mat_exp(u[..., None, None] * X1)
+        W = mt.mat_exp(v[..., None, None] * X2) @ W0  # columns w0, w1, w2
+        q = (A @ W[..., :1])[..., 0]  # apart from the partials: jet.x == position bitwise
+        if not partials:
+            return q
+        XW = X1 @ W[..., :2]                          # X1 w0, X1 w1
+        # A R has the columns q_u, q_v, q_uu, q_uv, q_vv
+        R = np.concatenate([XW[..., :1], W[..., 1:2], X1 @ XW[..., :1], XW[..., 1:],
+                            W[..., 2:]], axis=-1)
+        return Jet(q, *np.moveaxis(A @ R, -1, 0))
+
+    def chart(q):
+        x, ok = _chart(form, q)
         if not np.all(ok):
             raise GeometryError(f"orbit point escapes the {form} chart")
         return x
 
-    return ParametricSurface(form, position, domain,
-                             name="hc_orbit", params={"C": C})
+    def jet(u, v):
+        q = lift(u, v, True)
+        return quotient_jet(q, chart(q.x), num, den)
+
+    return ParametricSurface(form, lambda u, v: chart(lift(u, v, False)), domain,
+                             name="hc_orbit", params={"C": C}, jet=jet)

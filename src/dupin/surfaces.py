@@ -438,16 +438,36 @@ def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
 
 # --- pushforward through the chart maps -----------------------------------------
 
+def quotient_jet(src, x, num, den, shift=0.0):
+    """Jet of a quotient chart phi = y/d through a source jet: y is the
+    coordinate slice ``num`` and d = shift + the sum of the coordinates
+    ``den``, affine in the source, so by the quotient rule
+        phi_a  = (y_a - phi d_a) / d,
+        phi_ab = (y_ab - phi d_ab - phi_a d_b - phi_b d_a) / d.
+    ``x`` is phi(src.x) from the chart itself, so the chart's own checks
+    (poles, escapes) apply to the jet as to the position."""
+    def d(t):
+        out = t[..., den[0], None]
+        for k in den[1:]:
+            out = out + t[..., k, None]
+        return out
+
+    inv_d = 1.0 / (shift + d(src.x))
+    du, dv = d(src.xu), d(src.xv)
+    xu = (src.xu[..., num] - x * du) * inv_d
+    xv = (src.xv[..., num] - x * dv) * inv_d
+    second = lambda t, pa, da, pb, db: (t[..., num] - x * d(t) - pa * db - pb * da) * inv_d
+    return Jet(x, xu, xv, second(src.xuu, xu, du, xu, du),
+               second(src.xuv, xu, du, xv, dv), second(src.xvv, xv, dv, xv, dv))
+
+
 def pushforward(s, mapping, domain=None):
     """Compose a surface with stereo / hyp_stereo / identity into R^3.
 
     Both charts are phi = y/d, with y a slice of three coordinates and d one
-    plus the fourth. An analytic source jet goes through the quotient rule
-        phi_a  = (y_a - phi d_a) / d,
-        phi_ab = (y_ab - phi d_ab - phi_a d_b - phi_b d_a) / d,
-    with phi itself from the chart, so the pole check still applies; the
-    image of any other surface differentiates its own position by central
-    differences.
+    plus the fourth; an analytic source jet goes through ``quotient_jet``,
+    and the image of any other surface differentiates its own position by
+    central differences.
     """
     domain = domain or s.domain
     if mapping == "identity":
@@ -455,25 +475,17 @@ def pushforward(s, mapping, domain=None):
     if mapping == "stereo":
         if s.form != "sphere":
             raise GeometryError("stereo pushforward needs a spherical surface")
-        phi, num, den = sf.stereo, slice(1, 4), 0
+        phi, num, den = sf.stereo, slice(1, 4), (0,)
     elif mapping == "hyp_stereo":
         if s.form != "hyperbolic":
             raise GeometryError("hyp_stereo pushforward needs a hyperbolic surface")
-        phi, num, den = sf.hyp_stereo, slice(0, 3), 3
+        phi, num, den = sf.hyp_stereo, slice(0, 3), (3,)
     else:
         raise GeometryError(f"unknown pushforward map {mapping!r}")
 
     def jet(u, v):
         src = s.jet(u, v)
-        x = phi(src.x)
-        inv_d = 1.0 / (1.0 + src.x[..., den, None])
-        du, dv = src.xu[..., den, None], src.xv[..., den, None]
-        xu = (src.xu[..., num] - x * du) * inv_d
-        xv = (src.xv[..., num] - x * dv) * inv_d
-        second = lambda t, pa, da, pb, db: (
-            t[..., num] - x * t[..., den, None] - pa * db - pb * da) * inv_d
-        return Jet(x, xu, xv, second(src.xuu, xu, du, xu, du),
-                   second(src.xuv, xu, du, xv, dv), second(src.xvv, xv, dv, xv, dv))
+        return quotient_jet(src, phi(src.x), num, den, shift=1.0)
 
     return ParametricSurface(
         "euclidean", lambda u, v: phi(s.position(u, v)), domain,

@@ -122,6 +122,8 @@ class TestAgainstPerPointFormula:
         u = np.linspace(-0.5, 0.5, 6)
         with pytest.raises(mt.GeometryError):
             mb.orbit_surface(C).position(u, u)
+        with pytest.raises(mt.GeometryError):  # the jet reads the same chart
+            mb.orbit_surface(C).jet(u, u)
 
 
 @pytest.fixture
@@ -153,6 +155,12 @@ class TestNoPerPointLoops:
         exp_calls.clear()
         surf.position(*np.meshgrid(S_GRID, T_GRID, indexing="ij"))
         assert len(exp_calls) == 2
+
+    def test_orbit_surface_jet_two_calls(self, exp_calls):
+        surf = mb.orbit_surface(-2.5)
+        exp_calls.clear()
+        surf.jet(*np.meshgrid(S_GRID, T_GRID, indexing="ij"))
+        assert exp_calls == [(7, 5, 5, 5)] * 2
 
     def test_integrate_mc_calls_per_sweep(self, exp_calls):
         nu, nv = 9, 7

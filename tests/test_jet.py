@@ -53,6 +53,21 @@ def test_analytic_jet_matches_central_differences(name, chart, param, fu, fv):
         assert np.max(np.abs(exact - approx)) < 1e-5 * scale, field
 
 
+@pytest.mark.parametrize("C", [0.0, 0.5, -0.7, 1.0, -1.0, 5.0 / 3.0, 3.0, -2.5])
+def test_orbit_jet_matches_finite_differences(C):
+    # the exact Lie-algebra jet against the central-difference builder on
+    # the same position
+    s = mb.orbit_surface(C)
+    assert s.analytic
+    U, V = s.domain.mesh()
+    exact = s.jet(U, V)
+    approx = srf.ParametricSurface._finite_difference_jet(s.position, s.domain, U, V)
+    assert np.array_equal(exact.x, s.position(U, V))
+    assert np.max(np.abs(exact.x - approx.x)) <= 1e-12
+    assert np.max(np.abs(exact.xu - approx.xu)) <= 1e-6
+    assert np.max(np.abs(exact.xv - approx.xv)) <= 1e-6
+
+
 class TestFiniteDifferenceJet:
     def surface(self):
         calls = []
@@ -91,10 +106,11 @@ class TestFiniteDifferenceJet:
             assert np.array_equal(got, ref), field
 
     def test_pushforward_keeps_finite_difference_flag(self):
+        # a spherical surface given by its position alone
         dom = ParamDomain((-1.0, 1.0), (-1.0, 1.0), 4, 4, False, False)
-        orbit = mb.orbit_surface(0.5, dom)
-        assert orbit.form == "sphere" and not orbit.analytic
-        assert not srf.pushforward(orbit, "stereo").analytic
+        s = srf.ParametricSurface("sphere", srf.torus(0.5).position, dom)
+        assert not s.analytic
+        assert not srf.pushforward(s, "stereo").analytic
 
     def test_surface_is_freed_without_the_cycle_collector(self):
         # a reference cycle would keep the surface, and the frames its

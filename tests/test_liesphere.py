@@ -307,6 +307,22 @@ class TestCosetOrbit:
         out = ls.fig7_pipeline(0.0)
         assert out["degenerate"]
 
+    @pytest.mark.parametrize("n", [9, 17, 33])
+    def test_fig7_degenerate_under_round_off(self, monkeypatch, n):
+        # at t = 0 the projection is a curve, and one of E, G is round-off;
+        # relative noise of 1e-16 in the projection must not change the verdict
+        real = ls.spherical_projection
+        rng = np.random.default_rng(7)
+
+        def noisy(S0, S1):
+            w = real(S0, S1)
+            return w + 1e-16 * np.abs(w).max(axis=-1, keepdims=True) * rng.standard_normal(w.shape)
+
+        monkeypatch.setattr(ls, "spherical_projection", noisy)
+        grid = np.linspace(-4.0, 4.0, n)
+        out = ls.fig7_pipeline(0.0, grid, grid)
+        assert out["degenerate"] and out["singular_count"] == out["grid_size"]
+
     def test_fig7_surface_of_revolution(self):
         # the regular part is a surface of revolution about the z-axis:
         # each s-circle has constant z and constant distance from the axis

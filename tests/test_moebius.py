@@ -266,13 +266,29 @@ class TestHCOrbits:
     def test_torus_regime_isoparametric(self):
         surf = mb.orbit_surface(0.0)
         d = srf.principal_curvatures(surf, *surf.domain.mesh())
-        assert np.max(np.abs(d.a + 1.0)) < 1e-4
-        assert np.max(np.abs(d.c - 1.0)) < 1e-4
+        assert np.max(np.abs(d.a + 1.0)) < 1e-9
+        assert np.max(np.abs(d.c - 1.0)) < 1e-9
 
     def test_hyperboloid_regime_product(self):
         surf = mb.orbit_surface(5.0 / 3.0)
         d = srf.principal_curvatures(surf, *surf.domain.mesh())
-        assert np.max(np.abs(d.a * d.c - 1.0)) < 1e-4
+        assert np.max(np.abs(d.a * d.c - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("C", [0.0, 0.5, -0.7, 1.0, -1.0, 5.0 / 3.0, 3.0, -2.5])
+    def test_C_round_trip(self, C):
+        # C -> h_C -> orbit surface -> principal curvatures -> |C| = |(a+c)/(c-a)|,
+        # in every regime and for both signs
+        surf = mb.orbit_surface(C)
+        d = srf.principal_curvatures(surf, *surf.domain.mesh())
+        a, c = np.median(d.a), np.median(d.c)
+        assert abs(abs((a + c) / (c - a)) - abs(C)) <= 1e-9
+
+    @pytest.mark.parametrize("C", [0.5, -0.7, 1.0, 5.0 / 3.0, -2.5])
+    def test_orbit_surface_classified_at_analytic_tolerances(self, C):
+        out = srf.classify(mb.orbit_surface(C, ParamDomain((-1.0, 1.0), (-1.0, 1.0),
+                                                           8, 8, False, False)))
+        assert out["report"]["iso_tol"] == out["report"]["dupin_tol"] == 1e-6
+        assert out["isoparametric"] and out["dupin"]
 
     def test_points_stay_on_null_cone(self):
         s = np.linspace(-0.8, 0.8, 9)
