@@ -168,7 +168,7 @@ def cmd_orbit(args, cfg):
     write_obj(mesh, out)
     null_cone = np.max(np.abs(inner(orb.points_delta, orb.points_delta, MOEB)))
     checks = [
-        check("chart_failures", float(np.sum(~orb.valid))),
+        check("chart_failures", float(np.sum(~orb.valid)), 1),
         check("null_cone", float(null_cone), 1e-10),
     ]
     rep = make_report(
@@ -196,7 +196,8 @@ def cmd_fig7(args, cfg):
     singular = np.argwhere(out_data["singular_mask"]).tolist()
     checks = [
         check("singular_count", float(out_data["singular_count"])),
-        check("degenerate", 0.0, passed=True),
+        check("degenerate", out_data["singular_count"] / out_data["grid_size"],
+              ls.DEGENERATE_FRACTION, passed=not out_data["degenerate"]),
     ]
     rep = make_report(
         "fig7",

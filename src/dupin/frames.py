@@ -106,12 +106,21 @@ class FrameField:
 
     def left_translated(self, g):
         return FrameField(
-            self.group,
-            np.einsum("ij,...jk->...ik", g, self.mats),
-            self.domain,
-            None if self.partial_u is None else np.einsum("ij,...jk->...ik", g, self.partial_u),
-            None if self.partial_v is None else np.einsum("ij,...jk->...ik", g, self.partial_v),
+            self.group, g @ self.mats, self.domain,
+            None if self.partial_u is None else g @ self.partial_u,
+            None if self.partial_v is None else g @ self.partial_v,
         )
+
+
+def orbit_frame(group, M, X, Y, domain):
+    """The frame field T = M e^{uX} e^{vY} on domain.grids(), with analytic
+    partials T_u = (M e^{uX} X) e^{vY} and T_v = T Y; one mat_exp per
+    generator, over that generator's own grid axis."""
+    u, v = domain.grids()
+    A = M @ mat_exp(u[:, None, None] * X)
+    B = mat_exp(v[:, None, None] * Y)[None]
+    T = A[:, None] @ B
+    return FrameField(group, T, domain, (A @ X)[:, None] @ B, T @ Y)
 
 
 @dataclass
@@ -232,6 +241,6 @@ def _integrate(mc, base, rows_first):
 
 def constant_form(X_u, X_v, domain, group):
     """MCForm with constant coefficient matrices (for exact exponential orbits)."""
-    nu, nv = len(domain.grids()[0]), len(domain.grids()[1])
-    omega = np.stack([np.broadcast_to(X, (nu, nv) + X.shape) for X in (X_u, X_v)])
+    shape = (domain.nu, domain.nv) + X_u.shape
+    omega = np.stack([np.broadcast_to(X, shape) for X in (X_u, X_v)])
     return MCForm(group, omega, domain)

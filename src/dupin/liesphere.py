@@ -16,8 +16,8 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
-from .frames import (FrameField, FrameOrderError, coframe_solve, exterior_d,
-                     grid_differential, pullback_mc, wedge)
+from .frames import (FrameOrderError, coframe_solve, exterior_d, grid_differential,
+                     orbit_frame, pullback_mc, wedge)
 from .surfaces import ParamDomain, propagate_sign
 
 
@@ -26,6 +26,7 @@ class DegenerateLineError(GeometryError):
 
 
 QUADRIC_TOL = 1e-10
+DEGENERATE_FRACTION = 0.5  # fig7: above this singular share the projection is a curve
 
 
 def quadric_residual(v):
@@ -150,63 +151,31 @@ def legendre_lift(F, S, domain, dF=None, dS=None, tangency_tol=1e-6):
     return LegendreMap(S0, S1, domain, dS0, dS1)
 
 
+def frame_line(ff):
+    """LegendreMap of the line spanned by the first two columns of a Lie frame
+    field, in epsilon coordinates, with the columns' analytic differentials."""
+    eps = lambda F, k: F[..., :, k] @ mt.P_LAMBDA.T  # lambda -> epsilon
+    dS0, dS1 = (np.stack([eps(ff.partial_u, k), eps(ff.partial_v, k)]) for k in (0, 1))
+    return LegendreMap(eps(ff.mats, 0), eps(ff.mats, 1), ff.domain, dS0, dS1)
+
+
 def example_lambda(domain=None):
     """The homogeneous Legendre immersion [S0(u), S1(v)] with
-    S0 = cos u eps0 + sin u eps3 + eps4 and S1 = cos v eps1 + sin v eps2 + eps5."""
-    domain = domain or ParamDomain()
-    U, V = domain.mesh()
-    Z = np.zeros_like(U)
-    S0 = np.stack([np.cos(U), Z, Z, np.sin(U), np.ones_like(U), Z], axis=-1)
-    S1 = np.stack([Z, np.cos(V), np.sin(V), Z, Z, np.ones_like(V)], axis=-1)
-    dS0 = np.stack([np.stack([-np.sin(U), Z, Z, np.cos(U), Z, Z], axis=-1),
-                    np.zeros(U.shape + (6,))])
-    dS1 = np.stack([np.zeros(U.shape + (6,)),
-                    np.stack([Z, -np.sin(V), np.cos(V), Z, Z, Z], axis=-1)])
-    return LegendreMap(S0, S1, domain, dS0, dS1)
+    S0 = cos u eps0 + sin u eps3 + eps4 and S1 = cos v eps1 + sin v eps2 + eps5:
+    the line of example_frame."""
+    return frame_line(example_frame(domain))
 
 
 def example_frame(domain=None):
-    """Best Lie frame field along example_lambda: columns
+    """Best Lie frame field along example_lambda: the orbit
+    example_base_frame() e^{u X_u} e^{v X_v}, whose Maurer-Cartan form is the
+    constant X_u du + X_v dv.  In epsilon coordinates its columns are
     [S0, S1, S1', S0', (-cos v eps1 - sin v eps2 + eps5)/2,
-     (-cos u eps0 - sin u eps3 + eps4)/2], converted to the lambda basis."""
-    domain = domain or ParamDomain()
-    U, V = domain.mesh()
-    Z = np.zeros_like(U)
-    O = np.ones_like(U)
-    cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
-
-    def col(*comps):
-        return np.stack([np.broadcast_to(c, U.shape) for c in comps], axis=-1)
-
-    cols = [
-        col(cu, Z, Z, su, O, Z),
-        col(Z, cv, sv, Z, Z, O),
-        col(Z, -sv, cv, Z, Z, Z),
-        col(-su, Z, Z, cu, Z, Z),
-        col(Z, -cv / 2, -sv / 2, Z, Z, O / 2),
-        col(-cu / 2, Z, Z, -su / 2, O / 2, Z),
-    ]
-    d_u = [
-        col(-su, Z, Z, cu, Z, Z),
-        col(Z, Z, Z, Z, Z, Z),
-        col(Z, Z, Z, Z, Z, Z),
-        col(-cu, Z, Z, -su, Z, Z),
-        col(Z, Z, Z, Z, Z, Z),
-        col(su / 2, Z, Z, -cu / 2, Z, Z),
-    ]
-    d_v = [
-        col(Z, Z, Z, Z, Z, Z),
-        col(Z, -sv, cv, Z, Z, Z),
-        col(Z, -cv, -sv, Z, Z, Z),
-        col(Z, Z, Z, Z, Z, Z),
-        col(Z, sv / 2, -cv / 2, Z, Z, Z),
-        col(Z, Z, Z, Z, Z, Z),
-    ]
-    P = mt.P_LAMBDA
-    T = np.einsum("ij,...jk->...ik", P.T, np.stack(cols, axis=-1))
-    Tu = np.einsum("ij,...jk->...ik", P.T, np.stack(d_u, axis=-1))
-    Tv = np.einsum("ij,...jk->...ik", P.T, np.stack(d_v, axis=-1))
-    return FrameField("lie", T, domain, Tu, Tv)
+     (-cos u eps0 - sin u eps3 + eps4)/2]."""
+    X_u, X_v = np.zeros((2, 6, 6))
+    X_u[0, 3] = X_u[3, 5] = X_v[1, 2] = X_v[2, 4] = -0.5
+    X_u[3, 0] = X_u[5, 3] = X_v[2, 1] = X_v[4, 2] = 1.0
+    return orbit_frame("lie", example_base_frame(), X_u, X_v, domain or ParamDomain())
 
 
 # --- spherical-projection rank test ---------------------------------------------------
@@ -366,41 +335,32 @@ def boost_eps(t):
 def example_base_frame():
     """The example_frame value at (u, v) = (0, 0): the constant Lie frame whose
     right coset carries the homogeneous Legendre immersion."""
-    dom = ParamDomain(nu=3, nv=3)
-    ff = example_frame(dom)
-    # mesh() starts at u = v = 0 for the default periodic domain
-    return ff.mats[0, 0].copy()
+    e = np.eye(6)
+    cols = [e[0] + e[4], e[1] + e[5], e[2], e[3], (e[5] - e[1]) / 2, (e[4] - e[0]) / 2]
+    return mt.P_LAMBDA.T @ np.stack(cols, axis=-1)
 
 
 def coset_orbit(A, s_grid, t_grid):
     """Legendre map of the coset A * (base frame) * exp(s X_theta2) exp(t X_theta3)
-    through the line of the first two frame columns.
+    through the line of the first two frame columns, on uniform grids.
 
     The base frame right-translates the exponential slice so that A = identity
     reproduces the homogeneous example (spherical projection a great circle)
     and boosts produce the singular surfaces of revolution.
     """
-    X2, X3 = slice_generators()
-    s_grid = np.asarray(s_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    M = np.asarray(A, dtype=float) @ example_base_frame()
-    E2 = mt.mat_exp(s_grid[:, None, None] * X2)
-    E3 = mt.mat_exp(t_grid[:, None, None] * X3)
-    T = (M @ E2)[:, None] @ E3[None]
-    Tu = (M @ X2 @ E2)[:, None] @ E3[None]
-    Tv = (M @ E2)[:, None] @ (X3 @ E3)[None]
-    if not all(np.isfinite(F).all() for F in (T, Tu, Tv)):
-        raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
     domain = ParamDomain(
         (float(s_grid[0]), float(s_grid[-1])),
         (float(t_grid[0]), float(t_grid[-1])),
         len(s_grid), len(t_grid), periodic_u=False, periodic_v=False,
     )
-    ff = FrameField("lie", T, domain, Tu, Tv)
-    eps = lambda col: col @ mt.P_LAMBDA.T  # lambda -> epsilon
-    S0, S1 = eps(T[..., :, 0]), eps(T[..., :, 1])
-    dS0, dS1 = (eps(np.stack([Tu[..., :, k], Tv[..., :, k]])) for k in (0, 1))
-    lm = LegendreMap(S0, S1, domain, dS0, dS1)
+    u, v = domain.grids()
+    if not (np.allclose(u, s_grid) and np.allclose(v, t_grid)):
+        raise GeometryError("coset orbit grids must be uniformly spaced")
+    M = np.asarray(A, dtype=float) @ example_base_frame()
+    ff = orbit_frame("lie", M, *slice_generators(), domain)
+    if not all(np.isfinite(F).all() for F in (ff.mats, ff.partial_u, ff.partial_v)):
+        raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
+    lm = frame_line(ff)
     _check_line_immersion(lm)
     return lm, ff
 
@@ -445,16 +405,13 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
     scale = max(float(np.median(E) * np.median(Gc)), 1e-16 * float(np.median(E + Gc)) ** 2,
                 1e-30)
     singular = (det < rank_tol * scale) | pole
-    degenerate = bool(np.mean(singular) > 0.5)
+    degenerate = bool(np.mean(singular) > DEGENERATE_FRACTION)
     return {
         "points": y,
         "singular_mask": singular,
         "singular_count": int(np.sum(singular)),
         "grid_size": int(singular.size),
         "degenerate": degenerate,
-        "boost_t": float(boost_t),
-        "s_grid": s_grid,
-        "t_grid": t_grid,
     }
 
 

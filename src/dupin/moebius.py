@@ -352,10 +352,6 @@ class OrbitResult:
     points_delta: np.ndarray      # projective representatives, delta basis
     chart_points: np.ndarray      # pulled back to the regime's space form
     valid: np.ndarray
-    X1: np.ndarray
-    X2: np.ndarray
-    s_grid: np.ndarray
-    t_grid: np.ndarray
 
 
 def hc_regime(C):
@@ -432,7 +428,7 @@ def hc_orbit(C, s_grid, t_grid):
     form = _REGIME_FORM[regime]
     chart, valid = _chart(form, mt.change_basis(pts, 5, "delta", "epsilon"))
     chart[~valid] = 0.0 if form == "euclidean" else np.eye(4)[3]
-    return OrbitResult(C, regime, pts, chart, valid, X1, X2, s_grid, t_grid)
+    return OrbitResult(C, regime, pts, chart, valid)
 
 
 def orbit_surface(C, domain=None):

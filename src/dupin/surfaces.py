@@ -75,7 +75,6 @@ class ParamDomain:
 
 
 _FORM_METRIC = {"euclidean": mt.R3, "sphere": mt.R4, "hyperbolic": mt.R31}
-_FORM_DIM = {"euclidean": 3, "sphere": 4, "hyperbolic": 4}
 
 
 class Jet(NamedTuple):

@@ -63,6 +63,27 @@ def integrate_per_point(mc, base, rows_first):
 
 
 class TestAgainstPerPointFormula:
+    def test_orbit_frame(self):
+        # a non-commuting pair, so the order of the two exponentials matters
+        # (coset_orbit below covers a commuting Lie pair)
+        rng = np.random.default_rng(3)
+        Z, X, Y = (mt.algebra_project(rng.normal(size=(4, 4)), mt.R4) for _ in range(3))
+        M = one(Z)
+        assert np.max(np.abs(mt.bracket(X, Y))) > 0.1
+        dom = ParamDomain((-1.0, 1.0), (-0.8, 1.2), 7, 5, False, False)
+        ff = fr.orbit_frame("so4", M, X, Y, dom)
+        u, v = dom.grids()
+        ref = {k: np.empty_like(ff.mats) for k in ("T", "Tu", "Tv")}
+        for a, s in enumerate(u):
+            for b, t in enumerate(v):
+                Eu, Ev = M @ one(s * X), one(t * Y)
+                ref["T"][a, b] = Eu @ Ev
+                ref["Tu"][a, b] = Eu @ X @ Ev
+                ref["Tv"][a, b] = Eu @ Ev @ Y
+        for key, got in (("T", ff.mats), ("Tu", ff.partial_u), ("Tv", ff.partial_v)):
+            rel = np.max(np.abs(got - ref[key])) / np.max(np.abs(ref[key]))
+            assert rel <= 1e-13, key
+
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_coset_orbit(self, t):
         A = ls.boost(t)
@@ -145,6 +166,10 @@ class TestNoPerPointLoops:
     def test_coset_orbit_two_calls(self, exp_calls):
         ls.coset_orbit(ls.boost(1.0), S_GRID, T_GRID)
         assert len(exp_calls) == 2
+
+    def test_example_frame_two_calls(self, exp_calls):
+        ls.example_frame(ParamDomain(nu=8, nv=6))
+        assert exp_calls == [(8, 6, 6), (6, 6, 6)]
 
     def test_hc_orbit_two_calls(self, exp_calls):
         mb.hc_orbit(-2.5, S_GRID, T_GRID)

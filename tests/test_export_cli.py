@@ -130,15 +130,16 @@ class TestCLI:
 
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the chart maps
     def test_orbit_regimes(self, tmp_path):
-        for argv, regime, chart_failures, passed in [
-            (["--C", "0"], "torus", 0, True),
-            (["--C", "1"], "cylinder", 0, True),
-            (["--C", "1.6667"], "hyperboloid", 0, True),
-            # lower-sheet points: flagged and written at a finite placeholder
-            (["--C", "1.6667", "--span", "50", "--grid", "5x5"], "hyperboloid", 15, True),
-            (["--C", "-1.6667", "--span", "50", "--grid", "5x5"], "hyperboloid", 15, True),
+        for argv, regime, chart_failures, null_cone, passed in [
+            (["--C", "0"], "torus", 0, True, True),
+            (["--C", "1"], "cylinder", 0, True, True),
+            (["--C", "1.6667"], "hyperboloid", 0, True, True),
+            # lower-sheet points: flagged, written at a finite placeholder, and
+            # failing the report
+            (["--C", "1.6667", "--span", "50", "--grid", "5x5"], "hyperboloid", 15, True, False),
+            (["--C", "-1.6667", "--span", "50", "--grid", "5x5"], "hyperboloid", 15, True, False),
             # rounding noise: the measured null-cone residual fails its check
-            (["--C", "0", "--span", "1e10", "--grid", "5x5"], "torus", 0, False),
+            (["--C", "0", "--span", "1e10", "--grid", "5x5"], "torus", 0, False, False),
         ]:
             out = str(tmp_path / "orb.obj")
             assert main(["orbit", "--grid", "12x12"] + argv + ["--out", out]) == 0
@@ -147,8 +148,9 @@ class TestCLI:
             assert rep["parameters"]["regime"] == regime
             checks = {c["name"]: c for c in rep["checks"]}
             assert checks["chart_failures"]["value"] == chart_failures
-            assert (checks["null_cone"]["value"] < 1e-13) is passed
-            assert checks["null_cone"]["pass"] is passed and rep["passed"] is passed
+            assert checks["chart_failures"]["pass"] is (chart_failures == 0)
+            assert (checks["null_cone"]["value"] < 1e-13) is null_cone
+            assert checks["null_cone"]["pass"] is null_cone and rep["passed"] is passed
             verts, _ = ex.read_obj(out)
             assert np.isfinite(verts).all()
 
@@ -170,6 +172,17 @@ class TestCLI:
         assert main(["fig7", "--t", "0", "--out", out]) == 0
         rep = json.loads(open(out[:-4] + ".report.json").read())
         assert rep["degenerate"] is True
+
+    @pytest.mark.parametrize("t, degenerate", [("0", True), ("1", False)])
+    def test_fig7_degenerate_check(self, tmp_path, t, degenerate):
+        out = str(tmp_path / "f7d.obj")
+        assert main(["fig7", "--t", t, "--grid", "17x17", "--out", out]) == 0
+        rep = json.loads(open(out[:-4] + ".report.json").read())
+        check = {c["name"]: c for c in rep["checks"]}["degenerate"]
+        assert rep["degenerate"] is degenerate
+        assert check["pass"] is (not rep["degenerate"]) and rep["passed"] is check["pass"]
+        assert check["value"] == rep["checks"][0]["value"] / 17 ** 2
+        assert check["tolerance"] == 0.5
 
     def test_fig7_grid_vertex_count(self, tmp_path):
         out = str(tmp_path / "f7g.obj")

@@ -83,6 +83,16 @@ class TestPullback:
         r = mc.omega_v[..., 3, 2] - mc.omega_v[..., 2, 0]
         assert np.max(np.abs(r)) < 1e-4
 
+    def test_orbit_frame_recovers_commuting_generators(self):
+        # oracle: for [X, Y] = 0, M e^{uX} e^{vY} has omega = X du + Y dv exactly
+        X, Y = np.zeros((2, 4, 4))
+        X[1, 0], X[0, 1] = 1.0, -1.0
+        Y[3, 2], Y[2, 3] = 1.0, -1.0
+        M = mt.mat_exp(mt.algebra_project(RNG.normal(size=(4, 4)), mt.R4))
+        dom = ParamDomain((-2.0, 3.0), (0.5, 4.0), 9, 7, False, False)
+        mc = fr.pullback_mc(fr.orbit_frame("so4", M, X, Y, dom))
+        assert np.max(np.abs(mc.omega - np.stack([X, Y])[:, None, None])) < 1e-12
+
     def test_membership_gate(self):
         dom = ParamDomain(nu=8, nv=8)
         mats = np.broadcast_to(np.eye(3) * 1.5, (8, 8, 3, 3)).copy()

@@ -10,7 +10,10 @@ residuals and every other value it records.
 
 Re-capture the files (only after a deliberate output change) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+where each CASE is a key of ``CASES`` or ``verify_all``; with no arguments
+every file is re-captured.
 """
 
 import json
@@ -92,11 +95,17 @@ def test_verify_all_matches_golden(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or [*CASES, "verify_all"]
+    unknown = sorted(set(names) - {*CASES, "verify_all"})
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     os.environ.pop("DUPIN_CONFIG", None)
     os.makedirs(GOLDEN, exist_ok=True)
     os.environ["DUPIN_OUTDIR"] = GOLDEN
     os.chdir(GOLDEN)
-    for case in CASES:
-        run_case(case, GOLDEN)
-    main(["verify", "all", "--out", VERIFY_ALL])
+    for case in names:
+        if case == "verify_all":
+            main(["verify", "all", "--out", VERIFY_ALL])
+        else:
+            run_case(case, GOLDEN)
     sys.exit(0)

@@ -82,6 +82,57 @@ def _pad_mid(w):
     return out
 
 
+def trig_example_lambda(domain):
+    """The homogeneous Legendre immersion written out: S0 = cos u eps0 +
+    sin u eps3 + eps4, S1 = cos v eps1 + sin v eps2 + eps5, and their 1-forms."""
+    U, V = domain.mesh()
+    Z = np.zeros_like(U)
+    S0 = np.stack([np.cos(U), Z, Z, np.sin(U), np.ones_like(U), Z], axis=-1)
+    S1 = np.stack([Z, np.cos(V), np.sin(V), Z, Z, np.ones_like(V)], axis=-1)
+    dS0 = np.stack([np.stack([-np.sin(U), Z, Z, np.cos(U), Z, Z], axis=-1),
+                    np.zeros(U.shape + (6,))])
+    dS1 = np.stack([np.zeros(U.shape + (6,)),
+                    np.stack([Z, -np.sin(V), np.cos(V), Z, Z, Z], axis=-1)])
+    return S0, S1, dS0, dS1
+
+
+def trig_example_frame(domain):
+    """The best Lie frame along it written out, with its u- and v-derivatives:
+    columns [S0, S1, S1', S0', (-cos v eps1 - sin v eps2 + eps5)/2,
+    (-cos u eps0 - sin u eps3 + eps4)/2], in the lambda basis."""
+    U, V = domain.mesh()
+    Z, O = np.zeros_like(U), np.ones_like(U)
+    cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
+
+    def frame(*cols):
+        return mt.P_LAMBDA.T @ np.stack([np.stack(c, axis=-1) for c in cols], axis=-1)
+
+    T = frame((cu, Z, Z, su, O, Z), (Z, cv, sv, Z, Z, O), (Z, -sv, cv, Z, Z, Z),
+              (-su, Z, Z, cu, Z, Z), (Z, -cv / 2, -sv / 2, Z, Z, O / 2),
+              (-cu / 2, Z, Z, -su / 2, O / 2, Z))
+    Tu = frame((-su, Z, Z, cu, Z, Z), (Z,) * 6, (Z,) * 6, (-cu, Z, Z, -su, Z, Z), (Z,) * 6,
+               (su / 2, Z, Z, -cu / 2, Z, Z))
+    Tv = frame((Z,) * 6, (Z, -sv, cv, Z, Z, Z), (Z, -cv, -sv, Z, Z, Z), (Z,) * 6,
+               (Z, sv / 2, -cv / 2, Z, Z, Z), (Z,) * 6)
+    return T, Tu, Tv
+
+
+@pytest.mark.parametrize("domain", [ParamDomain(), ParamDomain((-1.0, 2.0), (0.3, 2.0), 17, 9,
+                                                               False, False)])
+def test_example_orbit_matches_trig_formulas(domain):
+    ff = ls.example_frame(domain)
+    for got, want in zip((ff.mats, ff.partial_u, ff.partial_v), trig_example_frame(domain)):
+        assert np.max(np.abs(got - want)) <= 1e-14
+    lm = ls.example_lambda(domain)
+    for got, want in zip((lm.S0, lm.S1, lm.dS0, lm.dS1), trig_example_lambda(domain)):
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_example_base_frame_is_the_frame_at_the_origin():
+    T0 = trig_example_frame(ParamDomain(nu=3, nv=3))[0][0, 0]
+    assert np.max(np.abs(ls.example_base_frame() - T0)) <= 1e-15
+
+
 class TestExampleImmersion:
     def setup_method(self):
         self.lm = ls.example_lambda()
@@ -291,6 +342,11 @@ class TestCosetOrbit:
         assert ls.contact_residual(lm) < 1e-8
         rep = ls.sigma_rank_report(lm)
         assert rep["max_second_singular_value"] < 1e-10
+
+    def test_non_uniform_grid_rejected(self):
+        s = np.linspace(-2, 2, 15)
+        with pytest.raises(mt.GeometryError, match="uniformly spaced"):
+            ls.coset_orbit(np.eye(6), s ** 3 / 4, s)
 
     def test_orbit_lines_valid(self):
         s = np.linspace(-2, 2, 15)
