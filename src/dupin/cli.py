@@ -125,12 +125,14 @@ def cmd_gen(args, cfg):
     )
     out = _out_path(args.out)
     write_obj(mesh, out)
+    measured = cls["report"]
     checks = [
         check("constraint_residual", s.constraint_residual(), 1e-10),
-        check("spread_a", cls["report"]["spread_a"]),
-        check("spread_c", cls["report"]["spread_c"]),
+        check("spread_a", measured["spread_a"]),
+        check("spread_c", measured["spread_c"]),
         check("isoparametric", 0.0, passed=cls["isoparametric"]),
-        check("dupin", 0.0, passed=bool(cls["dupin"])),
+        check("dupin", max(measured["dupin_derivative_a"], measured["dupin_derivative_c"]),
+              measured["dupin_tol"], passed=bool(cls["dupin"])),
     ]
     rep = make_report(
         "gen",

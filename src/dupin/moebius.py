@@ -437,6 +437,7 @@ def orbit_surface(C, domain=None):
     A = base e^{u X1} and w_k = e^{v X2} X2^k delta0,
         q = A w0,  q_u = A X1 w0,  q_v = A w1,
         q_uu = A X1^2 w0,  q_uv = A X1 w1,  q_vv = A w2,
+        q_uuu = A X1^3 w0,  q_uuv = A X1^2 w1,  q_uvv = A X1 w2,  q_vvv = A w3,
     one mat_exp per generator for the whole jet; the chart's quotient rule
     (``surfaces.quotient_jet``) carries it into the space form.  Position and
     jet raise GeometryError when a point escapes the chart."""
@@ -444,7 +445,8 @@ def orbit_surface(C, domain=None):
     X1, X2 = sub.elements
     # the frame in epsilon coordinates, so q comes out in them (change_basis is linear)
     base = mt.change_basis(canonical_base_frame(C), 5, "delta", "epsilon", kind="frame")
-    W0 = np.stack([np.eye(5)[0], X2[:, 0], X2 @ X2[:, 0]], axis=-1)  # X2^k delta0, k = 0, 1, 2
+    W0 = np.stack([np.linalg.matrix_power(X2, k)[:, 0] for k in range(4)],
+                  axis=-1)  # X2^k delta0, k = 0..3
     domain = domain or ParamDomain(
         u_range=(-1.0, 1.0), v_range=(-1.0, 1.0),
         nu=32, nv=32, periodic_u=False, periodic_v=False,
@@ -453,17 +455,18 @@ def orbit_surface(C, domain=None):
     num, den = _quotient_chart(form)
 
     def lift(u, v, partials):
-        """q, and with ``partials`` its five partials, in epsilon coordinates."""
+        """q, and with ``partials`` its nine partials, in epsilon coordinates."""
         u, v = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
         A = base @ mt.mat_exp(u[..., None, None] * X1)
-        W = mt.mat_exp(v[..., None, None] * X2) @ W0  # columns w0, w1, w2
+        W = mt.mat_exp(v[..., None, None] * X2) @ W0  # columns w0, w1, w2, w3
         q = (A @ W[..., :1])[..., 0]  # apart from the partials: jet.x == position bitwise
         if not partials:
             return q
-        XW = X1 @ W[..., :2]                          # X1 w0, X1 w1
-        # A R has the columns q_u, q_v, q_uu, q_uv, q_vv
-        R = np.concatenate([XW[..., :1], W[..., 1:2], X1 @ XW[..., :1], XW[..., 1:],
-                            W[..., 2:]], axis=-1)
+        XW = X1 @ W[..., :3]                          # X1 w0, X1 w1, X1 w2
+        XXW = X1 @ XW[..., :2]                        # X1^2 w0, X1^2 w1
+        # A R has the columns q_u, q_v, q_uu, q_uv, q_vv, q_uuu, q_uuv, q_uvv, q_vvv
+        R = np.concatenate([XW[..., :1], W[..., 1:2], XXW[..., :1], XW[..., 1:2], W[..., 2:3],
+                            X1 @ XXW[..., :1], XXW[..., 1:], XW[..., 2:], W[..., 3:]], axis=-1)
         return Jet(q, *np.moveaxis(A @ R, -1, 0))
 
     def chart(q):

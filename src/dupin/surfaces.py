@@ -9,6 +9,8 @@ returns (..., dim).
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -21,6 +23,7 @@ from . import spaceforms as sf
 from .metrics import GeometryError
 
 RANK_TOL = 1e-8
+DUPIN_TOL = 1e-8  # classify's Dupin tolerance on analytic jets
 
 
 class SingularPointError(GeometryError):
@@ -78,13 +81,22 @@ _FORM_METRIC = {"euclidean": mt.R3, "sphere": mt.R4, "hyperbolic": mt.R31}
 
 
 class Jet(NamedTuple):
-    """Position and its partials up to second order at (u, v), each (..., dim)."""
+    """Position and its partials up to third order at (u, v), each (..., dim)."""
     x: np.ndarray
     xu: np.ndarray
     xv: np.ndarray
     xuu: np.ndarray
     xuv: np.ndarray
     xvv: np.ndarray
+    xuuu: np.ndarray
+    xuuv: np.ndarray
+    xuvv: np.ndarray
+    xvvv: np.ndarray
+
+
+# the multi-index of each Jet field, and its (u order, v order)
+_FIELD_INDEX = [f[1:] for f in Jet._fields]
+_ORDERS = [(k.count("u"), k.count("v")) for k in _FIELD_INDEX]
 
 
 class ParametricSurface:
@@ -132,17 +144,17 @@ class ParametricSurface:
 
     @staticmethod
     def _finite_difference_jet(position, domain, u, v):
-        """Central differences of position: steps 1e-5 of the parameter span for
-        first partials, their square roots for second partials; the whole
-        stencil goes through one position call."""
+        """Central differences of position: steps h = 1e-5 of the parameter
+        span for first partials, H = sqrt(h) for second and third partials;
+        the whole 17-point stencil goes through one position call."""
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         hu = 1e-5 * (domain.u_range[1] - domain.u_range[0])
         hv = 1e-5 * (domain.v_range[1] - domain.v_range[0])
         Hu, Hv = np.sqrt(hu), np.sqrt(hv)
         U = np.stack([u, u + hu, u - hu, u, u, u + Hu, u - Hu, u, u,
-                      u + Hu, u + Hu, u - Hu, u - Hu])
+                      u + Hu, u + Hu, u - Hu, u - Hu, u + 2 * Hu, u - 2 * Hu, u, u])
         V = np.stack([v, v, v, v + hv, v - hv, v, v, v + Hv, v - Hv,
-                      v + Hv, v - Hv, v + Hv, v - Hv])
+                      v + Hv, v - Hv, v + Hv, v - Hv, v, v, v + 2 * Hv, v - 2 * Hv])
         p = position(U, V)
         return Jet(
             p[0],
@@ -151,6 +163,10 @@ class ParametricSurface:
             (p[5] - 2 * p[0] + p[6]) / Hu**2,
             (p[9] - p[10] - p[11] + p[12]) / (4 * Hu * Hv),
             (p[7] - 2 * p[0] + p[8]) / Hv**2,
+            (p[13] - 2 * p[5] + 2 * p[6] - p[14]) / (2 * Hu**3),
+            (p[9] - 2 * p[7] + p[11] - p[10] + 2 * p[8] - p[12]) / (2 * Hu**2 * Hv),
+            (p[9] - 2 * p[5] + p[10] - p[11] + 2 * p[6] - p[12]) / (2 * Hu * Hv**2),
+            (p[15] - 2 * p[7] + 2 * p[8] - p[16]) / (2 * Hv**3),
         )
 
     def constraint_residual(self):
@@ -219,11 +235,13 @@ def _sym2(e, f, g):
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def fundamental_forms(s, u, v):
-    """First and second fundamental forms at (u, v), the second against
-    surface_normal; raises SingularPointError at singular points."""
+def fundamental_forms(s, u, v, jet=None, normal=None):
+    """First and second fundamental forms at (u, v), from the jet there and
+    against the oriented unit normal, each evaluated here unless given;
+    raises SingularPointError at singular points."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    return _forms(s, s.jet(u, v), lambda jet: surface_normal(s, u, v, jet))
+    return _forms(s, s.jet(u, v) if jet is None else jet,
+                  lambda jet: surface_normal(s, u, v, jet) if normal is None else normal)
 
 
 @dataclass
@@ -231,15 +249,23 @@ class CurvatureData:
     """Principal curvatures a <= c of the shape operator W = I^{-1} II, in
     closed form from the six scalar fields of I and II (given as (..., 2, 2)
     arrays), and the umbilic mask.  The parameter-space principal directions
-    dir_a and dir_c, I-unit, are computed on first access."""
+    dir_a and dir_c, I-unit, are computed on first access, and so are the
+    derivatives e_a(a) and e_c(c) of each curvature along its own I-unit
+    direction, which need the metric, the 3-jet and the oriented unit normal
+    the forms were taken from."""
     a: np.ndarray          # smaller principal curvature
     c: np.ndarray          # larger principal curvature
     umbilic: np.ndarray    # boolean mask
     I: np.ndarray
     II: np.ndarray
+    metric: mt.Metric = None
+    jet: Jet = None
+    normal: np.ndarray = None
 
     dir_a = cached_property(lambda self: self._direction(self.a))
     dir_c = cached_property(lambda self: self._direction(self.c))
+    along_a = cached_property(lambda self: self._along(self.a, self.dir_a))
+    along_c = cached_property(lambda self: self._along(self.c, self.dir_c))
 
     def _direction(self, kappa):
         """Null vector (d0, d1) of W - kappa from its row of larger 1-norm,
@@ -255,10 +281,31 @@ class CurvatureData:
         norm = np.sqrt(E * d0 * d0 + 2.0 * F * d0 * d1 + G * d1 * d1)
         return np.stack([d0 / norm, d1 / norm], axis=-1)
 
+    def _along(self, kappa, d):
+        """e_kappa(kappa) = sum_k d^k d^T(d_k II - kappa d_k I)d, the first-order
+        perturbation of the pencil II - kappa I, with d_k I_ij = <x_ik, x_j> +
+        <x_i, x_jk> and d_k II_ij = <x_ijk, n> - sum_l W^l_k <x_ij, x_l>
+        (n_k = -W x_k, as n is orthogonal to x in R^3, S^3 and H^3).  Contracted
+        with W d = kappa d this is <x_ddd, n> - 3 kappa <x_dd, x_d>, with x_d,
+        x_dd and x_ddd the first three derivatives of x along d."""
+        j, d0, d1 = self.jet, d[..., 0:1], d[..., 1:2]
+        x_d = d0 * j.xu + d1 * j.xv
+        x_dd = d0 * (d0 * j.xuu + 2.0 * d1 * j.xuv) + d1 * d1 * j.xvv
+        x_ddd = (d0 * d0 * (d0 * j.xuuu + 3.0 * d1 * j.xuuv)
+                 + d1 * d1 * (3.0 * d0 * j.xuvv + d1 * j.xvvv))
+        return (mt.inner(x_ddd, self.normal, self.metric)
+                - 3.0 * kappa * mt.inner(x_dd, x_d, self.metric))
+
 
 def principal_curvatures(s, u, v, umbilic_tol=1e-9):
-    """Principal curvatures (ordered a <= c) and I-orthonormal directions."""
-    return _curvatures(*fundamental_forms(s, u, v), umbilic_tol)
+    """Principal curvatures (ordered a <= c), I-orthonormal directions and the
+    derivatives of each curvature along its own direction."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    jet = s.jet(u, v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular points raise below
+        normal = surface_normal(s, u, v, jet)
+    return _curvatures(*fundamental_forms(s, u, v, jet, normal), umbilic_tol,
+                       s.metric, jet, normal)
 
 
 def _entries(I, II):
@@ -267,15 +314,22 @@ def _entries(I, II):
     return E, F, G, II[..., 0, 0], II[..., 0, 1], II[..., 1, 1], E * G - F * F
 
 
-def _curvatures(I, II, umbilic_tol=1e-9):
+def _curvatures(I, II, umbilic_tol=1e-9, *jet_context):
+    """CurvatureData of the forms I and II; ``jet_context`` is the metric,
+    jet and normal its curvature derivatives need."""
     E, F, G, L, M, N, detI = _entries(I, II)
     tr = (G * L - 2.0 * F * M + E * N) / detI
     det = (L * N - M * M) / detI
-    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    a = 0.5 * (tr - root)
-    c = 0.5 * (tr + root)
+    # tr^2 - 4 det as (w00 - w11)^2 + 4 w01 w10 of W, exact at umbilics; the
+    # root of larger magnitude from tr and root, the other from det over it,
+    # so neither curvature subtracts nearly equal numbers
+    skew = G * L - E * N
+    root = np.sqrt(np.maximum(skew * skew + 4.0 * (G * M - F * N) * (E * M - F * L), 0.0)) / detI
+    big = 0.5 * (tr + np.copysign(root, tr))
+    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0)
+    a, c = np.minimum(big, small), np.maximum(big, small)
     umb = root < umbilic_tol * (1.0 + np.abs(tr))
-    return CurvatureData(a, c, umb, I, II)
+    return CurvatureData(a, c, umb, I, II, *jet_context)
 
 
 # --- canonical catalog ----------------------------------------------------------
@@ -286,10 +340,10 @@ def _stack(*coords):
 
 
 def _jet_planes(u, v, dim):
-    """Zeros (6, dim, ...) over the broadcast shape of (u, v), plane [k, i] for
+    """Zeros (10, dim, ...) over the broadcast shape of (u, v), plane [k, i] for
     coordinate i of Jet field k: Jet(*np.moveaxis(J, 1, -1)) has contiguous
     coordinate planes, so charts and inner products run over whole planes."""
-    return np.zeros((6, dim) + np.broadcast(u, v).shape)
+    return np.zeros((10, dim) + np.broadcast(u, v).shape)
 
 
 def torus(alpha, domain=None):
@@ -309,6 +363,7 @@ def torus(alpha, domain=None):
         J[0, 0], J[0, 1], J[0, 2], J[0, 3] = r * cu, r * su, s_ * cv, s_ * sv
         J[1, 0], J[1, 1], J[2, 2], J[2, 3] = -r * su, r * cu, -s_ * sv, s_ * cv
         J[3, 0], J[3, 1], J[5, 2], J[5, 3] = -r * cu, -r * su, -s_ * cv, -s_ * sv
+        J[6, 0], J[6, 1], J[9, 2], J[9, 3] = r * su, -r * cu, s_ * sv, -s_ * cv
         return Jet(*np.moveaxis(J, 1, -1))
 
     normal = lambda u, v: _stack(s_ * np.cos(u), s_ * np.sin(u), -r * np.cos(v), -r * np.sin(v))
@@ -342,6 +397,7 @@ def cylinder(radius, domain=None):
         J[0, 0], J[0, 1], J[0, 2] = R * cu, R * su, v
         J[1, 0], J[1, 1], J[2, 2] = -R * su, R * cu, 1.0
         J[3, 0], J[3, 1] = -R * cu, -R * su
+        J[6, 0], J[6, 1] = R * su, -R * cu
         return Jet(*np.moveaxis(J, 1, -1))
 
     normal = lambda u, v: _stack(-np.cos(u), -np.sin(u), 0 * v)
@@ -382,6 +438,7 @@ def hyperboloid(a, domain=None):
         J[0, 0], J[0, 1], J[0, 2], J[0, 3] = rho * cu, rho * su, sc * shv, sc * chv
         J[1, 0], J[1, 1], J[2, 2], J[2, 3] = -rho * su, rho * cu, sc * chv, sc * shv
         J[3, 0], J[3, 1], J[5, 2], J[5, 3] = -rho * cu, -rho * su, sc * shv, sc * chv
+        J[6, 0], J[6, 1], J[9, 2], J[9, 3] = rho * su, -rho * cu, sc * chv, sc * shv
         return Jet(*np.moveaxis(J, 1, -1))
 
     # orientation with curvatures (a along the hyperbola, 1/a along the circle)
@@ -402,6 +459,13 @@ def hyperboloid(a, domain=None):
     return surf
 
 
+def _circle_derivatives(t):
+    """The k-th derivatives (cos^(k) t, sin^(k) t), k = 0..3, from one cos and
+    one sin evaluation."""
+    c, s_ = np.cos(t), np.sin(t)
+    return ((c, s_), (-s_, c), (-c, -s_), (s_, -c))
+
+
 def sphere_patch(radius=1.0, domain=None):
     """Round sphere patch in R^3 (totally umbilic test case)."""
     R = float(radius)
@@ -413,8 +477,18 @@ def sphere_patch(radius=1.0, domain=None):
     pos = lambda u, v: _stack(
         R * np.cos(u) * np.cos(v), R * np.sin(u) * np.cos(v), R * np.sin(v)
     )
+
+    def jet(u, v):
+        # d_u^i d_v^j of R (cos u cos v, sin u cos v, sin v)
+        cu, cv = _circle_derivatives(u), _circle_derivatives(v)
+        J = _jet_planes(u, v, 3)
+        for k, (i, j) in enumerate(_ORDERS):
+            J[k, 0], J[k, 1] = R * cu[i][0] * cv[j][0], R * cu[i][1] * cv[j][0]
+            J[k, 2] = R * cv[j][1] if i == 0 else 0.0
+        return Jet(*np.moveaxis(J, 1, -1))
+
     return ParametricSurface("euclidean", pos, domain, name="sphere_patch",
-                             params={"radius": R})
+                             params={"radius": R}, jet=jet)
 
 
 def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
@@ -431,8 +505,25 @@ def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
         f = np.asarray(1.0 + warp * np.sin(u))
         return f[..., None] * base
 
+    def jet(u, v):
+        # x = f b with f = 1 + warp sin u and b the torus of revolution, by
+        # Leibniz in u: d_u^i d_v^j x = sum_m binom(i, m) f^(m) d_u^(i-m) d_v^j b
+        cu, cv = _circle_derivatives(u), _circle_derivatives(v)
+        f = [1.0 + warp * cu[0][1]] + [warp * cu[m][1] for m in (1, 2, 3)]
+        rho = [R + r * cv[0][0]] + [r * cv[j][0] for j in (1, 2, 3)]
+
+        def b(i, j):
+            return (rho[j] * cu[i][0], rho[j] * cu[i][1], r * cv[j][1] if i == 0 else 0.0)
+
+        J = _jet_planes(u, v, 3)
+        for k, (i, j) in enumerate(_ORDERS):
+            for m in range(i + 1):
+                for axis, bm in enumerate(b(i - m, j)):
+                    J[k, axis] += math.comb(i, m) * f[m] * bm
+        return Jet(*np.moveaxis(J, 1, -1))
+
     return ParametricSurface("euclidean", pos, domain, name="warped_torus",
-                             params={"warp": warp, "R": R, "r": r})
+                             params={"warp": warp, "R": R, "r": r}, jet=jet)
 
 
 # --- pushforward through the chart maps -----------------------------------------
@@ -440,24 +531,35 @@ def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
 def quotient_jet(src, x, num, den, shift=0.0):
     """Jet of a quotient chart phi = y/d through a source jet: y is the
     coordinate slice ``num`` and d = shift + the sum of the coordinates
-    ``den``, affine in the source, so by the quotient rule
-        phi_a  = (y_a - phi d_a) / d,
-        phi_ab = (y_ab - phi d_ab - phi_a d_b - phi_b d_a) / d.
+    ``den``, affine in the source, so by Leibniz on y = phi d
+        phi_a   = (y_a - phi d_a) / d,
+        phi_ab  = (y_ab - phi d_ab - phi_a d_b - phi_b d_a) / d,
+        phi_abc = (y_abc - phi_ab d_c - phi_ac d_b - phi_bc d_a
+                   - phi_a d_bc - phi_b d_ac - phi_c d_ab - phi d_abc) / d.
     ``x`` is phi(src.x) from the chart itself, so the chart's own checks
     (poles, escapes) apply to the jet as to the position."""
+    # coordinate planes first: each product below runs over whole planes
+    src = {k: np.moveaxis(getattr(src, "x" + k), -1, 0) for k in _FIELD_INDEX}
+
     def d(t):
-        out = t[..., den[0], None]
+        out = t[den[0]]
         for k in den[1:]:
-            out = out + t[..., k, None]
+            out = out + t[k]
         return out
 
-    inv_d = 1.0 / (shift + d(src.x))
-    du, dv = d(src.xu), d(src.xv)
-    xu = (src.xu[..., num] - x * du) * inv_d
-    xv = (src.xv[..., num] - x * dv) * inv_d
-    second = lambda t, pa, da, pb, db: (t[..., num] - x * d(t) - pa * db - pb * da) * inv_d
-    return Jet(x, xu, xv, second(src.xuu, xu, du, xu, du),
-               second(src.xuv, xu, du, xv, dv), second(src.xvv, xv, dv, xv, dv))
+    inv_d = 1.0 / (shift + d(src[""]))
+    # phi_K and d_K by the multi-index K of u's and v's: phi_K subtracts
+    # phi_S d_(K - S) over the nonempty proper subsets S of K's positions
+    phi, dk = {"": np.moveaxis(x, -1, 0)}, {}
+    for k in _FIELD_INDEX[1:]:
+        dk[k] = d(src[k])
+        out = src[k][num] - phi[""] * dk[k]
+        for r in range(1, len(k)):
+            for sub in itertools.combinations(range(len(k)), r):
+                rest = [i for i in range(len(k)) if i not in sub]
+                out -= phi["".join(k[i] for i in sub)] * dk["".join(k[i] for i in rest)]
+        phi[k] = out * inv_d
+    return Jet(*(np.moveaxis(p, 0, -1) for p in phi.values()))
 
 
 def pushforward(s, mapping, domain=None):
@@ -495,47 +597,20 @@ def pushforward(s, mapping, domain=None):
 
 # --- classification ---------------------------------------------------------------
 
-def _flow_curvature_derivative(s, U, V, d0, which, arc_step=1e-3):
-    """Derivative of a principal curvature along its own curvature line,
-    by a central difference between two short RK4 flows of the direction field.
-
-    ``d0`` is that direction field on the grid (U, V): the flows' first RK4
-    stage and their orientation reference."""
-    field = "dir_" + which  # read on the stage points only, so only it is computed
-
-    def direction(p, ref):
-        d = getattr(principal_curvatures(s, p[:, 0], p[:, 1]), field)
-        sgn = np.sign(np.sum(d * ref, axis=-1))
-        return d * np.where(sgn == 0, 1.0, sgn)[:, None]
-
-    d0 = d0.reshape(-1, 2)
-
-    def rk4(p, h):
-        k1 = d0  # the direction field at the base points, aligned with itself
-        k2 = direction(p + 0.5 * h * k1, d0)
-        k3 = direction(p + 0.5 * h * k2, d0)
-        k4 = direction(p + h * k3, d0)
-        return p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    pts = np.stack([U.ravel(), V.ravel()], axis=-1)
-    fp, fm = (getattr(principal_curvatures(s, q[:, 0], q[:, 1]), which)
-              for q in (rk4(pts, arc_step), rk4(pts, -arc_step)))
-    return ((fp - fm) / (2 * arc_step)).reshape(U.shape)
-
-
-def classify(s, iso_tol=None, dupin_tol=None, arc_step=1e-3):
+def classify(s, iso_tol=None, dupin_tol=None):
     """Isoparametric / Dupin verdicts over the surface's sample grid.
 
     isoparametric: each principal curvature has spread < iso_tol over the grid.
-    dupin: the derivative of each principal curvature along its own curvature
-    line stays below dupin_tol everywhere, with distinct curvatures; umbilic
-    points make the Dupin verdict undefined there (excluded, reported).
+    dupin: the derivatives e_a(a), e_c(c) of each principal curvature along its
+    own curvature line, exact from one 3-jet per vertex, stay below dupin_tol
+    everywhere, with distinct curvatures; umbilic points make the Dupin
+    verdict undefined there (excluded, reported).
     """
     analytic = s.analytic
     if iso_tol is None:
         iso_tol = 1e-6 if analytic else 1e-3
     if dupin_tol is None:
-        dupin_tol = 1e-6 if analytic else 1e-3
+        dupin_tol = DUPIN_TOL if analytic else 1e-3
     umbilic_tol = 1e-9 if analytic else 1e-5
     U, V = s.domain.mesh()
     data = principal_curvatures(s, U, V, umbilic_tol=umbilic_tol)
@@ -560,17 +635,13 @@ def classify(s, iso_tol=None, dupin_tol=None, arc_step=1e-3):
         }
     if data.umbilic.any():
         warnings.warn("umbilic points found; excluded from the Dupin test")
-    umbilic, dir_a, dir_c = data.umbilic, data.dir_a, data.dir_c
-    del data  # the grid forms need not live through the flows
-    da = _flow_curvature_derivative(s, U, V, dir_a, "a", arc_step)
-    dc = _flow_curvature_derivative(s, U, V, dir_c, "c", arc_step)
-    mask = ~umbilic
-    report["dupin_derivative_a"] = float(np.max(np.abs(da[mask])))
-    report["dupin_derivative_c"] = float(np.max(np.abs(dc[mask])))
+    mask = ~data.umbilic
+    report["dupin_derivative_a"] = float(np.max(np.abs(data.along_a[mask])))
+    report["dupin_derivative_c"] = float(np.max(np.abs(data.along_c[mask])))
     dupin = (
         report["dupin_derivative_a"] < dupin_tol
         and report["dupin_derivative_c"] < dupin_tol
-        and not umbilic.any()
+        and not data.umbilic.any()
     )
     return {
         "isoparametric": isoparametric,

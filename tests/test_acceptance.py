@@ -56,12 +56,14 @@ def test_02_torus_curvature_values():
 def test_03_figure1_classification():
     t0 = time.perf_counter()
     s = srf.pushforward(srf.torus(np.pi / 4, ParamDomain(nu=128, nv=128)), "stereo")
-    out = srf.classify(s, dupin_tol=1e-3)
+    out = srf.classify(s)
     elapsed = time.perf_counter() - t0
+    rep = out["report"]
     ok = (
         out["isoparametric"] is False
         and out["dupin"] is True
-        and max(out["report"]["dupin_derivative_a"], out["report"]["dupin_derivative_c"]) < 1e-3
+        and rep["dupin_tol"] == srf.DUPIN_TOL
+        and max(rep["dupin_derivative_a"], rep["dupin_derivative_c"]) < rep["dupin_tol"]
         and elapsed < 30.0
     )
     _report(3, f"figure-1 surface classification ({elapsed:.1f}s)", bool(ok))

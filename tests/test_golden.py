@@ -13,12 +13,17 @@ Re-capture the files (only after a deliberate output change) with
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
 where each CASE is a key of ``CASES`` or ``verify_all``; with no arguments
-every file is re-captured.
+every case is run.  A file is rewritten only when the new output differs
+from it beyond the tolerances above, and a rewritten report keeps every
+check (and every other record of plain values) that still matches, so
+round-off of another machine does not churn the golden files.
 """
 
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -73,16 +78,24 @@ def assert_same_structure(got, want, path="report"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_golden(name, tmp_path, monkeypatch):
-    obj, report = run_case(name, tmp_path, monkeypatch)
-    verts, faces = read_obj(obj)
-    want_verts, want_faces = read_obj(os.path.join(GOLDEN, f"{name}.obj"))
+def assert_same_obj(got, want):
+    verts, faces = read_obj(got)
+    want_verts, want_faces = read_obj(want)
     assert verts.shape == want_verts.shape
     assert np.max(np.abs(verts - want_verts), initial=0.0) <= 1e-12
     assert faces == want_faces
-    with open(report) as fh, open(os.path.join(GOLDEN, f"{name}.report.json")) as gh:
+
+
+def assert_same_report(got, want):
+    with open(got) as fh, open(want) as gh:
         assert_same_structure(json.load(fh), json.load(gh))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name, tmp_path, monkeypatch):
+    obj, report = run_case(name, tmp_path, monkeypatch)
+    assert_same_obj(obj, os.path.join(GOLDEN, f"{name}.obj"))
+    assert_same_report(report, os.path.join(GOLDEN, f"{name}.report.json"))
 
 
 def test_verify_all_matches_golden(tmp_path, monkeypatch):
@@ -90,8 +103,121 @@ def test_verify_all_matches_golden(tmp_path, monkeypatch):
     monkeypatch.setenv("DUPIN_OUTDIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "all", "--out", VERIFY_ALL]) == 0
-    with open(tmp_path / VERIFY_ALL) as fh, open(os.path.join(GOLDEN, VERIFY_ALL)) as gh:
-        assert_same_structure(json.load(fh), json.load(gh))
+    assert_same_report(tmp_path / VERIFY_ALL, os.path.join(GOLDEN, VERIFY_ALL))
+
+
+def matches(got, want):
+    try:
+        assert_same_structure(got, want)
+    except AssertionError:
+        return False
+    return True
+
+
+def keep_golden(got, want):
+    """``got`` with each part that matches ``want`` replaced by ``want``'s.
+    Records of plain values, such as one check, are kept or replaced whole."""
+    if matches(got, want):
+        return want
+    nested = lambda items: any(isinstance(x, (dict, list)) for x in items)
+    if isinstance(got, dict) and isinstance(want, dict) and sorted(got) == sorted(want) \
+            and nested(got.values()):
+        return {k: keep_golden(got[k], want[k]) for k in got}
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want) and nested(got):
+        return [keep_golden(g, w) for g, w in zip(got, want)]
+    return got
+
+
+def capture_report(got, want):
+    """Write the report ``got`` over the golden ``want`` as ``keep_golden``
+    merges them; returns whether ``want`` changed."""
+    with open(got) as fh:
+        new = json.load(fh)
+    old = None
+    if os.path.exists(want):
+        with open(want) as fh:
+            old = json.load(fh)
+        new = keep_golden(new, old)
+    if new == old:
+        return False
+    with open(want, "w") as fh:
+        fh.write(json.dumps(new, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    return True
+
+
+def capture_obj(got, want):
+    """Copy the OBJ ``got`` over ``want`` unless it matches; returns whether
+    ``want`` changed."""
+    try:
+        assert_same_obj(got, want)
+    except (AssertionError, OSError):
+        shutil.copyfile(got, want)
+        return True
+    return False
+
+
+def capture(names, golden=GOLDEN):
+    """Run each case in a scratch directory, which becomes the working and
+    output directory, and write into ``golden`` only the files that are
+    missing there or differ beyond the tolerances the tests apply; returns
+    the names of the files written."""
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ.pop("DUPIN_CONFIG", None)
+        os.environ["DUPIN_OUTDIR"] = tmp
+        os.chdir(tmp)
+        for case in names:
+            if case == "verify_all":
+                main(["verify", "all", "--out", VERIFY_ALL])
+                outputs = [(VERIFY_ALL, capture_report)]
+            else:
+                run_case(case, tmp)
+                outputs = [(f"{case}.obj", capture_obj),
+                           (f"{case}.report.json", capture_report)]
+            for fname, write in outputs:
+                if write(os.path.join(tmp, fname), os.path.join(golden, fname)):
+                    written.append(fname)
+    return written
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-6])
+def test_capture_rewrites_only_changed_files(perturb, tmp_path, monkeypatch):
+    # a second capture of an unchanged case rewrites nothing; a report value
+    # moved beyond the tolerance is rewritten, and only that file and check
+    monkeypatch.delenv("DUPIN_CONFIG", raising=False)
+    monkeypatch.setenv("DUPIN_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    name = "gen_cylinder"
+    for fname in (f"{name}.obj", f"{name}.report.json"):
+        shutil.copyfile(os.path.join(GOLDEN, fname), golden / fname)
+    report = golden / f"{name}.report.json"
+    rep = json.loads(report.read_text())
+    rep["checks"][0]["value"] += perturb
+    report.write_text(json.dumps(rep, indent=2))
+    before = {p.name: p.read_bytes() for p in golden.iterdir()}
+    written = capture([name], str(golden))
+    assert written == ([f"{name}.report.json"] if perturb else [])
+    after = {p.name: p.read_bytes() for p in golden.iterdir()}
+    assert after[f"{name}.obj"] == before[f"{name}.obj"]
+    assert (after[report.name] == before[report.name]) == (not perturb)
+    new = json.loads(after[report.name])
+    assert new["checks"][0]["value"] == 0.0
+    assert new["checks"][1:] == rep["checks"][1:]
+
+
+def test_keep_golden_keeps_matching_records():
+    want = {"checks": [{"name": "a", "value": 1.0}, {"name": "b", "value": 2.0}],
+            "passed": True}
+    got = {"checks": [{"name": "a", "value": 1.0 + 1e-13},
+                      {"name": "b", "value": 3.0, "tolerance": 1.0}],
+           "passed": False}
+    merged = keep_golden(got, want)
+    assert merged["checks"][0] is want["checks"][0]  # within tolerance: kept
+    assert merged["checks"][1] is got["checks"][1]   # a changed record: replaced whole
+    assert merged["passed"] is False
+    assert keep_golden(want, want) is want
 
 
 if __name__ == "__main__":
@@ -99,13 +225,7 @@ if __name__ == "__main__":
     unknown = sorted(set(names) - {*CASES, "verify_all"})
     if unknown:
         sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
-    os.environ.pop("DUPIN_CONFIG", None)
     os.makedirs(GOLDEN, exist_ok=True)
-    os.environ["DUPIN_OUTDIR"] = GOLDEN
-    os.chdir(GOLDEN)
-    for case in names:
-        if case == "verify_all":
-            main(["verify", "all", "--out", VERIFY_ALL])
-        else:
-            run_case(case, GOLDEN)
+    written = capture(names)
+    print("rewrote " + (", ".join(written) if written else "nothing"))
     sys.exit(0)

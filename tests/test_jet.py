@@ -14,19 +14,27 @@ from dupin import moebius as mb
 from dupin import surfaces as srf
 from dupin.surfaces import ParamDomain
 
-# catalog surface factory and parameter range, for every chart it is shown in
+# analytic surface factory and parameter range, for every chart it is shown in
 CATALOG = {
     "torus": (srf.torus, (0.15, np.pi / 4)),
     "hyperboloid": (srf.hyperboloid, (0.05, 0.95)),
     "cylinder": (srf.cylinder, (0.2, 5.0)),
+    "sphere_patch": (srf.sphere_patch, (0.3, 3.0)),
+    "warped_torus": (srf.warped_torus, (0.0, 0.3)),
 }
 CHARTS = [("torus", "identity"), ("torus", "stereo"), ("hyperboloid", "identity"),
-          ("hyperboloid", "hyp_stereo"), ("cylinder", "identity")]
+          ("hyperboloid", "hyp_stereo"), ("cylinder", "identity"),
+          ("sphere_patch", "identity"), ("warped_torus", "identity")]
+# h_C orbits in each regime, with both signs of C
+ORBIT_CS = [0.0, 0.5, -0.7, 1.0, -1.0, 5.0 / 3.0, -5.0 / 3.0, 3.0, -2.5]
+THIRD = {"xuuu": (("xuu", "u"),), "xuuv": (("xuu", "v"), ("xuv", "u")),
+         "xuvv": (("xuv", "v"), ("xvv", "u")), "xvvv": (("xvv", "v"),)}
 
 
 def central_jet(p, u, v, h=1e-4):
+    """Position and its first and second partials by central differences."""
     x = p(u, v)
-    return srf.Jet(
+    return (
         x,
         (p(u + h, v) - p(u - h, v)) / (2 * h),
         (p(u, v + h) - p(u, v - h)) / (2 * h),
@@ -36,6 +44,25 @@ def central_jet(p, u, v, h=1e-4):
     )
 
 
+def assert_third_partials(s, u, v, h=1e-5):
+    """Each third partial of the analytic jet equals the central difference of
+    every analytic second partial it is a derivative of."""
+    jet = s.jet(u, v)
+    shifted = {"u": (s.jet(u + h, v), s.jet(u - h, v)), "v": (s.jet(u, v + h), s.jet(u, v - h))}
+    for field, sources in THIRD.items():
+        exact = getattr(jet, field)
+        scale = 1.0 + np.max(np.abs(exact))
+        for second, along in sources:
+            plus, minus = shifted[along]
+            approx = (getattr(plus, second) - getattr(minus, second)) / (2 * h)
+            assert np.max(np.abs(exact - approx)) < 1e-7 * scale, (field, second, along)
+
+
+def sample_point(s, fu, fv):
+    (u0, u1), (v0, v1) = s.domain.u_range, s.domain.v_range
+    return np.array([u0 + fu * (u1 - u0)]), np.array([v0 + fv * (v1 - v0)])
+
+
 @pytest.mark.parametrize("name,chart", CHARTS)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(param=st.floats(0.0, 1.0), fu=st.floats(0.0, 1.0), fv=st.floats(0.02, 0.98))
@@ -43,14 +70,30 @@ def test_analytic_jet_matches_central_differences(name, chart, param, fu, fv):
     make, (lo, hi) = CATALOG[name]
     s = srf.pushforward(make(lo + param * (hi - lo)), chart)
     assert s.analytic
-    (u0, u1), (v0, v1) = s.domain.u_range, s.domain.v_range
-    u = np.array([u0 + fu * (u1 - u0)])
-    v = np.array([v0 + fv * (v1 - v0)])
+    u, v = sample_point(s, fu, fv)
     jet = s.jet(u, v)
+    assert len(jet) == len(srf.Jet._fields) == 10
     assert np.array_equal(jet.x, s.position(u, v))
     for field, exact, approx in zip(srf.Jet._fields, jet, central_jet(s.position, u, v)):
         scale = 1.0 + np.max(np.abs(exact))
         assert np.max(np.abs(exact - approx)) < 1e-5 * scale, field
+
+
+@pytest.mark.parametrize("name,chart", CHARTS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(param=st.floats(0.0, 1.0), fu=st.floats(0.0, 1.0), fv=st.floats(0.02, 0.98))
+def test_third_partials_match_differences_of_second(name, chart, param, fu, fv):
+    make, (lo, hi) = CATALOG[name]
+    s = srf.pushforward(make(lo + param * (hi - lo)), chart)
+    assert_third_partials(s, *sample_point(s, fu, fv))
+
+
+@pytest.mark.parametrize("C", ORBIT_CS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(fu=st.floats(0.02, 0.98), fv=st.floats(0.02, 0.98))
+def test_orbit_third_partials_match_differences_of_second(C, fu, fv):
+    s = mb.orbit_surface(C)
+    assert_third_partials(s, *sample_point(s, fu, fv))
 
 
 @pytest.mark.parametrize("C", [0.0, 0.5, -0.7, 1.0, -1.0, 5.0 / 3.0, 3.0, -2.5])
@@ -83,7 +126,7 @@ class TestFiniteDifferenceJet:
         s, calls = self.surface()
         assert not s.analytic
         s.jet(np.linspace(0, 1, 5), np.linspace(1, 2, 5))
-        assert calls == [13 * 5]
+        assert calls == [17 * 5]
 
     def test_same_stencil_as_separate_calls(self):
         # reference: every stencil point through its own position call
@@ -101,6 +144,14 @@ class TestFiniteDifferenceJet:
             (p(u + Hu, v + Hv) - p(u + Hu, v - Hv) - p(u - Hu, v + Hv)
              + p(u - Hu, v - Hv)) / (4 * Hu * Hv),
             (p(u, v + Hv) - 2 * p(u, v) + p(u, v - Hv)) / Hv**2,
+            (p(u + 2 * Hu, v) - 2 * p(u + Hu, v) + 2 * p(u - Hu, v) - p(u - 2 * Hu, v))
+            / (2 * Hu**3),
+            (p(u + Hu, v + Hv) - 2 * p(u, v + Hv) + p(u - Hu, v + Hv)
+             - p(u + Hu, v - Hv) + 2 * p(u, v - Hv) - p(u - Hu, v - Hv)) / (2 * Hu**2 * Hv),
+            (p(u + Hu, v + Hv) - 2 * p(u + Hu, v) + p(u + Hu, v - Hv)
+             - p(u - Hu, v + Hv) + 2 * p(u - Hu, v) - p(u - Hu, v - Hv)) / (2 * Hu * Hv**2),
+            (p(u, v + 2 * Hv) - 2 * p(u, v + Hv) + 2 * p(u, v - Hv) - p(u, v - 2 * Hv))
+            / (2 * Hv**3),
         )
         for field, got, ref in zip(srf.Jet._fields, s.jet(u, v), want):
             assert np.array_equal(got, ref), field
@@ -156,14 +207,13 @@ def test_classify_jet_points(make):
     s = make()
     counts = count_jet_points(s)
     srf.classify(s)
-    assert sum(counts) <= 17 * 16 * 16 + 1
+    assert sum(counts) <= 16 * 16 + 1
 
 
 @CLASSIFY_SURFACES
 def test_classify_direction_points(make, monkeypatch):
     # principal directions are computed on first access: both fields on the
-    # grid, one field at each of the 12 RK4 stage evaluations, none at the
-    # 4 flow end points, which read only a curvature
+    # grid, once each
     directions = []
     real = srf.CurvatureData._direction
 
@@ -173,7 +223,7 @@ def test_classify_direction_points(make, monkeypatch):
 
     monkeypatch.setattr(srf.CurvatureData, "_direction", counted)
     srf.classify(make())
-    assert sum(directions) <= 14 * 16 * 16
+    assert sum(directions) <= 2 * 16 * 16
 
 
 def test_gen_jet_points_are_classify_points(tmp_path, monkeypatch):
@@ -196,4 +246,4 @@ def test_gen_jet_points_are_classify_points(tmp_path, monkeypatch):
     rc = cli.main(["gen", "torus", "--alpha", "0.6", "--project", "stereo",
                    "--grid", "16x16", "--out", str(tmp_path / "t.obj")])
     assert rc == 0
-    assert sum(seen["counts"]) == seen["classify"] <= 17 * 16 * 16 + 1
+    assert sum(seen["counts"]) == seen["classify"] <= 16 * 16 + 1

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
+from dupin.moebius import orbit_surface
 from dupin.surfaces import ParamDomain
 
 
@@ -202,17 +203,12 @@ class TestPushforward:
 
     @pytest.mark.filterwarnings("error")  # the check comes before any division
     def test_jet_through_the_pole_raises(self):
-        # a great 2-sphere in S^3 through -eps0 at (u, v) = (pi, 0)
-        stack = srf._stack
-        pos = lambda u, v: stack(np.cos(u) * np.cos(v), np.sin(u) * np.cos(v), np.sin(v), 0 * u)
-        jet = lambda u, v: srf.Jet(
-            pos(u, v),
-            stack(-np.sin(u) * np.cos(v), np.cos(u) * np.cos(v), 0 * v, 0 * u),
-            stack(-np.cos(u) * np.sin(v), -np.sin(u) * np.sin(v), np.cos(v), 0 * u),
-            stack(-np.cos(u) * np.cos(v), -np.sin(u) * np.cos(v), 0 * v, 0 * u),
-            stack(np.sin(u) * np.sin(v), -np.cos(u) * np.sin(v), 0 * v, 0 * u),
-            stack(-np.cos(u) * np.cos(v), -np.sin(u) * np.cos(v), -np.sin(v), 0 * u),
-        )
+        # a great 2-sphere in S^3 through -eps0 at (u, v) = (pi, 0): the unit
+        # sphere patch with a zero fourth coordinate
+        patch = srf.sphere_patch(1.0)
+        pad = lambda t: np.concatenate([t, 0 * t[..., :1]], axis=-1)
+        pos = lambda u, v: pad(patch.position(u, v))
+        jet = lambda u, v: srf.Jet(*map(pad, patch.jet(u, v)))
         s = srf.ParametricSurface("sphere", pos, ParamDomain(), name="great_sphere", jet=jet)
         image = srf.pushforward(s, "stereo")
         assert image.analytic
@@ -222,6 +218,42 @@ class TestPushforward:
             image.jet(u, v)
         away = image.jet(u[[0, 2]], v[[0, 2]])
         assert all(np.all(np.isfinite(t)) for t in away)
+
+
+def flow_curvature_derivative(s, U, V, d0, which, arc_step=1e-3):
+    """Derivative of principal curvature ``which`` along its own curvature
+    line, by a central difference between two short RK4 flows of the
+    direction field; ``d0`` is that field on the grid (U, V), the flows'
+    first stage and their orientation reference."""
+    field = "dir_" + which
+
+    def direction(p, ref):
+        d = getattr(srf.principal_curvatures(s, p[:, 0], p[:, 1]), field)
+        sgn = np.sign(np.sum(d * ref, axis=-1))
+        return d * np.where(sgn == 0, 1.0, sgn)[:, None]
+
+    d0 = d0.reshape(-1, 2)
+
+    def rk4(p, h):
+        k2 = direction(p + 0.5 * h * d0, d0)
+        k3 = direction(p + 0.5 * h * k2, d0)
+        k4 = direction(p + h * k3, d0)
+        return p + (h / 6.0) * (d0 + 2 * k2 + 2 * k3 + k4)
+
+    pts = np.stack([U.ravel(), V.ravel()], axis=-1)
+    fp, fm = (getattr(srf.principal_curvatures(s, q[:, 0], q[:, 1]), which)
+              for q in (rk4(pts, arc_step), rk4(pts, -arc_step)))
+    return ((fp - fm) / (2 * arc_step)).reshape(U.shape)
+
+
+def assert_dupin_with_margin(s, margin=100.0):
+    """classify calls s Dupin at its analytic tolerance, with both measured
+    derivatives at least ``margin`` times below it."""
+    out = srf.classify(s)
+    rep = out["report"]
+    assert rep["dupin_tol"] == srf.DUPIN_TOL
+    assert out["dupin"] is True
+    assert max(rep["dupin_derivative_a"], rep["dupin_derivative_c"]) * margin <= rep["dupin_tol"]
 
 
 class TestClassify:
@@ -242,6 +274,34 @@ class TestClassify:
         out2 = srf.classify(shifted)
         assert out1["isoparametric"] == out2["isoparametric"]
         assert out1["dupin"] == out2["dupin"]
+
+    def test_pointwise_derivatives_match_curvature_line_flows(self):
+        # reference: the derivative of each curvature along its own curvature
+        # line by a central difference between two short RK4 flows of the
+        # direction field, as classify measured it before exact 3-jets
+        s = srf.warped_torus()
+        U, V = s.domain.mesh()
+        data = srf.principal_curvatures(s, U, V)
+        for which in ("a", "c"):
+            flow = flow_curvature_derivative(s, U, V, getattr(data, "dir_" + which), which)
+            pointwise = getattr(data, "along_" + which)
+            assert np.max(np.abs(flow)) > 1e-2  # not Dupin: the fields measure something
+            assert np.max(np.abs(pointwise - flow)) < 1e-6, which
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(0.01, np.pi / 4))
+    def test_torus_stereo_dupin_margin(self, alpha):
+        assert_dupin_with_margin(srf.pushforward(srf.torus(alpha), "stereo"))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(0.05, 0.95))
+    def test_hyperboloid_hyp_stereo_dupin_margin(self, a):
+        assert_dupin_with_margin(srf.pushforward(srf.hyperboloid(a), "hyp_stereo"))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(C=st.floats(-5.0, 5.0))
+    def test_orbit_surface_dupin_margin(self, C):
+        assert_dupin_with_margin(orbit_surface(C))
 
     def test_singular_point_error(self):
         # a degenerate "surface" collapsing one direction
