@@ -90,6 +90,9 @@ class FrameField:
 
     ``partial_u`` / ``partial_v`` optionally hold analytic derivative grids of
     the same shape; when absent, finite differences are used downstream.
+    ``omega`` optionally holds the exact Maurer-Cartan form T^{-1} dT as a
+    1-form (2, ..., n, n) that broadcasts over the grid; it is left-invariant,
+    so left translation keeps it.
     """
 
     group: str
@@ -97,6 +100,7 @@ class FrameField:
     domain: ParamDomain
     partial_u: np.ndarray | None = None
     partial_v: np.ndarray | None = None
+    omega: np.ndarray | None = None
 
     def handle(self):
         return GROUPS[self.group]
@@ -109,18 +113,23 @@ class FrameField:
             self.group, g @ self.mats, self.domain,
             None if self.partial_u is None else g @ self.partial_u,
             None if self.partial_v is None else g @ self.partial_v,
+            self.omega,
         )
 
 
 def orbit_frame(group, M, X, Y, domain):
     """The frame field T = M e^{uX} e^{vY} on domain.grids(), with analytic
     partials T_u = (M e^{uX} X) e^{vY} and T_v = T Y; one mat_exp per
-    generator, over that generator's own grid axis."""
+    generator, over that generator's own grid axis.  Its Maurer-Cartan form
+    omega_u = e^{-vY} X e^{vY}, omega_v = Y depends on v only, and not on M,
+    so it is kept per v, shape (2, 1, nv, n, n)."""
     u, v = domain.grids()
     A = M @ mat_exp(u[:, None, None] * X)
-    B = mat_exp(v[:, None, None] * Y)[None]
+    B = mat_exp(v[:, None, None] * Y)
     T = A[:, None] @ B
-    return FrameField(group, T, domain, (A @ X)[:, None] @ B, T @ Y)
+    omega_u = GROUPS[group].inverse(B) @ X @ B
+    omega = np.stack([omega_u, np.broadcast_to(Y, omega_u.shape)])[:, None]
+    return FrameField(group, T, domain, (A @ X)[:, None] @ B, T @ Y, omega)
 
 
 @dataclass

@@ -27,6 +27,7 @@ class DegenerateLineError(GeometryError):
 
 QUADRIC_TOL = 1e-10
 DEGENERATE_FRACTION = 0.5  # fig7: above this singular share the projection is a curve
+PROJECTION_TOL = 1e-8  # fig7: largest accepted relative rounding bound of the projection
 
 
 def quadric_residual(v):
@@ -79,18 +80,45 @@ def make_line(S0, S1, tol=QUADRIC_TOL):
     return PencilLine(S0, S1)
 
 
-def spherical_projection(S0, S1):
-    """The unique point sphere on each line: the combination orthogonal to eps5,
-    returned as an R^{4,1} representative.  Vectorized over grids."""
+def _point_sphere(S0, S1):
+    """(a0, a1, sigma) with a_i = <S_i, eps5> and sigma = a1 S0 - a0 S1, the
+    combination orthogonal to eps5."""
     S0 = np.asarray(S0, dtype=float)
     S1 = np.asarray(S1, dtype=float)
     a0 = inner(S0, np.eye(6)[5], mt.R42)
     a1 = inner(S1, np.eye(6)[5], mt.R42)
+    return a0, a1, a1[..., None] * S0 - a0[..., None] * S1
+
+
+def spherical_projection(S0, S1):
+    """The unique point sphere on each line: the combination orthogonal to eps5,
+    returned as an R^{4,1} representative.  Vectorized over grids."""
+    a0, a1, w = _point_sphere(S0, S1)
     scale = np.maximum(np.abs(a0), np.abs(a1))
     if np.any(scale < 1e-12 * np.maximum(np.max(np.abs(S0), axis=-1), 1.0)):
         raise DegenerateLineError("line lies inside Moebius space (data error)")
-    w = a1[..., None] * S0 - a0[..., None] * S1
     return w[..., :5]
+
+
+def projection_precision(S0, S1):
+    """Relative rounding bound of spherical_projection over a grid: eps * kappa,
+    maximised, with kappa = (|a1| |S0| + |a0| |S1|) / |sigma| the condition
+    number of the cancellation in sigma = a1 S0 - a0 S1.  NaN or inf when the
+    representatives overflow."""
+    norm = lambda x: np.linalg.norm(x, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a0, a1, w = _point_sphere(S0, S1)
+        kappa = (np.abs(a1) * norm(S0) + np.abs(a0) * norm(S1)) / norm(w[..., :5])
+        return float(np.finfo(float).eps * np.max(kappa))
+
+
+def check_projection_precision(bound, tol=PROJECTION_TOL):
+    """Reject a projection whose rounding bound exceeds tol; a NaN bound fails."""
+    if not bound <= tol:
+        raise GeometryError(
+            f"the spherical projection has relative rounding bound {bound:.3e}, not within "
+            f"the tolerance {tol:g}; use a smaller boost"
+        )
 
 
 # --- Legendre maps ------------------------------------------------------------------
@@ -360,38 +388,48 @@ def coset_orbit(A, s_grid, t_grid):
     ff = orbit_frame("lie", M, *slice_generators(), domain)
     if not all(np.isfinite(F).all() for F in (ff.mats, ff.partial_u, ff.partial_v)):
         raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
-    lm = frame_line(ff)
-    _check_line_immersion(lm)
-    return lm, ff
+    _check_line_immersion(ff)
+    return frame_line(ff), ff
 
 
-def _check_line_immersion(lm, tol=1e-8):
+def line_motion_svals(ff):
+    """Singular values of the line's motion modulo itself, broadcasting over
+    the grid like ff.omega: along a Lie frame, dT0 and dT1 modulo [T0, T1] are
+    omega^2_0 T2 + omega^3_0 T3 and omega^2_1 T2 + omega^3_1 T3, with T2, T3
+    orthonormal, so these are the singular values of the 4x2 matrix of those
+    omega entries."""
+    w = ff.omega[..., 2:4, 0:2]                                   # (2, ..., 2, 2)
+    J = np.moveaxis(w.reshape(w.shape[:-2] + (4,)), 0, -1)      # (..., 4, 2)
+    return np.linalg.svd(J, compute_uv=False)
+
+
+def _check_line_immersion(ff, tol=1e-8):
     """The two line motions, taken modulo the pencil plane, must be
     independent at every grid point."""
-    u_basis = _pencil_complement(lm.S0, lm.S1)
-    m = np.concatenate([_component(u_basis, lm.dS0), _component(u_basis, lm.dS1)], axis=-1)
-    J = np.moveaxis(m, 0, -1)  # (..., 4, 2)
-    svals = np.linalg.svd(J, compute_uv=False)
-    dependent = svals[..., 1] < tol * max(float(np.max(svals)), 1.0)
+    svals = line_motion_svals(ff)
+    dependent = np.broadcast_to(svals[..., 1] < tol * max(float(np.max(svals)), 1.0),
+                                ff.mats.shape[:2])
     if dependent.any():
         nu, nv = dependent.shape
         raise GeometryError(
             f"the line motions of the coset orbit are dependent at {dependent.sum()} of the "
-            f"{nu}x{nv} grid points (a large boost leaves one below rounding); "
-            "use a smaller boost"
+            f"{nu}x{nv} grid points"
         )
 
 
 def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
     """Stereographic projection of the spherical projection of the boosted
     coset orbit; grid points with a rank-deficient first fundamental form are
-    flagged singular."""
+    flagged singular.  A boost whose projection has a relative rounding bound
+    above PROJECTION_TOL is rejected (see projection_precision)."""
     if s_grid is None:
         s_grid = np.linspace(-4.0, 4.0, 33)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
     with np.errstate(over="ignore", invalid="ignore"):  # coset_orbit rejects overflow
         lm, _ = coset_orbit(boost(boost_t), s_grid, t_grid)
+    bound = projection_precision(lm.S0, lm.S1)
+    check_projection_precision(bound)
     sig = spherical_projection(lm.S0, lm.S1)
     x = sf.moebius_to_sphere(sig)
     y, pole = sf.stereo_off_pole(x)
@@ -412,6 +450,7 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
         "singular_count": int(np.sum(singular)),
         "grid_size": int(singular.size),
         "degenerate": degenerate,
+        "projection_bound": bound,
     }
 
 

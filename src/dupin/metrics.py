@@ -172,6 +172,13 @@ def group_residual(T, metric):
     return float(np.max(np.abs(r)))
 
 
+def group_inverse(T, metric):
+    """gram^{-1} T^T gram, the inverse of a form-preserving T; exact for the
+    grams used here, whose entries are 0 and +-1."""
+    g = metric.gram
+    return np.linalg.inv(g) @ np.swapaxes(np.asarray(T, dtype=float), -1, -2) @ g
+
+
 def algebra_residual(X, metric):
     """Max-abs entry of X^T gram + gram X; zero iff X is in so(gram)."""
     X = np.asarray(X, dtype=float)
@@ -476,21 +483,25 @@ def e3_algebra_project(X):
 
 class MatrixGroup:
     """Uniform handle over the matrix groups used by the frame calculus: the
-    group's membership and algebra residuals and its projection onto the
-    algebra.  Metric groups take them from their Gram matrix."""
+    group's membership and algebra residuals, its inverse and its projection
+    onto the algebra.  Metric groups take them from their Gram matrix."""
 
-    def __init__(self, name, n, membership_residual, algebra_residual, algebra_project):
+    def __init__(self, name, n, membership_residual, algebra_residual, algebra_project,
+                 inverse):
         self.name, self.n = name, n
         self.membership_residual = membership_residual
         self.algebra_residual = algebra_residual
         self.algebra_project = algebra_project
+        self.inverse = inverse
 
     @classmethod
     def of_metric(cls, name, metric):
         return cls(name, metric.dim, lambda T: group_residual(T, metric),
-                   lambda X: algebra_residual(X, metric), lambda X: algebra_project(X, metric))
+                   lambda X: algebra_residual(X, metric), lambda X: algebra_project(X, metric),
+                   lambda T: group_inverse(T, metric))
 
 
 GROUPS = {name: MatrixGroup.of_metric(name, metric) for name, metric in
           (("so3", R3), ("so4", R4), ("so31", R31), ("moebius", MOEB), ("lie", LIE))}
-GROUPS["e3"] = MatrixGroup("e3", 4, e3_residual, e3_algebra_residual, e3_algebra_project)
+GROUPS["e3"] = MatrixGroup("e3", 4, e3_residual, e3_algebra_residual, e3_algebra_project,
+                           np.linalg.inv)

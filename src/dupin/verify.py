@@ -136,8 +136,10 @@ def suite_liesphere(tols):
     checks.append(check("identity_coset_sigma_rank",
                         ls.sigma_rank_report(lm_id)["max_second_singular_value"], 1e-10))
     out = ls.fig7_pipeline(1.0)
-    checks.append(check("fig7_singular_nonempty", 0.0,
+    checks.append(check("fig7_singular_nonempty", out["singular_count"] / out["grid_size"],
                         passed=0 < out["singular_count"] < out["grid_size"]))
+    checks.append(check("fig7_projection_precision", out["projection_bound"],
+                        ls.PROJECTION_TOL))
     return make_report("verify", {"suite": "liesphere"}, checks, tols)
 
 

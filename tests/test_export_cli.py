@@ -114,6 +114,8 @@ class TestCLI:
         ["fig7", "--t", "100"],
         ["gen", "cylinder", "--radius", "inf"], ["gen", "cylinder", "--radius", "nan"],
         *LARGE_C,
+        ["fig7", "--t", "20"], ["fig7", "--t=-20"],
+        ["fig7", "--t", "20", "--grid", "33x33"], ["fig7", "--t=-20", "--grid", "33x33"],
     ])
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     def test_orbit_fig7_bad_parameter_exit_code(self, tmp_path, capsys, argv):

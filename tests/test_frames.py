@@ -232,3 +232,14 @@ class TestLeftInvariance:
         mc2 = fr.pullback_mc(ff.left_translated(g))
         assert np.max(np.abs(mc1.omega_u - mc2.omega_u)) < 1e-9
         assert np.max(np.abs(mc1.omega_v - mc2.omega_v)) < 1e-9
+
+    def test_orbit_frame_omega(self):
+        # the exact form of an orbit frame is the pulled-back one, and left
+        # translation keeps it
+        X, Y = mt.algebra_project(RNG.normal(size=(2, 6, 6)), mt.LIE)
+        d = ParamDomain((-1.0, 1.0), (-1.0, 1.0), 6, 5, periodic_u=False, periodic_v=False)
+        M = mt.mat_exp(mt.algebra_project(RNG.normal(size=(6, 6)), mt.LIE))
+        ff = fr.orbit_frame("lie", M, X, Y, d)
+        assert ff.omega.shape == (2, 1, 5, 6, 6)
+        assert np.max(np.abs(fr.pullback_mc(ff).omega - ff.omega)) < 1e-12
+        assert ff.left_translated(M).omega is ff.omega

@@ -3,6 +3,7 @@ order conditions, the Dupin distribution, boosts, and coset orbits."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dupin import metrics as mt
 from dupin import liesphere as ls
@@ -334,6 +335,30 @@ class TestDistributionAndBoost:
         assert np.max(np.abs(B - np.eye(6))) < 1e-12
 
 
+def svd_path_svals(lm):
+    """Reference for ls.line_motion_svals: the complement of the line rebuilt
+    at every grid point from its epsilon-coordinate representatives."""
+    u_basis = ls._pencil_complement(lm.S0, lm.S1)
+    m = np.concatenate([ls._component(u_basis, lm.dS0), ls._component(u_basis, lm.dS1)],
+                       axis=-1)
+    return np.linalg.svd(np.moveaxis(m, 0, -1), compute_uv=False)
+
+
+def revolution_residual(out):
+    """Largest spread of z and of the distance from the z-axis along the
+    s-circles of a fig7 projection, over each circle's regular points (at
+    least 5)."""
+    y = out["points"]
+    ok = ~out["singular_mask"]
+    rho = np.hypot(y[..., 0], y[..., 1])
+    worst = 0.0
+    for j in range(y.shape[1]):
+        col = ok[:, j]
+        if np.sum(col) >= 5:
+            worst = max(worst, np.ptp(rho[col, j]), np.ptp(y[col, j, 2]))
+    return worst
+
+
 class TestCosetOrbit:
     def test_identity_coset_great_circle(self):
         s = np.linspace(-3, 3, 25)
@@ -382,14 +407,45 @@ class TestCosetOrbit:
     def test_fig7_surface_of_revolution(self):
         # the regular part is a surface of revolution about the z-axis:
         # each s-circle has constant z and constant distance from the axis
-        out = ls.fig7_pipeline(1.0)
-        y = out["points"]
-        ok = ~out["singular_mask"]
-        rho = np.sqrt(y[..., 0] ** 2 + y[..., 1] ** 2)
-        z = y[..., 2]
-        for j in range(0, y.shape[1], 4):
-            col = ok[:, j]
-            if np.sum(col) < 5:
-                continue
-            assert np.ptp(rho[col, j]) < 1e-8
-            assert np.ptp(z[col, j]) < 1e-8
+        assert revolution_residual(ls.fig7_pipeline(1.0)) < 1e-8
+
+    @pytest.mark.parametrize("A, n", [(np.eye(6), 25), (ls.boost(0.0), 33),
+                                      (ls.boost(1.0), 33), (ls.boost(5.0), 33)],
+                             ids=["identity", "t0", "t1", "t5"])
+    def test_line_motion_matches_svd_path(self, A, n):
+        s = np.linspace(-4.0, 4.0, n)
+        lm, ff = ls.coset_orbit(A, s, s)
+        ref = svd_path_svals(lm)
+        got = ls.line_motion_svals(ff)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+        # the slice generators are dual to theta^2 and theta^3
+        assert np.max(np.abs(got - 1.0)) < 1e-14
+
+
+class TestProjectionPrecision:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(t=st.floats(0.5, 15.0))
+    def test_revolution_residual_within_bound(self, t):
+        out = ls.fig7_pipeline(t)
+        assert revolution_residual(out) <= 10 * out["projection_bound"]
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.5, -1.5])
+    def test_margin_on_moderate_boosts(self, t):
+        assert 1e6 * ls.fig7_pipeline(t)["projection_bound"] <= ls.PROJECTION_TOL
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, 1.01e-8])
+    def test_guard_rejects(self, bound):
+        with pytest.raises(mt.GeometryError, match=r"rounding bound .*tolerance 1e-08"):
+            ls.check_projection_precision(bound)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_representatives(self):
+        s = np.linspace(-1.0, 1.0, 5)
+        lm, _ = ls.coset_orbit(np.eye(6), s, s)
+        assert not np.isfinite(ls.projection_precision(1e200 * lm.S0, 1e200 * lm.S1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [20.0, -20.0, 50.0, 400.0])
+    def test_large_boost_rejected(self, t):
+        with pytest.raises(mt.GeometryError, match="rounding bound"):
+            ls.fig7_pipeline(t)

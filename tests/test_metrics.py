@@ -125,6 +125,12 @@ class TestGroupAlgebraResiduals:
         X = X + X.T
         assert abs(mt.algebra_residual(X, mt.R3) - 2 * np.max(np.abs(X))) < 1e-12
 
+    def test_group_inverse(self):
+        for name, metric in [("so31", mt.R31), ("moebius", mt.MOEB), ("lie", mt.LIE)]:
+            T = mt.mat_exp(mt.algebra_project(RNG.normal(size=(2, metric.dim, metric.dim)),
+                                              metric))
+            assert np.allclose(mt.GROUPS[name].inverse(T) @ T, np.eye(metric.dim), atol=1e-12)
+
     def test_projection_lands_in_algebra(self):
         for metric in [mt.R3, mt.R31, mt.MOEB, mt.LIE]:
             X = RNG.normal(size=(metric.dim, metric.dim))
