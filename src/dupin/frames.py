@@ -78,10 +78,16 @@ def wedge(f, g):
 
 
 def coframe_solve(theta1, theta2, psi):
-    """Coefficients (x, y) of the 1-form psi = x theta1 + y theta2, pointwise."""
-    A = np.moveaxis(np.stack([theta1, theta2], axis=-1), 0, -2)
-    sol = np.linalg.solve(A, np.moveaxis(psi, 0, -1)[..., None])[..., 0]
-    return sol[..., 0], sol[..., 1]
+    """Coefficients (x, y) of the 1-form psi = x theta1 + y theta2, pointwise, by
+    Cramer's rule in the exterior algebra: x = psi^theta2 / theta1^theta2, y =
+    theta1^psi / theta1^theta2; GeometryError where either is not finite."""
+    det = wedge(theta1, theta2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, y = wedge(psi, theta2) / det, wedge(theta1, psi) / det
+    bad = int(np.sum(~(np.isfinite(x) & np.isfinite(y))))
+    if bad:
+        raise GeometryError(f"degenerate coframe: theta1^theta2 = 0 or inf/NaN at {bad} points")
+    return x, y
 
 
 @dataclass
@@ -162,23 +168,26 @@ class MCForm:
         return GROUPS[self.group].algebra_residual(self.omega)
 
 
+def _check_membership(ff, tol=1e-8):
+    r = ff.membership_residual()
+    if not r <= tol:
+        raise mt.MembershipError(f"frame field leaves the group (residual {r:.2e})")
+
+
 def pullback_mc(ff, membership_tol=1e-8):
-    """omega = e^{-1} de on the grid.
+    """omega = e^{-1} de on the grid, with no solve: e^{-1} is the group inverse,
+    gram^{-1} e^T gram (omega^i_j = gram^{ik} <e_k, de_j>) or E(3)'s e3_inverse.
 
     Analytic partials are used when the field carries them; otherwise grid
     derivatives (see grid_gradient).  The result is projected onto the algebra
     and the discarded mass is reported as projection noise.
     """
-    if ff.membership_residual() > membership_tol:
-        raise mt.MembershipError(
-            f"frame field leaves the group (residual {ff.membership_residual():.2e})"
-        )
+    _check_membership(ff, membership_tol)
     if ff.partial_u is not None and ff.partial_v is not None:
         de = (ff.partial_u, ff.partial_v)
     else:
         de = grid_differential(ff.mats, ff.domain)
-    # one solve against [de_u | de_v] factors each frame once
-    omega = np.stack(np.split(np.linalg.solve(ff.mats, np.concatenate(de, axis=-1)), 2, axis=-1))
+    omega = ff.handle().inverse(ff.mats) @ np.stack(de)
     p = ff.handle().algebra_project(omega)
     omega -= p  # in place: the discarded mass is only needed for its maximum
     return MCForm(ff.group, p, ff.domain, projection_noise=float(np.max(np.abs(omega))))
@@ -197,10 +206,13 @@ def structure_residual(mc):
 
 def congruence_test(e, e_tilde, tol=1e-8):
     """Two frame fields differ by one fixed group element iff g(m) =
-    e_tilde(m) e(m)^{-1} is constant; returns (congruent, mean g, deviation)."""
+    e_tilde(m) e(m)^{-1} is constant; returns (congruent, mean g, deviation).
+    e^{-1} is the group inverse, so both fields must lie in the group."""
     if e.group != e_tilde.group or e.mats.shape != e_tilde.mats.shape:
         raise GeometryError("congruence test needs matching grids and groups")
-    g = e_tilde.mats @ np.linalg.inv(e.mats)
+    for ff in (e, e_tilde):
+        _check_membership(ff)
+    g = e_tilde.mats @ e.handle().inverse(e.mats)
     g_mean = np.mean(g, axis=(0, 1))
     dev = float(np.max(np.abs(g - g_mean)))
     return {"congruent": dev < tol, "g": g_mean, "deviation": dev}

@@ -520,7 +520,7 @@ def coset_membership_residual(ff, sub=None):
     from scipy.linalg import logm  # the only scipy use; kept off the import path
 
     sub = sub or h_basis()
-    base_inv = np.linalg.inv(ff.mats[0, 0])
+    base_inv = ff.handle().inverse(ff.mats[0, 0])
     worst = 0.0
     nu, nv = ff.mats.shape[:2]
     for i in range(0, nu, max(nu // 6, 1)):

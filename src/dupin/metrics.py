@@ -188,11 +188,9 @@ def algebra_residual(X, metric):
 
 
 def algebra_project(X, metric):
-    """Projection of a matrix onto so(gram) along its g-symmetric complement."""
-    X = np.asarray(X, dtype=float)
-    g = metric.gram
-    ginv = np.linalg.inv(g)
-    return 0.5 * (X - ginv @ np.swapaxes(X, -1, -2) @ g)
+    """Projection of a matrix onto so(gram) along its g-symmetric complement,
+    (X - gram^{-1} X^T gram) / 2."""
+    return 0.5 * (np.asarray(X, dtype=float) - group_inverse(X, metric))
 
 
 def bracket(X, Y):
@@ -454,6 +452,16 @@ def e3_matrix(translation, rotation):
     return T
 
 
+def e3_inverse(T):
+    """[[1, 0], [y, A]]^{-1} = [[1, 0], [-A^T y, A^T]] for a rotation A."""
+    T = np.asarray(T, dtype=float)
+    inv = np.zeros_like(T)
+    inv[..., 0, 0] = 1.0
+    inv[..., 1:, 1:] = np.swapaxes(T[..., 1:, 1:], -1, -2)
+    inv[..., 1:, :1] = -inv[..., 1:, 1:] @ T[..., 1:, :1]
+    return inv
+
+
 def e3_residual(T):
     T = np.asarray(T, dtype=float)
     A = T[..., 1:, 1:]
@@ -504,4 +512,4 @@ class MatrixGroup:
 GROUPS = {name: MatrixGroup.of_metric(name, metric) for name, metric in
           (("so3", R3), ("so4", R4), ("so31", R31), ("moebius", MOEB), ("lie", LIE))}
 GROUPS["e3"] = MatrixGroup("e3", 4, e3_residual, e3_algebra_residual, e3_algebra_project,
-                           np.linalg.inv)
+                           e3_inverse)

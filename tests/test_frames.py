@@ -27,6 +27,14 @@ def exp_field(X_u, X_v, domain, group):
     return fr.FrameField(group, mats, domain)
 
 
+def random_field(group, domain):
+    """Frame field of independent random group elements exp(xi), xi a projected
+    Gaussian matrix; its grid derivatives are rough but finite."""
+    G = mt.GROUPS[group]
+    xi = G.algebra_project(RNG.normal(size=(domain.nu, domain.nv, G.n, G.n)))
+    return fr.FrameField(group, mt.mat_exp(xi), domain)
+
+
 def cylinder_distribution():
     """Generators of the Euclidean Dupin distribution at curvature a = 1:
     theta^3 = 0, omega^1_2 = 0, omega^3_1 = theta^1, omega^3_2 = 0."""
@@ -99,6 +107,52 @@ class TestPullback:
         with pytest.raises(mt.MembershipError):
             fr.pullback_mc(fr.FrameField("so3", mats, dom))
 
+    @pytest.mark.parametrize("group", sorted(mt.GROUPS))
+    def test_matches_linear_solve(self, group):
+        # oracle: the general LAPACK path e^{-1} de = solve(e, de), projected
+        dom = ParamDomain((0.0, 1.0), (0.0, 2.0), 7, 6, False, False)
+        ff = random_field(group, dom)
+        G = ff.handle()
+        raw = np.linalg.solve(ff.mats, fr.grid_differential(ff.mats, dom))
+        ref = G.algebra_project(raw)
+        mc = fr.pullback_mc(ff)
+        assert np.max(np.abs(mc.omega - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(mc.projection_noise - np.max(np.abs(raw - ref))) <= 1e-12 * np.max(np.abs(ref))
+        # and with analytic partials, which pullback_mc prefers
+        part = fr.FrameField(group, ff.mats, dom, *fr.grid_differential(ff.mats, dom))
+        assert np.max(np.abs(fr.pullback_mc(part).omega - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestCoframeSolve:
+    def test_matches_linear_solve(self):
+        # oracle: the batched 2x2 solve of [theta1 theta2] (x, y) = psi
+        theta1, theta2, psi = RNG.normal(size=(3, 2, 9, 7))
+        A = np.moveaxis(np.stack([theta1, theta2], axis=-1), 0, -2)
+        ref = np.linalg.solve(A, np.moveaxis(psi, 0, -1)[..., None])[..., 0]
+        x, y = fr.coframe_solve(theta1, theta2, psi)
+        assert np.max(np.abs(x - ref[..., 0])) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(y - ref[..., 1])) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(x * theta1 + y * theta2 - psi)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_degenerate_coframe_raises(self):
+        # theta1 ^ theta2 = 0 at one grid point: one GeometryError line, no inf/NaN
+        theta1, theta2, psi = RNG.normal(size=(3, 2, 9, 7))
+        theta2[:, 4, 3] = 2.0 * theta1[:, 4, 3]
+        assert fr.wedge(theta1, theta2)[4, 3] == 0.0
+        with pytest.raises(mt.GeometryError, match="at 1 points") as err:
+            fr.coframe_solve(theta1, theta2, psi)
+        assert "\n" not in str(err.value)
+        theta1[:, 4, 3] = theta2[:, 4, 3] = 0.0  # a vanishing coframe: 0/0
+        with pytest.raises(mt.GeometryError, match="at 1 points"):
+            fr.coframe_solve(theta1, theta2, psi)
+
+    def test_non_finite_coefficient_raises(self):
+        theta1, theta2, psi = RNG.normal(size=(3, 2, 9, 7))
+        psi[1, 0, 0] = np.nan
+        psi[0, 8, 6] = np.inf
+        with pytest.raises(mt.GeometryError, match="at 2 points"):
+            fr.coframe_solve(theta1, theta2, psi)
+
 
 class TestStructureResidual:
     def test_flat_pullback_small(self):
@@ -144,6 +198,29 @@ class TestCongruence:
             mats[i] = mats[i] @ mt.mat_exp(0.3 * np.sin(uu) * Y)
         out = fr.congruence_test(ff, fr.FrameField("so3", mats, dom))
         assert not out["congruent"]
+
+    @pytest.mark.parametrize("group", ["so3", "e3", "lie"])
+    def test_g_matches_linear_inverse(self, group):
+        # oracle: e_tilde e^{-1} with the LAPACK inverse
+        dom = ParamDomain(nu=6, nv=5)
+        ff = random_field(group, dom)
+        other = random_field(group, dom)
+        out = fr.congruence_test(ff, other)
+        ref = other.mats @ np.linalg.inv(ff.mats)
+        assert np.max(np.abs(out["g"] - ref.mean(axis=(0, 1)))) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(out["deviation"] - np.max(np.abs(ref - ref.mean(axis=(0, 1))))) \
+            <= 1e-12 * np.max(np.abs(ref))
+        assert not out["congruent"]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_membership_gate(self, which):
+        dom = ParamDomain(nu=6, nv=5)
+        fields = [random_field("so3", dom), random_field("so3", dom)]
+        off = fields[which].mats.copy()
+        off[2, 3] *= 1.0 + 1e-6  # a scaled rotation: residual about 2e-6
+        fields[which] = fr.FrameField("so3", off, dom)
+        with pytest.raises(mt.MembershipError, match="leaves the group"):
+            fr.congruence_test(*fields)
 
     def test_two_integrations_same_form(self):
         X1, X2 = cylinder_distribution()

@@ -114,17 +114,32 @@ def matches(got, want):
     return True
 
 
+def by_name(items):
+    """``{name: record}`` for a list of records with distinct ``name`` keys,
+    such as a report's checks; None for any other list."""
+    names = [x.get("name") if isinstance(x, dict) else None for x in items]
+    if None in names or len(set(names)) != len(names):
+        return None
+    return dict(zip(names, items))
+
+
 def keep_golden(got, want):
     """``got`` with each part that matches ``want`` replaced by ``want``'s.
-    Records of plain values, such as one check, are kept or replaced whole."""
+    Records of plain values, such as one check, are kept or replaced whole.
+    Lists of named records are matched by name, so a check added, removed or
+    moved leaves the others as they were; other lists match by position."""
     if matches(got, want):
         return want
     nested = lambda items: any(isinstance(x, (dict, list)) for x in items)
     if isinstance(got, dict) and isinstance(want, dict) and sorted(got) == sorted(want) \
             and nested(got.values()):
         return {k: keep_golden(got[k], want[k]) for k in got}
-    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want) and nested(got):
-        return [keep_golden(g, w) for g, w in zip(got, want)]
+    if isinstance(got, list) and isinstance(want, list) and nested(got):
+        old = by_name(want) if by_name(got) is not None else None
+        if old is not None:
+            return [keep_golden(g, old[g["name"]]) if g["name"] in old else g for g in got]
+        if len(got) == len(want):
+            return [keep_golden(g, w) for g, w in zip(got, want)]
     return got
 
 
@@ -218,6 +233,32 @@ def test_keep_golden_keeps_matching_records():
     assert merged["checks"][1] is got["checks"][1]   # a changed record: replaced whole
     assert merged["passed"] is False
     assert keep_golden(want, want) is want
+
+
+def test_keep_golden_matches_checks_by_name():
+    # a check inserted into verify all's report keeps every other check by
+    # identity, even where the new run moved it by round-off
+    with open(os.path.join(GOLDEN, VERIFY_ALL)) as fh:
+        want = json.load(fh)
+    got = json.loads(json.dumps(want))
+    for check in got["checks"]:
+        if isinstance(check.get("value"), float):
+            check["value"] *= 1.0 + 1e-14
+    new = {"name": "inserted", "value": 0.5, "tolerance": 1.0, "passed": True}
+    got["checks"].insert(len(got["checks"]) // 2, new)
+    merged = keep_golden(got, want)
+    assert len(merged["checks"]) == len(want["checks"]) + 1
+    kept = [c for c in merged["checks"] if c is not new]
+    assert len(kept) == len(want["checks"]) and new in merged["checks"]
+    assert all(k is w for k, w in zip(kept, want["checks"]))
+    # a check that really moved is replaced whole, and a removed one is gone
+    got["checks"][0]["value"] += 1.0
+    del got["checks"][-1]
+    merged = keep_golden(got, want)
+    old = {c["name"]: c for c in want["checks"]}
+    assert merged["checks"][0] is got["checks"][0]
+    assert all(c is old[c["name"]] for c in merged["checks"][1:] if c is not new)
+    assert [c["name"] for c in merged["checks"]] == [c["name"] for c in got["checks"]]
 
 
 if __name__ == "__main__":

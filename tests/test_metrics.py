@@ -126,10 +126,13 @@ class TestGroupAlgebraResiduals:
         assert abs(mt.algebra_residual(X, mt.R3) - 2 * np.max(np.abs(X))) < 1e-12
 
     def test_group_inverse(self):
-        for name, metric in [("so31", mt.R31), ("moebius", mt.MOEB), ("lie", mt.LIE)]:
-            T = mt.mat_exp(mt.algebra_project(RNG.normal(size=(2, metric.dim, metric.dim)),
-                                              metric))
-            assert np.allclose(mt.GROUPS[name].inverse(T) @ T, np.eye(metric.dim), atol=1e-12)
+        assert sorted(mt.GROUPS) == ["e3", "lie", "moebius", "so3", "so31", "so4"]
+        for G in mt.GROUPS.values():
+            T = mt.mat_exp(G.algebra_project(RNG.normal(size=(2, G.n, G.n))))
+            assert np.allclose(G.inverse(T) @ T, np.eye(G.n), atol=1e-12), G.name
+            assert np.allclose(T @ G.inverse(T), np.eye(G.n), atol=1e-12), G.name
+            assert np.allclose(G.inverse(T), np.linalg.inv(T), atol=1e-12), G.name
+            assert G.inverse(T[0]).shape == (G.n, G.n)
 
     def test_projection_lands_in_algebra(self):
         for metric in [mt.R3, mt.R31, mt.MOEB, mt.LIE]:
