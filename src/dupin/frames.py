@@ -148,22 +148,6 @@ class MCForm:
     domain: ParamDomain
     projection_noise: float = 0.0
 
-    @property
-    def omega_u(self):
-        return self.omega[0]
-
-    @property
-    def omega_v(self):
-        return self.omega[1]
-
-    @property
-    def du(self):
-        return self.domain.du
-
-    @property
-    def dv(self):
-        return self.domain.dv
-
     def algebra_residual(self):
         return GROUPS[self.group].algebra_residual(self.omega)
 
@@ -246,7 +230,7 @@ def integrate_mc(mc, base, integrability_tol=5e-2, order="rows"):
 
 def _integrate(mc, base, rows_first):
     # Columns-first is rows-first with the roles of u and v exchanged.
-    (a, b), da, db = mc.omega, mc.du, mc.dv
+    (a, b), da, db = mc.omega, mc.domain.du, mc.domain.dv
     if not rows_first:
         a, b, da, db = b.swapaxes(0, 1), a.swapaxes(0, 1), db, da
     step_a = mat_exp(da * (0.5 * (a[:-1, 0] + a[1:, 0])))

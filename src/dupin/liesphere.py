@@ -431,7 +431,7 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
     bound = projection_precision(lm.S0, lm.S1)
     check_projection_precision(bound)
     sig = spherical_projection(lm.S0, lm.S1)
-    x = sf.moebius_to_sphere(sig)
+    x, on_chart = sf.moebius_chart(sig, "sphere")
     y, pole = sf.stereo_off_pole(x)
     yu, yv = grid_differential(y, lm.domain)
     E = np.sum(yu * yu, axis=-1)
@@ -442,7 +442,7 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
     # shrinking the cut to round-off itself
     scale = max(float(np.median(E) * np.median(Gc)), 1e-16 * float(np.median(E + Gc)) ** 2,
                 1e-30)
-    singular = (det < rank_tol * scale) | pole
+    singular = (det < rank_tol * scale) | pole | ~on_chart
     degenerate = bool(np.mean(singular) > DEGENERATE_FRACTION)
     return {
         "points": y,
@@ -514,20 +514,11 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
     return coeffs, res
 
 
-def coset_membership_residual(ff, sub=None):
-    """Max distance of log(T(0,0)^{-1} T(u,v)) from the subalgebra span: a
-    numerical certificate that the frame field stays in one right coset."""
-    from scipy.linalg import logm  # the only scipy use; kept off the import path
-
-    sub = sub or h_basis()
-    base_inv = ff.handle().inverse(ff.mats[0, 0])
-    worst = 0.0
-    nu, nv = ff.mats.shape[:2]
-    for i in range(0, nu, max(nu // 6, 1)):
-        for j in range(0, nv, max(nv // 6, 1)):
-            W = base_inv @ ff.mats[i, j]
-            L = logm(W)
-            if np.max(np.abs(np.imag(L))) > 1e-8:
-                continue  # outside the log chart; skip the sample
-            worst = max(worst, mt.span_projection_residual(np.real(L), sub))
-    return worst
+def coset_membership_residual(ff):
+    """Largest value of the h_constraints() functionals on the frame's
+    Maurer-Cartan form over the grid: omega lies in h everywhere iff the
+    frame field stays in the one right coset T(0, 0) H (the domain is
+    connected)."""
+    w = pullback_mc(ff).omega
+    return max(float(np.max(np.abs(sum(c * w[..., a, b] for (a, b), c in con.items()))))
+               for con in h_constraints())

@@ -40,7 +40,6 @@ class Metric:
 
     name: str
     gram: np.ndarray
-    basis_tag: str = "epsilon"
     dual_index: tuple = field(init=False)
     eta: tuple = field(init=False)
 
@@ -109,8 +108,8 @@ def _clean(g):
     return np.where(np.abs(g - np.round(g)) < 1e-12, np.round(g), g)
 
 
-R41_DELTA = Metric("R41_delta", _clean(P_DELTA.T @ R41.gram @ P_DELTA), basis_tag="delta")
-R42_LAMBDA = Metric("R42_lambda", _clean(P_LAMBDA.T @ R42.gram @ P_LAMBDA), basis_tag="lambda")
+R41_DELTA = Metric("R41_delta", _clean(P_DELTA.T @ R41.gram @ P_DELTA))
+R42_LAMBDA = Metric("R42_lambda", _clean(P_LAMBDA.T @ R42.gram @ P_LAMBDA))
 
 MOEB = R41_DELTA   # Moebius group metric (5x5, delta basis)
 LIE = R42_LAMBDA   # Lie sphere group metric (6x6, lambda basis)

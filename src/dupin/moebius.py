@@ -133,28 +133,16 @@ def curvature_sphere_params(mc, i, j, double_root_tol=1e-12):
 
 # --- canonical adapted frames -----------------------------------------------------
 
-_EPS = np.eye(5)
-_NINF = 0.5 * (_EPS[4] - _EPS[0])
-# space form -> (slots, o, w, xi, K).  A point x of the form of curvature K
-# lifts to the null vector F = pad(x) + o + |x|^2 w, x placed in ``slots`` and
-# w = 0 off R^3, normalised by <F, xi> = -1; so q[slots] / (-<q, xi>) is the
-# form's quotient chart
-_LIFTS = {
-    "sphere": (slice(0, 4), _EPS[4], np.zeros(5), _EPS[4], 1.0),
-    "euclidean": (slice(1, 4), 0.5 * (_EPS[0] + _EPS[4]), _NINF, 2.0 * _NINF, 0.0),
-    "hyperbolic": (slice(1, 5), _EPS[0], np.zeros(5), -_EPS[0], -1.0),
-}
-
-
 def _lifted_frame(form, x, e1, e2, e3):
     """V = [F E1 E2 E3 G] (..., 5, 5) in epsilon coordinates: the null lift F
-    of x, E_k = dF_x(e_k) for the tangent frame and normal, and the null
-    G = xi + <xi, xi>/2 F = xi - (K/2) F with <F, G> = -1."""
-    slots, o, w, xi, K = _LIFTS[form]
-    S = _EPS[slots]
-    E = [t @ S + 2.0 * np.sum(x * t, axis=-1)[..., None] * w for t in (e1, e2, e3)]
-    F = x @ S + o + np.sum(x * x, axis=-1)[..., None] * w
-    return np.stack([F, *E, xi - 0.5 * K * F], axis=-1)
+    of x (``sf.embed_moebius``), E_k = dF_x(e_k) for the tangent frame and
+    normal, and the null G = xi + <xi, xi>/2 F = xi - (K/2) F with <F, G> = -1,
+    from the form's row of ``sf.SPACE_FORMS``."""
+    row = sf.space_form(form)
+    S = np.eye(5)[row.slots]
+    E = [t @ S + 2.0 * np.sum(x * t, axis=-1)[..., None] * row.w for t in (e1, e2, e3)]
+    F = sf.embed_moebius(x, form)
+    return np.stack([F, *E, row.xi - 0.5 * row.K * F], axis=-1)
 
 
 def _adapted_mix(a, c):
@@ -191,7 +179,7 @@ def canonical_best_frame(surface):
     """Adapted Moebius frame field P_DELTA^T V M(a, c) along a catalog surface
     (torus in S^3, cylinder in R^3, hyperboloid in H^3) with constant
     principal curvatures a < c: V = [F E1 E2 E3 G] lifts the surface's
-    principal frame by its space form's row of ``_LIFTS``, and the analytic
+    principal frame by its space form's row of ``sf.SPACE_FORMS``, and the analytic
     partials P_DELTA^T dV M come from the structure equations (see
     ``_lifted_connection``)."""
     if surface.frame is None or not hasattr(surface, "constant_curvatures"):
@@ -203,7 +191,7 @@ def canonical_best_frame(surface):
     x, xu, xv = surface.jet(*uv)[:3]
     e = surface.frame(*uv)
     V = _lifted_frame(surface.form, x, *e)
-    K = _LIFTS[surface.form][4]
+    K = sf.space_form(surface.form).K
     VA = [V @ _lifted_connection(k, kappa, K) for k, kappa in ((1, a), (2, c))]
     P = mt.P_DELTA.T
     partials = [
@@ -388,22 +376,6 @@ def canonical_base_frame(C):
 _REGIME_FORM = {"torus": "sphere", "cylinder": "euclidean", "hyperboloid": "hyperbolic"}
 
 
-def _quotient_chart(form):
-    """(numerator slots, denominator coordinates) of the form's quotient chart
-    q[slots] / (-<q, xi>) on epsilon coordinates, read off ``_LIFTS``: every
-    xi there makes -<q, xi> a plain sum of coordinates (q4, q0 + q4, q0)."""
-    slots, xi = _LIFTS[form][0], _LIFTS[form][3]
-    return slots, tuple(int(k) for k in np.flatnonzero(-mt.R41.gram @ xi))
-
-
-def _chart(form, q):
-    """The form's chart of epsilon-coordinate points q: (x, valid)."""
-    if form == "sphere":
-        x = sf.moebius_to_sphere(q)
-        return x, np.ones(x.shape[:-1], dtype=bool)
-    return (sf.moebius_to_euclidean if form == "euclidean" else sf.moebius_to_hyperbolic)(q)
-
-
 def hc_orbit(C, s_grid, t_grid):
     """Orbit surface base * exp(s X1) exp(t X2) [delta0] of the h_C subgroup,
     pulled back to the space form indicated by the regime of C; chart failures
@@ -426,7 +398,7 @@ def hc_orbit(C, s_grid, t_grid):
     pts = mt.projective_normalize(pts)
     regime = hc_regime(C)
     form = _REGIME_FORM[regime]
-    chart, valid = _chart(form, mt.change_basis(pts, 5, "delta", "epsilon"))
+    chart, valid = sf.moebius_chart(mt.change_basis(pts, 5, "delta", "epsilon"), form)
     chart[~valid] = 0.0 if form == "euclidean" else np.eye(4)[3]
     return OrbitResult(C, regime, pts, chart, valid)
 
@@ -452,7 +424,7 @@ def orbit_surface(C, domain=None):
         nu=32, nv=32, periodic_u=False, periodic_v=False,
     )
     form = _REGIME_FORM[hc_regime(C)]
-    num, den = _quotient_chart(form)
+    num, den = sf.quotient_chart(form)
 
     def lift(u, v, partials):
         """q, and with ``partials`` its nine partials, in epsilon coordinates."""
@@ -470,7 +442,7 @@ def orbit_surface(C, domain=None):
         return Jet(q, *np.moveaxis(A @ R, -1, 0))
 
     def chart(q):
-        x, ok = _chart(form, q)
+        x, ok = sf.moebius_chart(q, form)
         if not np.all(ok):
             raise GeometryError(f"orbit point escapes the {form} chart")
         return x

@@ -10,6 +10,8 @@ Coordinate conventions (arrays, vectorized over leading axes):
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import metrics as mt
@@ -100,105 +102,85 @@ def poincare_factor(y):
     return 2.0 / (1.0 - y2)
 
 
-# --- embeddings into Moebius space (epsilon-basis representatives) -----------
+# --- the space forms in Moebius space ----------------------------------------
 
-def embed_sphere(x):
-    """f_+: S^3 point -> null lift x + eps4 in R^{4,1}."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (5,))
-    out[..., :4] = x
-    out[..., 4] = 1.0
-    return out
+class SpaceForm(NamedTuple):
+    """How a space form of curvature K sits in Moebius space (epsilon
+    coordinates).  A point x, with ambient metric ``metric``, lifts to the
+    null vector F = pad(x) + o + |x|^2 w, x placed in ``slots`` and w = 0
+    off R^3, normalised by <F, xi> = -1; so q[slots] / (-<q, xi>) is the
+    form's quotient chart and ``group`` acts on the slots."""
 
-
-def embed_euclidean(y):
-    """f_0 = f_+ o stereo_inv, cleared of denominators:
-    (1-|y|^2) eps0 + 2y + (1+|y|^2) eps4."""
-    y = np.asarray(y, dtype=float)
-    y2 = np.sum(y * y, axis=-1)
-    out = np.empty(y.shape[:-1] + (5,))
-    out[..., 0] = 1.0 - y2
-    out[..., 1:4] = 2.0 * y
-    out[..., 4] = 1.0 + y2
-    return out
+    metric: mt.Metric
+    slots: slice
+    o: np.ndarray
+    w: np.ndarray
+    xi: np.ndarray
+    K: float
+    group: str
 
 
-def embed_hyperbolic(x):
-    """f_-: H^3 point -> x + eps0 (composition of the two chart maps)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (5,))
-    out[..., 0] = 1.0
-    out[..., 1:] = x
-    return out
+_E = np.eye(5)
+_NINF = 0.5 * (_E[4] - _E[0])
+SPACE_FORMS = {
+    "sphere": SpaceForm(mt.R4, slice(0, 4), _E[4], np.zeros(5), _E[4], 1.0, "O(4)"),
+    "euclidean": SpaceForm(mt.R3, slice(1, 4), 0.5 * (_E[0] + _E[4]), _NINF, 2.0 * _NINF, 0.0,
+                           "E(3)"),
+    "hyperbolic": SpaceForm(mt.R31, slice(1, 5), _E[0], np.zeros(5), -_E[0], -1.0, "O(3,1)"),
+}
+
+
+def space_form(form):
+    """The ``SPACE_FORMS`` row of a form; DomainError for an unknown form."""
+    if form not in SPACE_FORMS:
+        raise DomainError(f"unknown space form {form!r}")
+    return SPACE_FORMS[form]
 
 
 def embed_moebius(p, form):
-    """Null lift of a space-form point; epsilon-basis representative."""
-    if form == "sphere":
-        return embed_sphere(p)
-    if form == "euclidean":
-        return embed_euclidean(p)
-    if form == "hyperbolic":
-        return embed_hyperbolic(p)
-    raise DomainError(f"unknown space form {form!r}")
+    """Null lift F = pad(p) + o + |p|^2 w of space-form points (f_+, f_0, f_-
+    for S^3, R^3, H^3); epsilon-basis representative with <F, xi> = -1."""
+    row = space_form(form)
+    p = np.asarray(p, dtype=float)
+    F = np.zeros(p.shape[:-1] + (5,))
+    F[..., row.slots] = p
+    return F + row.o + np.sum(p * p, axis=-1)[..., None] * row.w
 
 
-# --- inverse charts on Moebius space ------------------------------------------
+def quotient_chart(form):
+    """(numerator slots, denominator coordinates) of the form's chart
+    q[slots] / (-<q, xi>): every xi in ``SPACE_FORMS`` makes -<q, xi> a plain
+    sum of coordinates (q4, q0 + q4, q0)."""
+    row = space_form(form)
+    return row.slots, tuple(int(k) for k in np.flatnonzero(-mt.R41.gram @ row.xi))
 
-def moebius_to_sphere(q):
-    """Global chart f_+^{-1}: [q] -> q_{0:4}/q_4 (epsilon coordinates)."""
+
+def moebius_chart(q, form):
+    """Inverse chart of the form on epsilon-coordinate points q:
+    x = q[slots] / (-<q, xi>), valid where |<q, xi>| > 1e-12 max|q| and, on
+    the two-sheeted hyperboloid (K < 0), on the upper sheet x4 > 0.
+    Returns (x, valid)."""
+    slots, den = quotient_chart(form)
     q = np.asarray(q, dtype=float)
-    return q[..., :4] / q[..., 4][..., None]
-
-
-def moebius_to_euclidean(q):
-    """Chart f_0^{-1}: y = (q1,q2,q3)/(q0+q4); returns (y, valid_mask)."""
-    q = np.asarray(q, dtype=float)
-    den = q[..., 0] + q[..., 4]
-    scale = np.max(np.abs(q), axis=-1)
-    valid = np.abs(den) > 1e-12 * scale
-    safe = np.where(valid, den, 1.0)
-    return q[..., 1:4] / safe[..., None], valid
-
-
-def moebius_to_hyperbolic(q):
-    """Chart f_-^{-1}: x = (q1..q4)/q0 on the upper sheet; (x, valid)."""
-    q = np.asarray(q, dtype=float)
-    den = q[..., 0]
-    scale = np.max(np.abs(q), axis=-1)
-    valid = np.abs(den) > 1e-12 * scale
-    safe = np.where(valid, den, 1.0)
-    x = q[..., 1:] / safe[..., None]
-    valid = valid & (x[..., 3] > 0)
+    d = q[..., list(den)].sum(axis=-1)
+    valid = np.abs(d) > 1e-12 * np.max(np.abs(q), axis=-1)
+    x = q[..., slots] / np.where(valid, d, 1.0)[..., None]
+    if SPACE_FORMS[form].K < 0:
+        valid &= x[..., -1] > 0
     return x, valid
 
 
 # --- equivariant group embeddings into the Moebius group ---------------------
 
-def _to_delta_frame(T_eps):
-    return mt.change_basis(T_eps, 5, "epsilon", "delta", kind="operator")
-
-
 def group_embed(g, form):
     """Monomorphism into the Moebius group (delta-basis matrix).
 
-    form='sphere':     g in SO(4), acts on span{eps0..eps3}, fixes eps4.
+    form='sphere', 'hyperbolic': g in O(4) or O(3,1) acts on the form's slots
+    (span{eps0..eps3} or span{eps1..eps4}) and fixes the rest.
     form='euclidean':  g = (y, A) as a 4x4 E(3) matrix.
-    form='hyperbolic': g in SO(3,1) on span{eps1..eps4}, fixes eps0.
     """
+    row = space_form(form)
     g = np.asarray(g, dtype=float)
-    if form == "sphere":
-        if mt.group_residual(g, mt.R4) > 1e-8:
-            raise mt.MembershipError("not an O(4) matrix")
-        T = np.eye(5)
-        T[:4, :4] = g
-        return _to_delta_frame(T)
-    if form == "hyperbolic":
-        if mt.group_residual(g, mt.R31) > 1e-8:
-            raise mt.MembershipError("not an O(3,1) matrix")
-        T = np.eye(5)
-        T[1:, 1:] = g
-        return _to_delta_frame(T)
     if form == "euclidean":
         if mt.e3_residual(g) > 1e-8:
             raise mt.MembershipError("not a Euclidean motion matrix")
@@ -212,7 +194,11 @@ def group_embed(g, form):
         rot = np.eye(5)
         rot[1:4, 1:4] = A
         return T @ rot
-    raise DomainError(f"unknown space form {form!r}")
+    if mt.group_residual(g, row.metric) > 1e-8:
+        raise mt.MembershipError(f"not an {row.group} matrix")
+    T = np.eye(5)
+    T[row.slots, row.slots] = g
+    return mt.change_basis(T, 5, "epsilon", "delta", kind="operator")
 
 
 def embed_moebius_delta(p, form):

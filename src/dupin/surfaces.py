@@ -77,9 +77,6 @@ class ParamDomain:
         )
 
 
-_FORM_METRIC = {"euclidean": mt.R3, "sphere": mt.R4, "hyperbolic": mt.R31}
-
-
 class Jet(NamedTuple):
     """Position and its partials up to third order at (u, v), each (..., dim)."""
     x: np.ndarray
@@ -125,7 +122,7 @@ class ParametricSurface:
 
     @property
     def metric(self):
-        return _FORM_METRIC[self.form]
+        return sf.space_form(self.form).metric
 
     @cached_property
     def orientation(self):
@@ -176,7 +173,7 @@ class ParametricSurface:
         if self.form == "sphere":
             return float(np.max(np.abs(np.sum(x * x, axis=-1) - 1.0)))
         if self.form == "hyperbolic":
-            return float(np.max(np.abs(mt.inner(x, x, mt.R31) + 1.0)))
+            return float(np.max(np.abs(mt.inner(x, x, self.metric) + 1.0)))
         return 0.0
 
 

@@ -71,8 +71,8 @@ class TestPullback:
         dom = ParamDomain(nu=8, nv=8)
         mats = np.broadcast_to(np.eye(3), (8, 8, 3, 3)).copy()
         mc = fr.pullback_mc(fr.FrameField("so3", mats, dom))
-        assert np.max(np.abs(mc.omega_u)) == 0.0
-        assert np.max(np.abs(mc.omega_v)) == 0.0
+        assert np.max(np.abs(mc.omega[0])) == 0.0
+        assert np.max(np.abs(mc.omega[1])) == 0.0
 
     def test_exponential_field_recovers_generator(self):
         # oracle: e(u) = exp(uX) has omega_u identically X
@@ -80,15 +80,15 @@ class TestPullback:
         dom = ParamDomain(nu=64, nv=8)
         ff = exp_field(X, np.zeros((3, 3)), dom, "so3")
         mc = fr.pullback_mc(ff)
-        assert np.max(np.abs(mc.omega_u - X)) < 1e-5
-        assert np.max(np.abs(mc.omega_v)) < 1e-12
+        assert np.max(np.abs(mc.omega[0] - X)) < 1e-5
+        assert np.max(np.abs(mc.omega[1])) < 1e-12
 
     def test_cylinder_best_frame_forms(self):
         mc = fr.pullback_mc(srf.euclidean_best_frame(srf.cylinder(1.0)))
-        th3 = max(np.max(np.abs(mc.omega_u[..., 3, 0])), np.max(np.abs(mc.omega_v[..., 3, 0])))
+        th3 = max(np.max(np.abs(mc.omega[0][..., 3, 0])), np.max(np.abs(mc.omega[1][..., 3, 0])))
         assert th3 < 1e-6
         # omega^3_2 = c theta^2 with c = 1
-        r = mc.omega_v[..., 3, 2] - mc.omega_v[..., 2, 0]
+        r = mc.omega[1][..., 3, 2] - mc.omega[1][..., 2, 0]
         assert np.max(np.abs(r)) < 1e-4
 
     def test_orbit_frame_recovers_commuting_generators(self):
@@ -307,8 +307,8 @@ class TestLeftInvariance:
         g = mt.e3_matrix([1.0, -2.0, 0.5], mt.mat_exp(mt.algebra_project(RNG.normal(size=(3, 3)), mt.R3)))
         mc1 = fr.pullback_mc(ff)
         mc2 = fr.pullback_mc(ff.left_translated(g))
-        assert np.max(np.abs(mc1.omega_u - mc2.omega_u)) < 1e-9
-        assert np.max(np.abs(mc1.omega_v - mc2.omega_v)) < 1e-9
+        assert np.max(np.abs(mc1.omega[0] - mc2.omega[0])) < 1e-9
+        assert np.max(np.abs(mc1.omega[1] - mc2.omega[1])) < 1e-9
 
     def test_orbit_frame_omega(self):
         # the exact form of an orbit frame is the pulled-back one, and left

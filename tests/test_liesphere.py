@@ -10,7 +10,7 @@ from dupin import liesphere as ls
 from dupin import moebius as mb
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
-from dupin.frames import pullback_mc, FrameField
+from dupin.frames import pullback_mc, FrameField, orbit_frame
 from dupin.surfaces import ParamDomain
 
 RNG = np.random.default_rng(4242)
@@ -53,7 +53,7 @@ class TestInclusions:
     def test_point_inclusion_orthogonal_to_eps5(self):
         m, r = np.array([0.0, 1.0, 0, 0]), 0.9
         x = sf.stereo_inv(RNG.normal(size=(50, 3)))
-        q = ls.include_point(sf.embed_sphere(x))
+        q = ls.include_point(sf.embed_moebius(x, "sphere"))
         assert np.max(np.abs(mt.inner(q, np.eye(6)[5], mt.R42))) < 1e-14
         assert ls.quadric_residual(q) < 1e-12
         S = mb.sphere_to_vec(m, r)
@@ -62,7 +62,7 @@ class TestInclusions:
 
     def test_projection_recovers_point(self):
         x = sf.stereo_inv(np.array([0.2, -0.4, 0.7]))
-        F = sf.embed_sphere(x)
+        F = sf.embed_moebius(x, "sphere")
         e3 = srf.surface_normal(srf.torus(np.pi / 4), np.array(0.0), np.array(0.0))
         # any sphere through the point: use a tangent-style vector orthogonal to F
         S = mb.tangent_sphere(x, _unit_orthogonal(x), 1.1)
@@ -149,7 +149,7 @@ class TestExampleImmersion:
 
     def test_projection_is_great_circle(self):
         sig = ls.spherical_projection(self.lm.S0, self.lm.S1)
-        x = sf.moebius_to_sphere(sig)
+        x, _ = sf.moebius_chart(sig, "sphere")
         # f_+ of the circle cos u eps0 + sin u eps3
         assert np.max(np.abs(x[..., 1])) < 1e-12
         assert np.max(np.abs(x[..., 2])) < 1e-12
@@ -174,7 +174,7 @@ class TestLegendreLift:
         a, c = s.constant_curvatures
         kappa = a if branch == "a" else c
         S = mb.tangent_sphere(x, e3, np.arctan2(1.0, kappa))
-        F = sf.embed_sphere(x)
+        F = sf.embed_moebius(x, "sphere")
         return ls.legendre_lift(F, S, s.domain), s
 
     def test_torus_lift_contact(self):
@@ -185,7 +185,7 @@ class TestLegendreLift:
     def test_projection_recovers_surface(self):
         lm, s = self.torus_lift()
         sig = ls.spherical_projection(lm.S0, lm.S1)
-        x = sf.moebius_to_sphere(sig)
+        x, _ = sf.moebius_chart(sig, "sphere")
         U, V = s.domain.mesh()
         assert np.max(np.abs(x - s.position(U, V))) < 1e-10
 
@@ -199,7 +199,7 @@ class TestLegendreLift:
         U, V = s.domain.mesh()
         y = s.position(U, V)
         e1, e2, nu = s.frame(U, V)
-        Fhat = sf.embed_euclidean(y) / 2.0
+        Fhat = sf.embed_moebius(y, "euclidean")
         ninf = np.zeros(5)
         ninf[0], ninf[4] = -0.5, 0.5
         E3 = _pad_mid(nu) + (2.0 * np.sum(y * nu, axis=-1))[..., None] * ninf
@@ -219,7 +219,7 @@ class TestLegendreLift:
         e1, _, e3 = s.frame(U, V)
         bad = mb.tangent_sphere(x, (e3 + 0.4 * e1) / np.linalg.norm(e3 + 0.4 * e1, axis=-1, keepdims=True), 1.0)
         with pytest.raises(mt.GeometryError):
-            ls.legendre_lift(sf.embed_sphere(x), bad, s.domain)
+            ls.legendre_lift(sf.embed_moebius(x, "sphere"), bad, s.domain)
 
     def test_figure1_lift_dupin(self):
         # Euclidean lift of the stereographic torus image (a Dupin cyclide)
@@ -228,7 +228,7 @@ class TestLegendreLift:
         y = s.position(U, V)
         n = srf.surface_normal(s, U, V)
         d = srf.principal_curvatures(s, U, V)
-        Fhat = sf.embed_euclidean(y) / 2.0
+        Fhat = sf.embed_moebius(y, "euclidean")
         ninf = np.zeros(5)
         ninf[0], ninf[4] = -0.5, 0.5
         E3 = _pad_mid(n) + (2.0 * np.sum(y * n, axis=-1))[..., None] * ninf
@@ -243,7 +243,7 @@ class TestLegendreLift:
         y = s.position(U, V)
         n = srf.surface_normal(s, U, V)
         d = srf.principal_curvatures(s, U, V)
-        Fhat = sf.embed_euclidean(y) / 2.0
+        Fhat = sf.embed_moebius(y, "euclidean")
         ninf = np.zeros(5)
         ninf[0], ninf[4] = -0.5, 0.5
         E3 = _pad_mid(n) + (2.0 * np.sum(y * n, axis=-1))[..., None] * ninf
@@ -288,8 +288,8 @@ class TestBestLieFrame:
         A = ls.boost(0.8)
         mc1 = pullback_mc(ff)
         mc2 = pullback_mc(ff.left_translated(A))
-        assert np.max(np.abs(mc1.omega_u - mc2.omega_u)) < 1e-9
-        assert np.max(np.abs(mc1.omega_v - mc2.omega_v)) < 1e-9
+        assert np.max(np.abs(mc1.omega[0] - mc2.omega[0])) < 1e-9
+        assert np.max(np.abs(mc1.omega[1] - mc2.omega[1])) < 1e-9
         _, res1 = ls.best_lie_frame_check(ff)
         _, res2 = ls.best_lie_frame_check(ff.left_translated(A))
         for k in ("order1", "order2", "order3", "contact"):
@@ -297,6 +297,15 @@ class TestBestLieFrame:
 
     def test_example_frame_in_one_coset(self):
         assert ls.coset_membership_residual(ls.example_frame()) < 1e-8
+
+    def test_frame_outside_coset_fails(self):
+        # negative control: a generator with a component outside h leaves the coset
+        X, Y = ls.slice_generators()
+        Z = mt.algebra_project(np.random.default_rng(5).normal(size=(6, 6)), mt.LIE)
+        dom = ParamDomain(nu=8, nv=8)
+        assert ls.coset_membership_residual(orbit_frame("lie", ls.example_base_frame(), X, Y, dom)) < 1e-8
+        ff = orbit_frame("lie", ls.example_base_frame(), X + 0.1 * Z, Y, dom)
+        assert ls.coset_membership_residual(ff) > 1e-3
 
 
 class TestDistributionAndBoost:

@@ -293,7 +293,10 @@ class TestPadeKernel:
         assert not np.isfinite(E[1]).any()
 
     def test_import_does_not_load_scipy(self):
-        code = "import sys, dupin, dupin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # nor does the coset membership certificate, the last former scipy user
+        code = ("import sys, dupin, dupin.cli; from dupin import liesphere as ls; "
+                "ls.coset_membership_residual(ls.example_frame()); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = str(Path(mt.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

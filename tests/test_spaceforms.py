@@ -24,6 +24,16 @@ def random_hyperbolic_points(n):
     return sf.hyp_stereo_inv(random_ball_points(n))
 
 
+FORMS = ["sphere", "euclidean", "hyperbolic"]
+
+
+def random_points(form, n, rmax=0.95):
+    """n random points of a space form; R^3 points lie in the ball of radius rmax."""
+    if form == "sphere":
+        return random_sphere_points(n)
+    return random_ball_points(n, rmax) if form == "euclidean" else random_hyperbolic_points(n)
+
+
 def random_so4():
     q, _ = np.linalg.qr(RNG.normal(size=(4, 4)))
     if np.linalg.det(q) < 0:
@@ -157,24 +167,45 @@ class TestEmbeddings:
         direct = mt.projective_normalize(direct)
         assert np.max(np.abs(composed - direct)) < 1e-12
 
-    def test_null_cone(self):
-        for form, pts in [
-            ("sphere", random_sphere_points(300)),
-            ("euclidean", random_ball_points(300, rmax=4.0)),
-            ("hyperbolic", random_hyperbolic_points(300)),
-        ]:
-            q = sf.embed_moebius(pts, form)
-            assert np.max(np.abs(mt.inner(q, q, mt.R41))) < 1e-12
+    @pytest.mark.parametrize("form", FORMS)
+    def test_null_cone(self, form):
+        q = sf.embed_moebius(random_points(form, 300, rmax=4.0), form)
+        assert np.max(np.abs(mt.inner(q, q, mt.R41))) < 1e-12
+        # normalised by <F, xi> = -1
+        assert np.max(np.abs(mt.inner(q, sf.SPACE_FORMS[form].xi, mt.R41) + 1.0)) < 1e-12
 
-    def test_inverse_charts(self):
-        x = random_sphere_points(100)
-        assert np.allclose(sf.moebius_to_sphere(sf.embed_sphere(x)), x, atol=1e-12)
-        y = random_ball_points(100)
-        yy, ok = sf.moebius_to_euclidean(sf.embed_euclidean(y))
-        assert ok.all() and np.allclose(yy, y, atol=1e-12)
-        xh = random_hyperbolic_points(100)
-        xx, ok = sf.moebius_to_hyperbolic(sf.embed_hyperbolic(xh))
-        assert ok.all() and np.allclose(xx, xh, atol=1e-12)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_inverse_charts(self, form):
+        x = random_points(form, 100)
+        xx, ok = sf.moebius_chart(sf.embed_moebius(x, form), form)
+        assert ok.all() and np.allclose(xx, x, atol=1e-12)
+
+    @pytest.mark.parametrize("form,num,den", [
+        ("sphere", slice(0, 4), lambda q: q[..., 4]),
+        ("euclidean", slice(1, 4), lambda q: q[..., 0] + q[..., 4]),
+        ("hyperbolic", slice(1, 5), lambda q: q[..., 0]),
+    ])
+    def test_chart_closed_forms(self, form, num, den):
+        # oracle: S^3 q0..3/q4, R^3 q1..3/(q0+q4), H^3 q1..4/q0 on the upper
+        # sheet, on random vectors of R^{4,1}; q0 = q4 = 0 zeroes every denominator
+        q = np.random.default_rng(3).normal(size=(500, 5))
+        q[:50, [0, 4]] = 0.0
+        x, ok = sf.moebius_chart(q, form)
+        d = den(q)
+        want = np.abs(d) > 1e-12 * np.max(np.abs(q), axis=-1)
+        if form == "hyperbolic":
+            want[want] &= q[want, 4] / d[want] > 0
+        assert not ok[:50].any() and np.array_equal(ok, want)
+        assert np.array_equal(x[ok], q[ok][:, num] / d[ok][:, None])
+        assert sf.quotient_chart(form)[0] == num
+
+    @pytest.mark.parametrize("fn", [lambda f: sf.embed_moebius(np.zeros(3), f),
+                                    lambda f: sf.moebius_chart(np.ones(5), f),
+                                    sf.quotient_chart,
+                                    lambda f: sf.group_embed(np.eye(4), f)])
+    def test_unknown_form(self, fn):
+        with pytest.raises(sf.DomainError):
+            fn("moebius")
 
 
 class TestGroupEmbed:

@@ -356,6 +356,6 @@ class TestBestFrameAndPDE:
         mc = pullback_mc(srf.euclidean_best_frame(s))
         U, V = s.domain.mesh()
         d = srf.principal_curvatures(s, U, V)
-        assert np.max(np.abs(mc.omega_u[..., 3, 0])) < 1e-3  # finite-difference budget
-        assert np.max(np.abs(mc.omega_u[..., 3, 1] - d.a * mc.omega_u[..., 1, 0])) < 1e-4
-        assert np.max(np.abs(mc.omega_v[..., 3, 2] - d.c * mc.omega_v[..., 2, 0])) < 1e-4
+        assert np.max(np.abs(mc.omega[0][..., 3, 0])) < 1e-3  # finite-difference budget
+        assert np.max(np.abs(mc.omega[0][..., 3, 1] - d.a * mc.omega[0][..., 1, 0])) < 1e-4
+        assert np.max(np.abs(mc.omega[1][..., 3, 2] - d.c * mc.omega[1][..., 2, 0])) < 1e-4
