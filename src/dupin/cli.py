@@ -75,21 +75,15 @@ def _report_path(obj_path):
     return stem + ".report.json"
 
 
+# The --tol-* flags (and config keys) each command reads; its report records them.
+COMMAND_TOLS = {"gen": (), "orbit": (), "fig7": ("rank",),
+                "verify": ("membership", "closure", "contact", "order")}
+
+
 def tolerances(args, cfg):
-    tols = {
-        "membership": cfg["membership"],
-        "closure": cfg["closure"],
-        "rank": cfg["rank"],
-        "contact": cfg["contact"],
-        "order": cfg["order"],
-        "iso": cfg["iso"],
-        "dupin": cfg["dupin"],
-    }
-    for name in list(tols):
-        val = getattr(args, f"tol_{name}", None)
-        if val is not None:
-            tols[name] = val
-    return tols
+    """The command's tolerances: each --tol-* flag given, else the config."""
+    flags = {name: getattr(args, f"tol_{name}") for name in COMMAND_TOLS[args.command]}
+    return {name: cfg[name] if val is None else val for name, val in flags.items()}
 
 
 def cmd_gen(args, cfg):
@@ -237,8 +231,8 @@ def build_parser():
     p.add_argument("--config", help="config file (key = value)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_tols(sp):
-        for name in ("membership", "closure", "rank", "contact", "order", "iso", "dupin"):
+    def add_tols(sp, command):
+        for name in COMMAND_TOLS[command]:
             sp.add_argument(f"--tol-{name}", type=float, dest=f"tol_{name}")
 
     g = sub.add_parser("gen", help="sample a canonical surface to an OBJ mesh")
@@ -249,7 +243,7 @@ def build_parser():
     g.add_argument("--project", choices=["none", "stereo", "hyp_stereo"], default="none")
     g.add_argument("--grid", help="sampling resolution NxM")
     g.add_argument("--out", required=True)
-    add_tols(g)
+    add_tols(g, "gen")
     g.set_defaults(fn=cmd_gen)
 
     o = sub.add_parser("orbit", help="Dupin orbit surface for an invariant C")
@@ -257,20 +251,20 @@ def build_parser():
     o.add_argument("--grid", help="sampling resolution NxM")
     o.add_argument("--span", type=float, default=1.0, help="orbit parameter half-width")
     o.add_argument("--out", required=True)
-    add_tols(o)
+    add_tols(o, "orbit")
     o.set_defaults(fn=cmd_orbit)
 
     f = sub.add_parser("fig7", help="boosted coset projection (surface of revolution)")
     f.add_argument("--t", type=float, required=True, help="boost parameter")
     f.add_argument("--grid", help="sampling resolution NxM (default 33x33)")
     f.add_argument("--out", required=True)
-    add_tols(f)
+    add_tols(f, "fig7")
     f.set_defaults(fn=cmd_fig7)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=list(verify.SUITES))
     v.add_argument("--out", help="write the JSON report here")
-    add_tols(v)
+    add_tols(v, "verify")
     v.set_defaults(fn=cmd_verify)
     return p
 

@@ -7,7 +7,7 @@ grid_differential, exterior_d, wedge and coframe_solve all use that layout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,18 +94,15 @@ def coframe_solve(theta1, theta2, psi):
 class FrameField:
     """Grid of group elements over a parameter domain.
 
-    ``partial_u`` / ``partial_v`` optionally hold analytic derivative grids of
-    the same shape; when absent, finite differences are used downstream.
     ``omega`` optionally holds the exact Maurer-Cartan form T^{-1} dT as a
-    1-form (2, ..., n, n) that broadcasts over the grid; it is left-invariant,
-    so left translation keeps it.
+    1-form (2, ..., n, n) that broadcasts over the grid, so the partials of
+    the frame are T omega; when absent, pullback_mc takes grid derivatives.
+    omega is left-invariant, so left translation keeps it.
     """
 
     group: str
     mats: np.ndarray                      # (nu, nv, n, n)
     domain: ParamDomain
-    partial_u: np.ndarray | None = None
-    partial_v: np.ndarray | None = None
     omega: np.ndarray | None = None
 
     def handle(self):
@@ -115,27 +112,21 @@ class FrameField:
         return self.handle().membership_residual(self.mats)
 
     def left_translated(self, g):
-        return FrameField(
-            self.group, g @ self.mats, self.domain,
-            None if self.partial_u is None else g @ self.partial_u,
-            None if self.partial_v is None else g @ self.partial_v,
-            self.omega,
-        )
+        return replace(self, mats=g @ self.mats)
 
 
 def orbit_frame(group, M, X, Y, domain):
-    """The frame field T = M e^{uX} e^{vY} on domain.grids(), with analytic
-    partials T_u = (M e^{uX} X) e^{vY} and T_v = T Y; one mat_exp per
-    generator, over that generator's own grid axis.  Its Maurer-Cartan form
-    omega_u = e^{-vY} X e^{vY}, omega_v = Y depends on v only, and not on M,
-    so it is kept per v, shape (2, 1, nv, n, n)."""
+    """The frame field T = M e^{uX} e^{vY} on domain.grids(), one mat_exp per
+    generator over that generator's own grid axis, with its Maurer-Cartan form
+    omega_u = e^{-vY} X e^{vY}, omega_v = Y.  That form depends on v only, and
+    not on M, so it is kept per v, shape (2, 1, nv, n, n)."""
     u, v = domain.grids()
     A = M @ mat_exp(u[:, None, None] * X)
     B = mat_exp(v[:, None, None] * Y)
     T = A[:, None] @ B
     omega_u = GROUPS[group].inverse(B) @ X @ B
     omega = np.stack([omega_u, np.broadcast_to(Y, omega_u.shape)])[:, None]
-    return FrameField(group, T, domain, (A @ X)[:, None] @ B, T @ Y, omega)
+    return FrameField(group, T, domain, omega)
 
 
 @dataclass
@@ -159,19 +150,19 @@ def _check_membership(ff, tol=1e-8):
 
 
 def pullback_mc(ff, membership_tol=1e-8):
-    """omega = e^{-1} de on the grid, with no solve: e^{-1} is the group inverse,
+    """omega = e^{-1} de on the grid: the field's own exact form, broadcast to
+    the grid, when it carries one; otherwise e^{-1} times the grid derivatives
+    (see grid_gradient), with no solve: e^{-1} is the group inverse,
     gram^{-1} e^T gram (omega^i_j = gram^{ik} <e_k, de_j>) or E(3)'s e3_inverse.
 
-    Analytic partials are used when the field carries them; otherwise grid
-    derivatives (see grid_gradient).  The result is projected onto the algebra
-    and the discarded mass is reported as projection noise.
+    The result is projected onto the algebra and the discarded mass is
+    reported as projection noise.
     """
     _check_membership(ff, membership_tol)
-    if ff.partial_u is not None and ff.partial_v is not None:
-        de = (ff.partial_u, ff.partial_v)
+    if ff.omega is None:
+        omega = ff.handle().inverse(ff.mats) @ grid_differential(ff.mats, ff.domain)
     else:
-        de = grid_differential(ff.mats, ff.domain)
-    omega = ff.handle().inverse(ff.mats) @ np.stack(de)
+        omega = np.broadcast_to(ff.omega, (2,) + ff.mats.shape).copy()
     p = ff.handle().algebra_project(omega)
     omega -= p  # in place: the discarded mass is only needed for its maximum
     return MCForm(ff.group, p, ff.domain, projection_noise=float(np.max(np.abs(omega))))

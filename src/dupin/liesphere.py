@@ -181,10 +181,11 @@ def legendre_lift(F, S, domain, dF=None, dS=None, tangency_tol=1e-6):
 
 def frame_line(ff):
     """LegendreMap of the line spanned by the first two columns of a Lie frame
-    field, in epsilon coordinates, with the columns' analytic differentials."""
+    field, in epsilon coordinates; their differentials are the first two
+    columns of T omega, from the form the field carries."""
     eps = lambda F, k: F[..., :, k] @ mt.P_LAMBDA.T  # lambda -> epsilon
-    dS0, dS1 = (np.stack([eps(ff.partial_u, k), eps(ff.partial_v, k)]) for k in (0, 1))
-    return LegendreMap(eps(ff.mats, 0), eps(ff.mats, 1), ff.domain, dS0, dS1)
+    dT = ff.mats @ ff.omega[..., :2]
+    return LegendreMap(eps(ff.mats, 0), eps(ff.mats, 1), ff.domain, eps(dT, 0), eps(dT, 1))
 
 
 def example_lambda(domain=None):
@@ -386,10 +387,11 @@ def coset_orbit(A, s_grid, t_grid):
         raise GeometryError("coset orbit grids must be uniformly spaced")
     M = np.asarray(A, dtype=float) @ example_base_frame()
     ff = orbit_frame("lie", M, *slice_generators(), domain)
-    if not all(np.isfinite(F).all() for F in (ff.mats, ff.partial_u, ff.partial_v)):
+    lm = frame_line(ff)
+    if not all(np.isfinite(F).all() for F in (ff.mats, ff.omega, lm.S0, lm.S1, lm.dS0, lm.dS1)):
         raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
     _check_line_immersion(ff)
-    return frame_line(ff), ff
+    return lm, ff
 
 
 def line_motion_svals(ff):

@@ -176,12 +176,12 @@ def _lifted_connection(k, kappa, K):
 
 
 def canonical_best_frame(surface):
-    """Adapted Moebius frame field P_DELTA^T V M(a, c) along a catalog surface
-    (torus in S^3, cylinder in R^3, hyperboloid in H^3) with constant
+    """Adapted Moebius frame field T = P_DELTA^T V M(a, c) along a catalog
+    surface (torus in S^3, cylinder in R^3, hyperboloid in H^3) with constant
     principal curvatures a < c: V = [F E1 E2 E3 G] lifts the surface's
-    principal frame by its space form's row of ``sf.SPACE_FORMS``, and the analytic
-    partials P_DELTA^T dV M come from the structure equations (see
-    ``_lifted_connection``)."""
+    principal frame by its space form's row of ``sf.SPACE_FORMS``.  Since
+    dV = V (theta_1 A_1 + theta_2 A_2) (see ``_lifted_connection``), the
+    field carries its exact form omega = sum_k theta_k M^{-1} A_k M."""
     if surface.frame is None or not hasattr(surface, "constant_curvatures"):
         raise GeometryError(f"no canonical frame for {surface.name!r}: it needs an "
                             "analytic principal frame and constant curvatures")
@@ -192,22 +192,18 @@ def canonical_best_frame(surface):
     e = surface.frame(*uv)
     V = _lifted_frame(surface.form, x, *e)
     K = sf.space_form(surface.form).K
-    VA = [V @ _lifted_connection(k, kappa, K) for k, kappa in ((1, a), (2, c))]
-    P = mt.P_DELTA.T
-    partials = [
-        P @ (sum(inner(xj, ek, surface.metric)[..., None, None] * VAk
-                 for ek, VAk in zip(e[:2], VA)) @ M)
-        for xj in (xu, xv)
-    ]
-    return FrameField("moebius", P @ (V @ M), surface.domain, *partials)
+    B = np.stack([np.linalg.solve(M, _lifted_connection(k, kappa, K) @ M)
+                  for k, kappa in ((1, a), (2, c))])
+    theta = np.stack([[inner(xj, ek, surface.metric) for ek in e[:2]] for xj in (xu, xv)])
+    omega = np.einsum("jk...,kab->j...ab", theta, B)
+    return FrameField("moebius", mt.P_DELTA.T @ (V @ M), surface.domain, omega)
 
 
-def first_order_frame_umbilic(x_grid, e3_grid, kappa, dx, de3, domain):
+def first_order_frame_umbilic(x_grid, e3_grid, kappa, dx, domain):
     """First-order (not second-order normalizable) frame along a totally
     umbilic surface in S^3, for pencil-degeneracy tests: P_DELTA^T V
     M(kappa - 1, kappa + 1) for the sphere lift V of x, a Gram-Schmidt tangent
-    frame from ``dx`` and the normal.  It carries no analytic partials, so
-    ``de3`` goes unused."""
+    frame from ``dx`` and the normal."""
     xu, xv = dx
     e1 = xu / np.linalg.norm(xu, axis=-1, keepdims=True)
     e2 = xv - np.sum(xv * e1, axis=-1, keepdims=True) * e1

@@ -10,6 +10,7 @@ Coordinate conventions (arrays, vectorized over leading axes):
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -163,7 +164,8 @@ def moebius_chart(q, form):
     slots, den = quotient_chart(form)
     q = np.asarray(q, dtype=float)
     d = q[..., list(den)].sum(axis=-1)
-    valid = np.abs(d) > 1e-12 * np.max(np.abs(q), axis=-1)
+    # max|q| as an elementwise reduce: np.max over a length-5 last axis is slow
+    valid = np.abs(d) > 1e-12 * reduce(np.maximum, np.moveaxis(np.abs(q), -1, 0))
     x = q[..., slots] / np.where(valid, d, 1.0)[..., None]
     if SPACE_FORMS[form].K < 0:
         valid &= x[..., -1] > 0

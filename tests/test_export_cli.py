@@ -205,9 +205,47 @@ class TestCLI:
 
     def test_tol_flag_override(self, tmp_path):
         out = str(tmp_path / "v.json")
-        assert main(["verify", "framecalc", "--tol-rank", "1e-6", "--out", out]) == 0
+        assert main(["verify", "framecalc", "--tol-order", "1e-6", "--out", out]) == 0
         rep = json.loads(open(out).read())
-        assert rep["tolerances"]["rank"] == 1e-6
+        assert rep["tolerances"]["order"] == 1e-6
+
+
+class TestTolFlags:
+    """Each command takes the --tol-* flags it applies, and each one changes
+    a result."""
+
+    @pytest.mark.parametrize("name", ["membership", "closure", "contact", "order"])
+    def test_verify_flag_is_read(self, name):
+        assert main(["verify", "all", f"--tol-{name}", "0"]) == 1
+
+    def test_fig7_rank_flag_is_read(self, tmp_path):
+        counts = []
+        for extra in ([], ["--tol-rank", "0"]):
+            out = str(tmp_path / f"f{len(extra)}.obj")
+            assert main(["fig7", "--t", "1", "--grid", "17x17", "--out", out] + extra) == 0
+            counts.append(json.loads(open(out[:-4] + ".report.json").read())
+                          ["checks"][0]["value"])
+        assert counts == [34.0, 0.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "cylinder", "--radius", "2", "--tol-rank", "1"],
+        ["gen", "cylinder", "--radius", "2", "--tol-dupin", "1"],
+        ["orbit", "--C", "0.5", "--tol-order", "1"],
+        ["fig7", "--t", "1", "--tol-closure", "1"],
+        ["verify", "framecalc", "--tol-rank", "1"],
+    ])
+    def test_unread_flag_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.obj")])
+        assert exc.value.code == 2
+
+    def test_reports_record_only_applied_tolerances(self, tmp_path):
+        out = str(tmp_path / "c.obj")
+        assert main(["gen", "cylinder", "--radius", "2", "--grid", "12x8", "--out", out]) == 0
+        assert json.loads(open(out[:-4] + ".report.json").read())["tolerances"] == {}
+        assert main(["verify", "framecalc", "--out", out]) == 0
+        assert sorted(json.loads(open(out).read())["tolerances"]) == [
+            "closure", "contact", "membership", "order"]
 
 
 class TestDeterminism:

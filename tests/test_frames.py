@@ -7,6 +7,8 @@ import pytest
 from dupin import metrics as mt
 from dupin import surfaces as srf
 from dupin import frames as fr
+from dupin import liesphere as ls
+from dupin import moebius as mb
 from dupin.surfaces import ParamDomain
 
 RNG = np.random.default_rng(99)
@@ -118,9 +120,30 @@ class TestPullback:
         mc = fr.pullback_mc(ff)
         assert np.max(np.abs(mc.omega - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert abs(mc.projection_noise - np.max(np.abs(raw - ref))) <= 1e-12 * np.max(np.abs(ref))
-        # and with analytic partials, which pullback_mc prefers
-        part = fr.FrameField(group, ff.mats, dom, *fr.grid_differential(ff.mats, dom))
-        assert np.max(np.abs(fr.pullback_mc(part).omega - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [
+        lambda: mb.canonical_best_frame(srf.torus(np.pi / 5)),
+        lambda: mb.canonical_best_frame(srf.cylinder(1.3)),
+        lambda: mb.canonical_best_frame(srf.hyperboloid(0.4)),
+        ls.example_frame,
+    ], ids=["torus", "cylinder", "hyperboloid", "example_frame"])
+    def test_carried_form_matches_grid_path(self, make):
+        # oracle: the same mats without the carried form go down the grid
+        # path, e^{-1} times 4th-order grid derivatives (error ~ h^4 / 30)
+        ff = make()
+        assert ff.omega is not None
+        exact = fr.pullback_mc(ff)
+        grid = fr.pullback_mc(fr.FrameField(ff.group, ff.mats, ff.domain))
+        assert exact.omega.shape == grid.omega.shape
+        err = np.abs(exact.omega - grid.omega)[:, 2:-2, 2:-2]
+        assert np.max(err) < 1e-5 * np.max(np.abs(exact.omega))
+        assert exact.projection_noise < 1e-14
+
+    def test_membership_gate_with_carried_form(self):
+        # a carried form does not excuse mats that leave the group
+        ff = ls.example_frame(ParamDomain(nu=8, nv=8))
+        with pytest.raises(mt.MembershipError):
+            fr.pullback_mc(fr.FrameField("lie", 1.5 * ff.mats, ff.domain, ff.omega))
 
 
 class TestCoframeSolve:

@@ -122,7 +122,7 @@ def trig_example_frame(domain):
                                                                False, False)])
 def test_example_orbit_matches_trig_formulas(domain):
     ff = ls.example_frame(domain)
-    for got, want in zip((ff.mats, ff.partial_u, ff.partial_v), trig_example_frame(domain)):
+    for got, want in zip((ff.mats, *(ff.mats @ ff.omega)), trig_example_frame(domain)):
         assert np.max(np.abs(got - want)) <= 1e-14
     lm = ls.example_lambda(domain)
     for got, want in zip((lm.S0, lm.S1, lm.dS0, lm.dS1), trig_example_lambda(domain)):
@@ -381,6 +381,21 @@ class TestCosetOrbit:
         s = np.linspace(-2, 2, 15)
         with pytest.raises(mt.GeometryError, match="uniformly spaced"):
             ls.coset_orbit(np.eye(6), s ** 3 / 4, s)
+
+    @pytest.mark.parametrize("t,span,finite", [(709.0, 4.0, False), (0.0, 1e100, False),
+                                                (709.7, 0.01, True)])
+    def test_finite_or_rejected(self, t, span, finite):
+        # near the overflow edge the orbit either comes back finite in all it
+        # returns (T, omega and the line with its differentials) or is rejected
+        s = np.linspace(-span, span, 9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not finite:
+                with pytest.raises(mt.GeometryError, match="not finite"):
+                    ls.coset_orbit(ls.boost(t), s, s)
+                return
+            lm, ff = ls.coset_orbit(ls.boost(t), s, s)
+        for F in (ff.mats, ff.omega, lm.S0, lm.S1, lm.dS0, lm.dS1):
+            assert np.isfinite(F).all()
 
     def test_orbit_lines_valid(self):
         s = np.linspace(-2, 2, 15)

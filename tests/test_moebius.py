@@ -127,9 +127,8 @@ class TestCurvatureSphereParams:
         dn_v = (n(U, V + h) - n(U, V - h)) / (2 * h)
         pad = lambda w: np.concatenate([np.zeros(U.shape + (1,)), w], axis=-1)
         dx = (np.sin(rho) * pad(dn_u), np.sin(rho) * pad(dn_v))
-        de3 = (np.cos(rho) * pad(dn_u), np.cos(rho) * pad(dn_v))
         kappa = -1.0 / np.tan(rho)
-        ff = mb.first_order_frame_umbilic(x, e3, kappa, dx, de3, dom)
+        ff = mb.first_order_frame_umbilic(x, e3, kappa, dx, dom)
         assert ff.membership_residual() < 1e-8
         out = mb.curvature_sphere_params(pullback_mc(ff), 8, 8, double_root_tol=1e-6)
         assert out["double_root"] is True
@@ -187,15 +186,16 @@ class TestFrameOrderCheck:
     @given(t=st.floats(0.0, 1.0))
     def test_lifted_frame_on_catalog(self, make, lo, hi, C_of, t):
         # one null-lift construction for all three space forms: C, the order
-        # conditions, and the structure-equation partials against the grid
-        # differential of the frame itself, where its stencil is 4th order
+        # conditions, and the partials T omega of the carried structure-equation
+        # form against the grid differential of the frame itself, where its
+        # stencil is 4th order
         param = lo + t * (hi - lo)
         ff = mb.canonical_best_frame(make(param))
         coeffs, res = mb.frame_order_check(ff)
         assert abs(coeffs.C - C_of(param)) < 1e-9
         assert max(res["first_order"], res["second_order"], res["third_order"]) < 1e-9
         fd = grid_differential(ff.mats, ff.domain)[:, 2:-2, 2:-2]
-        for exact, approx in zip((ff.partial_u, ff.partial_v), fd):
+        for exact, approx in zip(ff.mats @ ff.omega, fd):
             exact = exact[2:-2, 2:-2]
             assert np.max(np.abs(exact - approx)) < 1e-5 * np.max(np.abs(exact))
 
