@@ -349,8 +349,10 @@ def slice_generators():
 
 def boost(t):
     """The SO(4,2) boost mixing eps0 and eps5, expressed in the lambda basis:
-    diag(e^t, 1, 1, 1, 1, e^{-t})."""
-    return np.diag([np.exp(t), 1.0, 1.0, 1.0, 1.0, np.exp(-t)])
+    diag(e^t, 1, 1, 1, 1, e^{-t}); infinite past |t| ~ 709.78, which
+    coset_orbit rejects."""
+    with np.errstate(over="ignore"):
+        return np.diag([np.exp(t), 1.0, 1.0, 1.0, 1.0, np.exp(-t)])
 
 
 def boost_eps(t):
@@ -385,9 +387,10 @@ def coset_orbit(A, s_grid, t_grid):
     u, v = domain.grids()
     if not (np.allclose(u, s_grid) and np.allclose(v, t_grid)):
         raise GeometryError("coset orbit grids must be uniformly spaced")
-    M = np.asarray(A, dtype=float) @ example_base_frame()
-    ff = orbit_frame("lie", M, *slice_generators(), domain)
-    lm = frame_line(ff)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        M = np.asarray(A, dtype=float) @ example_base_frame()
+        ff = orbit_frame("lie", M, *slice_generators(), domain)
+        lm = frame_line(ff)
     if not all(np.isfinite(F).all() for F in (ff.mats, ff.omega, lm.S0, lm.S1, lm.dS0, lm.dS1)):
         raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
     _check_line_immersion(ff)
@@ -428,8 +431,7 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
         s_grid = np.linspace(-4.0, 4.0, 33)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
-    with np.errstate(over="ignore", invalid="ignore"):  # coset_orbit rejects overflow
-        lm, _ = coset_orbit(boost(boost_t), s_grid, t_grid)
+    lm, _ = coset_orbit(boost(boost_t), s_grid, t_grid)
     bound = projection_precision(lm.S0, lm.S1)
     check_projection_precision(bound)
     sig = spherical_projection(lm.S0, lm.S1)

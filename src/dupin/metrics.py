@@ -10,7 +10,8 @@ structure needed to coordinatize the matrix algebras so(gram).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from functools import reduce
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -196,34 +197,58 @@ def bracket(X, Y):
     return X @ Y - Y @ X
 
 
-# theta_m: the largest 1-norm at which the order-m diagonal Pade approximant
-# r_m of exp meets unit roundoff in backward error (Higham 2005, Table 2.3).
-# _PADE_B[m][k] is the coefficient of A^k in its numerator, scaled so b_m = 1.
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
-_PADE_B = {m: [factorial(2 * m - k) / (factorial(k) * factorial(m - k)) for k in range(m + 1)]
-           for m in _PADE_THETA}
+# theta_m: the largest 1-norm at which T_m, the Taylor polynomial of exp of
+# degree m, meets unit roundoff 2^-53 in backward error, from the series
+# log(e^-x T_m(x)) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011).
+# Above theta_16 the diagonal Pade approximant r_13 takes over (Higham, SIAM
+# J. Matrix Anal. Appl. 26(4), 2005, Table 2.3); _PADE_B[k] is the
+# coefficient of A^k in its numerator, scaled so b_13 = 1.
+_TAYLOR_THETA = {2: 2.580956802971767e-8, 4: 3.397168839976962e-4, 6: 9.065656407595102e-3,
+                 9: 8.957760203223343e-2, 12: 2.996158913811580e-1, 16: 7.802874256626574e-1}
+_PADE_THETA_13 = 5.371920351148152e0
+_PADE_B = [factorial(26 - k) / (factorial(k) * factorial(13 - k)) for k in range(14)]
 
 
-def _pade(A, m):
-    """r_m = (V - U)^{-1} (V + U) on a stack (N, n, n), with U the odd and V
-    the even part: whole-stack products and one batched solve."""
-    b = _PADE_B[m]
-    P = [A @ A]  # A^2, A^4, ...
-    while len(P) < (3 if m == 13 else m // 2):
-        P.append(P[-1] @ P[0])
+def _diagonal(B):
+    """The diagonals of a stack (N, n, n), as a writable view."""
+    return np.einsum("...ii->...i", B)
+
+
+def _taylor(A, m):
+    """T_m = sum_k A^k / k! on a stack (N, n, n) by Paterson-Stockmeyer: the
+    powers A^2..A^s, then Horner's rule in A^s over blocks of s terms, for
+    s + m/s - 2 whole-stack products and no solve."""
+    s = isqrt(m - 1) + 1  # ceil(sqrt(m)), which divides each degree used
+    P = [A]  # A, A^2, ..., A^s
+    while len(P) < s:
+        P.append(P[-1] @ A)
+    H = P[s - 1] / factorial(m)
+    for k in reversed(range(m // s)):
+        if k < m // s - 1:
+            H = P[s - 1] @ H
+        for j in range(1, s):
+            H += P[j - 1] / factorial(k * s + j)
+        _diagonal(H)[...] += 1 / factorial(k * s)
+    return H
+
+
+def _pade(A):
+    """r_13 = (V - U)^{-1} (V + U) on a stack (N, n, n), with U the odd and V
+    the even part: six whole-stack products and one batched solve."""
+    b = _PADE_B
+    P = [A @ A]  # A^2, A^4, A^6
+    P += [P[0] @ P[0]]
+    P += [P[1] @ P[0]]
     U, V = np.zeros_like(A), np.zeros_like(A)
-    if m == 13:  # the terms of degree 8 to 13 share the factor A^6
-        for k, Pk in enumerate(P, start=1):
-            U += Pk * b[2 * k + 7]
-            V += Pk * b[2 * k + 6]
-        U, V = P[2] @ U, P[2] @ V
+    for k, Pk in enumerate(P, start=1):  # the terms of degree 8 to 13 share the factor A^6
+        U += Pk * b[2 * k + 7]
+        V += Pk * b[2 * k + 6]
+    U, V = P[2] @ U, P[2] @ V
     for k, Pk in enumerate(P, start=1):
         U += Pk * b[2 * k + 1]
         V += Pk * b[2 * k]
-    diag = np.arange(A.shape[-1])
-    U[:, diag, diag] += b[1]
-    V[:, diag, diag] += b[0]
+    _diagonal(U)[...] += b[1]
+    _diagonal(V)[...] += b[0]
     U = A @ U
     return np.linalg.solve(V - U, V + U)
 
@@ -233,29 +258,32 @@ def mat_exp(X):
     leading shapes, including empty ones, are kept.  The only exponential in
     the package: callers pass whole stacks rather than looping over points.
 
-    Scaling and squaring with diagonal Pade approximants (Higham, SIAM J.
-    Matrix Anal. Appl. 26(4), 2005).  Each slice picks its own order from its
-    1-norm: the lowest m in {3, 5, 7, 9, 13} with norm <= theta_m, else m = 13
-    on X / 2^s with s = ceil(log2(norm / theta_13)), squared back s times.
-    Because the choice is per slice, a slice's result does not depend on the
-    rest of the stack.  A slice with a NaN or infinite entry comes out all NaN."""
+    Each slice picks its approximant from its 1-norm: the Taylor polynomial
+    T_m of lowest degree m in {2, 4, 6, 9, 12, 16} with norm <= theta_m, which
+    costs 1 to 6 products and no solve; above theta_16 the Pade approximant
+    r_13 with scaling and squaring (Higham 2005): r_13 on X / 2^s with
+    s = max(0, ceil(log2(norm / theta_13))), squared back s times.  Because
+    the choice is per slice, a slice's result does not depend on the rest of
+    the stack.  A slice with a NaN or infinite entry comes out all NaN."""
     X = np.asarray(X, dtype=float)
     A = X.reshape((-1,) + X.shape[-2:])
-    norm = np.abs(A).sum(axis=-2).max(axis=-1)
-    todo = np.isfinite(norm)
+    # the 1-norm from whole-array terms: a numpy reduction over a short
+    # trailing axis would loop over it once per slice
+    norm = reduce(np.maximum, reduce(np.add, np.moveaxis(np.abs(A), -2, 0)).T)
+    degrees = list(_TAYLOR_THETA)
+    # the index of the Taylor degree, len(degrees) for r_13, one more for NaN
+    order = np.where(np.isfinite(norm), np.searchsorted(list(_TAYLOR_THETA.values()), norm),
+                     len(degrees) + 1)
     s = np.zeros(len(A), dtype=int)
-    big = todo & (norm > _PADE_THETA[13])
+    big = (order == len(degrees)) & (norm > _PADE_THETA_13)
     if big.any():
-        s[big] = np.ceil(np.log2(norm[big] / _PADE_THETA[13]))
+        s[big] = np.ceil(np.log2(norm[big] / _PADE_THETA_13))
         A = np.ldexp(A, -s[:, None, None])
     E = np.full_like(A, np.nan)
-    for m, theta in _PADE_THETA.items():
-        group = todo & (norm <= theta) if m < 13 else todo
-        todo = todo & ~group
-        if group.all():
-            E = _pade(A, m)
-        elif group.any():
-            E[group] = _pade(A[group], m)
+    for i, count in enumerate(np.bincount(order)[:len(degrees) + 1]):
+        if count:
+            group = slice(None) if count == len(A) else order == i
+            E[group] = _taylor(A[group], degrees[i]) if i < len(degrees) else _pade(A[group])
     for k in range(s.max(initial=0)):
         sq = s > k
         if sq.all():
@@ -429,16 +457,6 @@ def _closure_residual(coords, elements, metric):
             sol, *_ = np.linalg.lstsq(A, b, rcond=None)
             worst = max(worst, float(np.max(np.abs(A @ sol - b))) if b.size else 0.0)
     return worst
-
-
-def span_projection_residual(X, sub):
-    """Distance of an algebra element from the span of a SubalgebraBasis."""
-    b = algebra_coordinates(X, sub.metric)
-    if sub.coords.shape[0] == 0:
-        return float(np.max(np.abs(b)))
-    A = sub.coords.T
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return float(np.max(np.abs(A @ sol - b)))
 
 
 # --- the Euclidean motion group (not metric-defined) -------------------------

@@ -258,6 +258,18 @@ class TestCongruence:
 
 
 class TestIntegrateMC:
+    def test_cylinder_integration_solves_nothing(self, monkeypatch):
+        # the midpoint steps of the 128x128 cylinder form have 1-norms 2pi/127
+        # and 2/127, under theta_16: Taylor polynomials only, no Pade solve
+        calls = []
+        pade = mt._pade
+        monkeypatch.setattr(mt, "_pade", lambda A: calls.append(len(A)) or pade(A))
+        X1, X2 = cylinder_distribution()
+        dom = ParamDomain((0, 2 * np.pi), (-1.0, 1.0), 128, 128, False, False)
+        e, _ = fr.integrate_mc(fr.constant_form(X1, X2, dom, "e3"), np.eye(4))
+        assert calls == []
+        assert mt.e3_residual(e.mats) < 1e-12
+
     def test_constant_generator_exact(self):
         X = so3_generator()
         dom = ParamDomain((0, 2.0), (0, 1.0), 20, 6, False, False)

@@ -4,10 +4,13 @@ membership, exponentials, and constraint subalgebras."""
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dupin import metrics as mt
 from dupin.moebius import hc_constraints
@@ -219,7 +222,7 @@ def _rel_err(E, ref):
 
 
 class TestPadeKernel:
-    """The numpy Pade kernel against scipy's expm, imported here only."""
+    """The numpy Taylor and Pade kernel against scipy's expm, imported here only."""
 
     @pytest.mark.parametrize("name,stack,residual", _generator_stacks())
     def test_generators_match_scipy(self, name, stack, residual):
@@ -236,35 +239,107 @@ class TestPadeKernel:
 
     def test_order_switches_at_each_theta(self, monkeypatch):
         # A symmetric Y, so exp(X) = V exp(w) V^T is the reference; scipy's own
-        # error reaches 5e-13 just above theta_13 on it.
-        orders = list(mt._PADE_THETA)
+        # error reaches 5e-13 just above theta_13 on it.  Just below theta_m a
+        # slice takes T_m, just above it the next degree; above theta_16 it
+        # takes r_13, applied to X / 2 once the norm passes theta_13.
+        degrees = list(mt._TAYLOR_THETA)
         rng = np.random.default_rng(7)
         Y = rng.normal(size=(5, 4))
         Y = Y.T @ Y - np.eye(4)
         Y /= np.abs(Y).sum(axis=0).max()
         norms, expected = [], []
-        for m, theta in mt._PADE_THETA.items():
-            above = orders[orders.index(m) + 1] if m < 13 else 13
+        thetas = [*mt._TAYLOR_THETA.items(), (13, mt._PADE_THETA_13)]
+        for (m, theta), above in zip(thetas, degrees[1:] + [13, 13]):
             norms += [theta * (1 - 1e-9), theta * (1 + 1e-9)]
-            expected += [m, above]
+            expected += [(m, 1.0), (above, 1.0 if m != 13 else 0.5)]
         X = np.array(norms)[:, None, None] * Y
         seen = []
-        real = mt._pade
+        taylor, pade = mt._taylor, mt._pade
 
-        def spy(A, m):
-            seen.append((m, len(A)))
-            return real(A, m)
+        def spy(kind, A, m):
+            seen.append((m, len(A), float(np.abs(A).sum(axis=-2).max())))
+            return taylor(A, m) if kind == "taylor" else pade(A)
 
-        monkeypatch.setattr(mt, "_pade", spy)
-        for Xi, m in zip(X, expected):
+        monkeypatch.setattr(mt, "_taylor", lambda A, m: spy("taylor", A, m))
+        monkeypatch.setattr(mt, "_pade", lambda A: spy("pade", A, 13))
+        for Xi, norm, (m, scale) in zip(X, norms, expected):
             seen.clear()
             mt.mat_exp(Xi)
-            assert [o for o, _ in seen] == [m]
+            assert [(o, k) for o, k, _ in seen] == [(m, 1)]
+            assert seen[0][2] == pytest.approx(scale * norm, rel=1e-12)
         seen.clear()
         E = mt.mat_exp(X)
-        assert sorted(seen) == sorted((m, expected.count(m)) for m in set(expected))
+        runs = [m for m, _ in expected]
+        assert sorted((o, k) for o, k, _ in seen) == sorted((m, runs.count(m)) for m in set(runs))
         w, V = np.linalg.eigh(X)
         assert _rel_err(E, (V * np.exp(w)[:, None, :]) @ np.swapaxes(V, -1, -2)) <= 1e-13
+
+    @pytest.mark.parametrize("m", list(mt._TAYLOR_THETA))
+    def test_taylor_theta_from_backward_error_series(self, m):
+        # theta_m is the largest x with sum_k |c_k| x^(k-1) <= 2^-53, where
+        # h_{m+1}(x) = log(e^-x T_m(x)) = sum_{k>m} c_k x^k; the series is
+        # exact in rationals, truncated at degree 2m + 40
+        deg = 2 * m + 40
+
+        def mul(p, q):
+            return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(deg + 1)]
+
+        exp_neg = [Fraction((-1) ** k, factorial(k)) for k in range(deg + 1)]
+        taylor = [Fraction(1, factorial(k)) if k <= m else Fraction(0) for k in range(deg + 1)]
+        q = mul(exp_neg, taylor)  # e^-x T_m(x) = 1 + q(x), q = O(x^{m+1})
+        q[0] -= 1
+        assert not any(q[:m + 1])
+        h, qj = [Fraction(0)] * (deg + 1), [Fraction(1)] + [Fraction(0)] * deg
+        for j in range(1, deg // (m + 1) + 1):  # log(1 + q) = sum_j (-1)^(j+1) q^j / j
+            qj = mul(qj, q)
+            h = [c + Fraction((-1) ** (j + 1), j) * d for c, d in zip(h, qj)]
+        terms = [(k, float(abs(c))) for k, c in enumerate(h) if c]
+        lo, hi = 0.0, 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if sum(c * mid ** (k - 1) for k, c in terms) <= 2.0 ** -53:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(lo - mt._TAYLOR_THETA[m]) <= 1e-10 * lo
+
+    def test_small_norms_solve_nothing(self, monkeypatch):
+        def no_pade(A):
+            raise AssertionError("r_13 ran")
+
+        monkeypatch.setattr(mt, "_pade", no_pade)
+        rng = np.random.default_rng(11)
+        for n in (3, 4, 5, 6):
+            X = rng.normal(size=(50, n, n))
+            X *= (np.geomspace(1e-12, mt._TAYLOR_THETA[16] * (1 - 1e-12), 50)
+                  / np.abs(X).sum(axis=-2).max(axis=-1))[:, None, None]
+            assert np.isfinite(mt.mat_exp(X)).all()
+
+    def test_large_norms_scale_and_square_r13(self):
+        rng = np.random.default_rng(12)
+        for norm in (mt._PADE_THETA_13 * (1 + 1e-9), 7.0, 50.0, 1e3):
+            X = rng.normal(size=(6, 6))
+            X *= norm / np.abs(X).sum(axis=0).max()
+            s = int(np.ceil(np.log2(norm / mt._PADE_THETA_13)))
+            E = mt._pade(np.ldexp(X, -s)[None])[0]
+            for _ in range(s):
+                E = E @ E
+            assert np.array_equal(mt.mat_exp(X), E)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(group=st.sampled_from(["so3", "moebius", "lie", "e3"]), seed=st.integers(0, 2 ** 32 - 1),
+           log_norm=st.floats(np.log(1e-8), np.log(50.0)))
+    def test_exp_in_group_and_matches_scipy(self, group, seed, log_norm):
+        # 1-norms log-uniform over every approximant and up to four squarings
+        G = mt.GROUPS[group]
+        X = G.algebra_project(np.random.default_rng(seed).normal(size=(G.n, G.n)))
+        norm = np.exp(log_norm)
+        X *= norm / np.abs(X).sum(axis=0).max()
+        E = mt.mat_exp(X)
+        assert G.membership_residual(E) <= 1e-12 * np.max(np.abs(E)) ** 2
+        if norm <= 1.0:
+            expm = pytest.importorskip("scipy.linalg").expm
+            assert _rel_err(E, expm(X)) <= 1e-13
 
     def test_boost_closed_form_large_t(self):
         t = 20.0
@@ -318,6 +393,15 @@ class TestProjectivePoint:
             mt.ProjectivePoint(np.zeros(4))
 
 
+def _span_residual(X, sub):
+    """Distance of an algebra element from the span of a SubalgebraBasis, by
+    least squares over its coordinates."""
+    b = mt.algebra_coordinates(X, sub.metric)
+    A = sub.coords.T
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return float(np.max(np.abs(A @ sol - b)))
+
+
 class TestSubalgebras:
     def test_unconstrained_so3(self):
         sub = mt.subalgebra_from_constraints([], mt.R3)
@@ -348,7 +432,7 @@ class TestSubalgebras:
         for i in range(sub.dim):
             for j in range(sub.dim):
                 B = mt.bracket(sub.elements[i], sub.elements[j])
-                assert mt.span_projection_residual(B, sub) < 1e-10
+                assert _span_residual(B, sub) < 1e-10
 
     @pytest.mark.parametrize("C", [0.0, 0.5, 1.0, 5.0 / 3.0, -2.5])
     def test_duals_are_dual(self, C):
@@ -358,7 +442,7 @@ class TestSubalgebras:
         pairing = np.array([[X[e] for e in entries] for X in duals])
         assert np.max(np.abs(pairing - np.eye(2))) < 1e-14
         for X in duals:
-            assert mt.span_projection_residual(X, sub) < 1e-12
+            assert _span_residual(X, sub) < 1e-12
 
     def test_duals_need_one_element_per_entry(self):
         sub = mt.subalgebra_from_constraints(h_constraints(), mt.LIE)
