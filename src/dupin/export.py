@@ -21,9 +21,12 @@ class Mesh:
     flags: np.ndarray                    # per-vertex singular flags
 
     def validate(self):
-        if np.any((self.faces < 0) | (self.faces >= len(self.vertices))):
+        faces = np.asarray(self.faces)
+        if faces.ndim != 2 or faces.shape[1] != 4 or faces.dtype.kind not in "iu":
+            raise ValueError(f"faces must be an integer (F, 4) array, got {faces.dtype} {faces.shape}")
+        if np.any((faces < 0) | (faces >= len(self.vertices))):
             raise ValueError("face index out of range")
-        if np.any(self.flags[self.faces]):
+        if np.any(self.flags[faces]):
             raise ValueError("flagged vertex used by a face")
 
 
@@ -40,17 +43,18 @@ def grid_mesh(points, flags=None, periodic_u=False, periodic_v=False):
     i, j = np.meshgrid(np.arange(nu if periodic_u else nu - 1),
                        np.arange(nv if periodic_v else nv - 1), indexing="ij")
     i1, j1 = (i + 1) % nu, (j + 1) % nv
-    quads = np.stack([i * nv + j, i1 * nv + j, i1 * nv + j1, i * nv + j1], axis=-1)
-    quads = quads.reshape(-1, 4)
-    return Mesh(verts, quads[~vflags[quads].any(axis=1)], vflags)
+    corners = [(a * nv + b).ravel() for a, b in ((i, j), (i1, j), (i1, j1), (i, j1))]
+    keep = ~(vflags[corners[0]] | vflags[corners[1]] | vflags[corners[2]] | vflags[corners[3]])
+    return Mesh(verts, np.stack([c[keep] for c in corners], axis=1), vflags)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, parts):
+    """Write bytes parts one at a time to a temp file, then rename it over path."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -58,15 +62,34 @@ def _atomic_write(path, text):
         raise
 
 
+def _face_records(faces, n):
+    """The 'f %d %d %d %d' lines of 1-based labels: each vertex's label is
+    formatted once, as a space and right-aligned NUL-padded digits, gathered
+    per face, and the NULs dropped."""
+    w = len(str(n))
+    labels = np.zeros((n, w + 1), dtype=np.uint8)
+    labels[:, 0] = ord(" ")
+    k = np.arange(1, n + 1)
+    for col in range(w, 0, -1):
+        labels[:, col] = np.where(k > 0, ord("0") + k % 10, 0)
+        k //= 10
+    text = np.empty((len(faces), 4 * (w + 1) + 2), dtype=np.uint8)
+    text[:, 0] = ord("f")
+    text[:, 1:-1] = np.take(labels, faces, axis=0).reshape(-1, 4 * (w + 1))
+    text[:, -1] = ord("\n")
+    return text[text != 0].tobytes()
+
+
 def write_obj(mesh, path):
-    """ASCII OBJ with 'v' and 'f' records; deterministic formatting."""
+    """ASCII OBJ: a '# vertices: n faces: F' line, then 'v %.12g %.12g %.12g'
+    records and 1-based 'f %d %d %d %d' records; deterministic bytes."""
     mesh.validate()
     n, nf = len(mesh.vertices), len(mesh.faces)
-    _atomic_write(path, "".join([
-        f"# vertices: {n} faces: {nf}\n",
-        ("v %.12g %.12g %.12g\n" * n) % tuple(mesh.vertices.ravel().tolist()),
-        ("f %d %d %d %d\n" * nf) % tuple((mesh.faces + 1).ravel().tolist()),
-    ]))
+    _atomic_write(path, [
+        b"# vertices: %d faces: %d\n" % (n, nf),
+        (b"v %.12g %.12g %.12g\n" * n) % tuple(mesh.vertices.ravel().tolist()),
+        _face_records(mesh.faces, n),
+    ])
 
 
 def read_obj(path):
@@ -108,4 +131,5 @@ def check(name, value, tolerance=None, passed=None, mode="abs_below"):
 
 
 def write_report(report, path):
-    _atomic_write(path, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _atomic_write(path, [text.encode()])

@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dupin import export as ex
 from dupin.cli import main
@@ -42,6 +45,121 @@ class TestMesh:
         assert len(faces) == len(mesh.faces)
         assert np.max(np.abs(verts - mesh.vertices)) < 1e-12
         assert faces[0] == list(mesh.faces[0])
+
+    def test_grid_mesh_faces(self):
+        """Faces run i-major, (i, j), (i+1, j), (i+1, j+1), (i, j+1), wrapping
+        where periodic, and drop every cell with a flagged corner."""
+        nu, nv = 5, 4
+        flags = np.zeros((nu, nv), dtype=bool)
+        flags[1, 2] = True
+        mesh = ex.grid_mesh(np.zeros((nu, nv, 3)), flags, periodic_v=True)
+        want = [[i * nv + j, (i + 1) * nv + j, (i + 1) * nv + (j + 1) % nv, i * nv + (j + 1) % nv]
+                for i in range(nu - 1) for j in range(nv)]
+        want = [q for q in want if not flags.reshape(-1)[q].any()]
+        assert mesh.faces.dtype == np.arange(1).dtype
+        assert mesh.faces.tolist() == want
+
+    @pytest.mark.parametrize("faces", [np.zeros((2, 4)), np.zeros((2, 3), dtype=int),
+                                       np.zeros(4, dtype=int), np.zeros((1, 4), dtype=bool)],
+                             ids=["float", "triangles", "flat", "bool"])
+    def test_validate_rejects_bad_faces(self, tmp_path, faces):
+        mesh = ex.Mesh(np.zeros((4, 3)), faces, np.zeros(4, dtype=bool))
+        with pytest.raises(ValueError, match=r"faces must be an integer \(F, 4\) array") as exc:
+            mesh.validate()
+        assert "\n" not in str(exc.value)
+        with pytest.raises(ValueError):
+            ex.write_obj(mesh, str(tmp_path / "m.obj"))
+        assert list(tmp_path.iterdir()) == []
+
+
+def reference_obj(mesh):
+    """OBJ bytes with every record formatted by `str %`: the bytes write_obj
+    must reproduce."""
+    n, nf = len(mesh.vertices), len(mesh.faces)
+    return "".join([
+        f"# vertices: {n} faces: {nf}\n",
+        ("v %.12g %.12g %.12g\n" * n) % tuple(mesh.vertices.ravel().tolist()),
+        ("f %d %d %d %d\n" * nf) % tuple((mesh.faces + 1).ravel().tolist()),
+    ]).encode()
+
+
+def written_obj(mesh):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.obj")
+        ex.write_obj(mesh, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def random_grid_mesh(nu, nv, periodic_u=False, periodic_v=False, flag_share=0.0):
+    """Normal vertices scaled by powers of ten from 1e-8 to 1e7."""
+    rng = np.random.default_rng(nu * 1000 + nv)
+    pts = rng.standard_normal((nu, nv, 3)) * 10.0 ** rng.integers(-8, 8, (nu, nv, 3))
+    return ex.grid_mesh(pts, rng.random((nu, nv)) < flag_share, periodic_u, periodic_v)
+
+
+# (nu, nv, periodic_u, periodic_v, flag_share)
+OBJ_CASES = {
+    "no_faces": (4, 5, False, False, 1.0),
+    **{f"n{nu * nv}_{nu}x{nv}": (nu, nv, False, False, 0.0) for nu, nv in [
+        (3, 3), (2, 5), (9, 11), (10, 10), (27, 37), (25, 40), (99, 101), (100, 100)]},
+    "periodic_u": (6, 5, True, False, 0.0),
+    "periodic_v": (6, 5, False, True, 0.0),
+    "periodic_uv": (12, 9, True, True, 0.0),
+    "random_flags": (20, 30, True, False, 0.2),
+}
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 5e-324]
+
+
+@st.composite
+def obj_meshes(draw):
+    nu, nv = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    pts = draw(hnp.arrays(np.float64, (nu, nv, 3), elements=values))
+    flags = draw(hnp.arrays(np.bool_, (nu, nv)))
+    return ex.grid_mesh(pts, flags, draw(st.booleans()), draw(st.booleans()))
+
+
+class TestObjBytes:
+    @pytest.mark.parametrize("case", OBJ_CASES)
+    def test_matches_reference(self, case):
+        nu, nv, pu, pv, flag_share = OBJ_CASES[case]
+        mesh = random_grid_mesh(nu, nv, pu, pv, flag_share)
+        assert len(mesh.faces) > 0 or case == "no_faces"
+        assert written_obj(mesh) == reference_obj(mesh)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=obj_meshes())
+    def test_matches_reference_property(self, mesh):
+        assert written_obj(mesh) == reference_obj(mesh)
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def fail_replace(src, dst):
+        raise OSError("replace failed")
+
+    @pytest.mark.parametrize("kind", ["obj", "report"])
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / f"out.{kind}"
+        path.write_bytes(b"previous\n")
+        monkeypatch.setattr(os, "replace", self.fail_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            if kind == "obj":
+                ex.write_obj(random_grid_mesh(4, 4), str(path))
+            else:
+                ex.write_report(ex.make_report("op", {}, [], {}), str(path))
+        assert path.read_bytes() == b"previous\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_report_bytes(self, tmp_path):
+        rep = ex.make_report("op", {"grid": [3, 4], "name": "caf\u00e9"},
+                             [ex.check("a", 1e-12, 1e-10), ex.check("b", -0.0)], {"a": 1e-10})
+        path = tmp_path / "r.json"
+        ex.write_report(rep, str(path))
+        want = json.dumps(rep, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode()
 
 
 class TestReports:
