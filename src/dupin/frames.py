@@ -3,7 +3,9 @@ g^{-1} dg, structure-equation residuals, the congruence test, and integration
 of flat algebra-valued forms by exponential midpoint stepping.
 
 A 1-form f_u du + f_v dv on a grid is one array whose axis 0 holds (f_u, f_v);
-grid_differential, exterior_d, wedge and coframe_solve all use that layout."""
+grid_differential, exterior_d, wedge and coframe_solve all use that layout.
+FrameField.omega and MCForm.omega broadcast over the grid, (2, nu|1, nv|1, n, n),
+with length 1 along an axis they do not vary along; pullback_mc's are full."""
 
 from __future__ import annotations
 
@@ -26,10 +28,13 @@ class FrameOrderError(GeometryError):
 
 def grid_gradient(f, h, axis, periodic):
     """Grid derivative along one axis; 4th-order central stencils inside
-    (exactly so on periodic grids), 2nd-order one-sided at open boundaries."""
+    (exactly so on periodic grids), 2nd-order one-sided at open boundaries;
+    0 along an axis of length 1, which is a broadcast one."""
     f = np.asarray(f)
     if not np.iscomplexobj(f):
         f = f.astype(float, copy=False)
+    if f.shape[axis] == 1:
+        return np.zeros_like(f)
     if periodic:
         fp1 = np.roll(f, -1, axis=axis)
         fm1 = np.roll(f, 1, axis=axis)
@@ -95,9 +100,9 @@ class FrameField:
     """Grid of group elements over a parameter domain.
 
     ``omega`` optionally holds the exact Maurer-Cartan form T^{-1} dT as a
-    1-form (2, ..., n, n) that broadcasts over the grid, so the partials of
-    the frame are T omega; when absent, pullback_mc takes grid derivatives.
-    omega is left-invariant, so left translation keeps it.
+    1-form (2, nu|1, nv|1, n, n) that broadcasts over the grid, so the
+    partials of the frame are T omega; when absent, pullback_mc takes grid
+    derivatives.  omega is left-invariant, so left translation keeps it.
     """
 
     group: str
@@ -131,8 +136,8 @@ def orbit_frame(group, M, X, Y, domain):
 
 @dataclass
 class MCForm:
-    """Pulled-back Maurer-Cartan form: an algebra-valued 1-form on the grid,
-    ``omega`` of shape (2, nu, nv, n, n) holding its du and dv coefficients."""
+    """Maurer-Cartan 1-form: ``omega`` (2, nu|1, nv|1, n, n) holds its du and dv
+    coefficients, broadcast like FrameField.omega (pullback_mc fills the grid)."""
 
     group: str
     omega: np.ndarray
@@ -170,12 +175,14 @@ def pullback_mc(ff, membership_tol=1e-8):
 
 def structure_residual(mc):
     """Max-abs entry of d_u omega_v - d_v omega_u + [omega_u, omega_v], the
-    coordinate form of the flatness equation."""
-    resid = exterior_d(mc.omega, mc.domain) + mt.bracket(*mc.omega)
-    if not (mc.domain.periodic_u and mc.domain.periodic_v):
-        iu = slice(None) if mc.domain.periodic_u else slice(2, -2)
-        iv = slice(None) if mc.domain.periodic_v else slice(2, -2)
-        resid = resid[iu, iv]
+    coordinate form of the flatness equation, two samples in from each open
+    boundary; GeometryError if an open axis has fewer than 5 samples."""
+    dom = mc.domain
+    resid = exterior_d(mc.omega, dom) + mt.bracket(*mc.omega)
+    iu, iv = (slice(None) if p else slice(2, -2) for p in (dom.periodic_u, dom.periodic_v))
+    resid = np.broadcast_to(resid, (dom.nu, dom.nv) + resid.shape[2:])[iu, iv]
+    if resid.size == 0:
+        raise GeometryError(f"an open axis needs at least 5 samples, got {dom.nu}x{dom.nv}")
     return float(np.max(np.abs(resid)))
 
 
@@ -204,8 +211,7 @@ def integrate_mc(mc, base, integrability_tol=5e-2, order="rows"):
     sr = structure_residual(mc)
     if sr > integrability_tol:
         raise IntegrabilityError(f"form is not flat enough (residual {sr:.3e})")
-    e_rows = _integrate(mc, base, rows_first=True)
-    e_cols = _integrate(mc, base, rows_first=False)
+    e_rows, e_cols = _integrate(mc, base)
     dev = float(np.max(np.abs(e_rows - e_cols)))
     mats = e_rows if order == "rows" else e_cols
     ff = FrameField(mc.group, mats, mc.domain)
@@ -219,24 +225,31 @@ def integrate_mc(mc, base, integrability_tol=5e-2, order="rows"):
     }
 
 
-def _integrate(mc, base, rows_first):
-    # Columns-first is rows-first with the roles of u and v exchanged.
-    (a, b), da, db = mc.omega, mc.domain.du, mc.domain.dv
-    if not rows_first:
-        a, b, da, db = b.swapaxes(0, 1), a.swapaxes(0, 1), db, da
-    step_a = mat_exp(da * (0.5 * (a[:-1, 0] + a[1:, 0])))
-    step_b = mat_exp(db * (0.5 * (b[:, :-1] + b[:, 1:])))
-    e = np.empty_like(a)
-    e[0, 0] = base
-    for i in range(1, e.shape[0]):
-        e[i, 0] = e[i - 1, 0] @ step_a[i - 1]
-    for j in range(1, e.shape[1]):
-        e[:, j] = e[:, j - 1] @ step_b[:, j - 1]
-    return e if rows_first else e.swapaxes(0, 1)
+def _integrate(mc, base):
+    # Rows-first and columns-first scans from base over one grid of steps
+    # exp(h * eta) per direction; a form of length 1 along an axis is its own
+    # midpoint there, so each distinct midpoint is exponentiated once.  The
+    # columns-first scan writes through swapped axes: e_cols is C-contiguous.
+    dom, (wu, wv) = mc.domain, mc.omega
+    if wu.shape[0] > 1:
+        wu = 0.5 * (wu[:-1] + wu[1:])
+    if wv.shape[1] > 1:
+        wv = 0.5 * (wv[:, :-1] + wv[:, 1:])
+    shape = (dom.nu, dom.nv) + wu.shape[2:]
+    su = np.broadcast_to(mat_exp(dom.du * wu), (dom.nu - 1, dom.nv) + shape[2:])
+    sv = np.broadcast_to(mat_exp(dom.dv * wv), (dom.nu, dom.nv - 1) + shape[2:])
+    e_rows, e_cols = np.empty(shape), np.empty(shape)
+    swap = lambda x: x.swapaxes(0, 1)
+    for a, b, e in ((su, sv, e_rows), (swap(sv), swap(su), swap(e_cols))):
+        e[0, 0] = base
+        for i in range(1, e.shape[0]):
+            e[i, 0] = e[i - 1, 0] @ a[i - 1, 0]
+        for j in range(1, e.shape[1]):
+            e[:, j] = e[:, j - 1] @ b[:, j - 1]
+    return e_rows, e_cols
 
 
 def constant_form(X_u, X_v, domain, group):
-    """MCForm with constant coefficient matrices (for exact exponential orbits)."""
-    shape = (domain.nu, domain.nv) + X_u.shape
-    omega = np.stack([np.broadcast_to(X, shape) for X in (X_u, X_v)])
-    return MCForm(group, omega, domain)
+    """MCForm with constant coefficient matrices (for exact exponential
+    orbits), omega of shape (2, 1, 1, n, n)."""
+    return MCForm(group, np.stack([X_u, X_v])[:, None, None], domain)

@@ -3,6 +3,7 @@ and integration of flat forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dupin import metrics as mt
 from dupin import surfaces as srf
@@ -188,6 +189,25 @@ class TestStructureResidual:
         mc = fr.constant_form(np.zeros((3, 3)), np.zeros((3, 3)), dom, "so3")
         assert fr.structure_residual(mc) == 0.0
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("periodic", [(False, False), (True, False), (False, True)])
+    def test_tiny_open_axis_rejected(self, n, periodic):
+        dom = ParamDomain((0, 1), (0, 1), n, n, *periodic)
+        mc = fr.constant_form(so3_generator(), np.zeros((3, 3)), dom, "so3")
+        for run in (fr.structure_residual, lambda mc: fr.integrate_mc(mc, np.eye(3))):
+            with pytest.raises(mt.GeometryError, match="open axis needs at least 5 samples") \
+                    as err:
+                run(mc)
+            assert "\n" not in str(err.value)
+
+    def test_tiny_periodic_grid(self):
+        X = so3_generator()
+        Y = np.zeros((3, 3))
+        Y[1, 2], Y[2, 1] = -1.0, 1.0
+        dom = ParamDomain(nu=3, nv=3)
+        mc = fr.constant_form(X, Y, dom, "so3")
+        assert fr.structure_residual(mc) == np.max(np.abs(mt.bracket(X, Y)))
+
     def test_non_flat_control(self):
         # omega_u = X, omega_v = Y constant with [X, Y] != 0 is not flat
         X = so3_generator()
@@ -333,6 +353,85 @@ class TestIntegrateMC:
             devs.append(rep["path_independence"])
         assert devs[1] < devs[0] / 1.5
         assert devs[2] < devs[1] / 1.5
+
+
+def materialised(mc):
+    """The same form with every coefficient copied out to the full grid."""
+    dom = mc.domain
+    shape = (2, dom.nu, dom.nv) + mc.omega.shape[-2:]
+    return fr.MCForm(mc.group, np.broadcast_to(mc.omega, shape).copy(), dom)
+
+
+def assert_same_integral(mc, base):
+    full = materialised(mc)
+    assert mc.omega.shape != full.omega.shape
+    assert fr.structure_residual(mc) == fr.structure_residual(full)
+    for order in ("rows", "cols"):
+        ff, rep = fr.integrate_mc(mc, base, order=order)
+        ff_full, rep_full = fr.integrate_mc(full, base, order=order)
+        assert np.array_equal(ff.mats, ff_full.mats)
+        assert rep == rep_full
+        assert ff.mats.flags.c_contiguous
+
+
+class TestBroadcastForms:
+    """A form keeps length 1 along a grid axis it does not vary along; every
+    result equals that of the same form copied out to the full grid."""
+
+    def test_constant_form_shape(self):
+        X1, X2 = cylinder_distribution()
+        mc = fr.constant_form(X1, X2, ParamDomain(nu=9, nv=7), "e3")
+        assert mc.omega.shape == (2, 1, 1, 4, 4)
+
+    @pytest.mark.parametrize("periodic", [(False, False), (True, False), (True, True)])
+    def test_constant_form(self, periodic):
+        X1, X2 = cylinder_distribution()
+        dom = ParamDomain((0, 2 * np.pi), (-1.0, 1.0), 40, 12, *periodic)
+        assert_same_integral(fr.constant_form(X1, X2, dom, "e3"),
+                             mt.e3_matrix([0.2, -0.4, 1.0], np.eye(3)))
+
+    @pytest.mark.parametrize("periodic", [(False, False), (True, False)])
+    def test_orbit_frame_form(self, periodic):
+        # non-commuting generators, so omega_u = e^{-vY} X e^{vY} varies along v
+        X = so3_generator()
+        Y = np.zeros((3, 3))
+        Y[1, 2], Y[2, 1] = -0.7, 0.7
+        dom = ParamDomain((0, 2 * np.pi), (0, 1.0), 24, 18, *periodic)
+        ff = fr.orbit_frame("so3", np.eye(3), X, Y, dom)
+        assert ff.omega.shape == (2, 1, 18, 3, 3)
+        assert_same_integral(fr.MCForm("so3", ff.omega, dom), ff.mats[0, 0])
+
+    def test_non_flat_structure_residual(self):
+        X = so3_generator()
+        Y = np.zeros((3, 3))
+        Y[1, 2], Y[2, 1] = -1.0, 1.0
+        for periodic in ((False, False), (True, True)):
+            mc = fr.constant_form(X, Y, ParamDomain((0, 1), (0, 1), 16, 9, *periodic), "so3")
+            assert fr.structure_residual(mc) == fr.structure_residual(materialised(mc)) > 0.5
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(nu=st.integers(5, 40), nv=st.integers(5, 40), periodic=st.tuples(st.booleans(),
+           st.booleans()), angles=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_commuting_generators_property(self, nu, nv, periodic, angles, seed):
+        # two rotations in the same pair of orthogonal planes of a random frame R commute
+        def planes(a, b):
+            Z = np.zeros((4, 4))
+            Z[1, 0], Z[0, 1], Z[3, 2], Z[2, 3] = a, -a, b, -b
+            return R @ Z @ R.T
+        R = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+        X, Y = planes(*angles[:2]), planes(*angles[2:])
+        dom = ParamDomain((0, 1.0), (0, 1.0), nu, nv, *periodic)
+        assert_same_integral(fr.constant_form(X, Y, dom, "so4"), R)
+
+    def test_one_matrix_per_exponential(self, monkeypatch):
+        stacks = []
+        real = fr.mat_exp
+        monkeypatch.setattr(fr, "mat_exp", lambda X: stacks.append(np.shape(X)) or real(X))
+        X1, X2 = cylinder_distribution()
+        dom = ParamDomain((0, 2 * np.pi), (-1.0, 1.0), 64, 48, False, False)
+        fr.integrate_mc(fr.constant_form(X1, X2, dom, "e3"), np.eye(4))
+        assert stacks == [(1, 1, 4, 4)] * 2
 
 
 class TestLeftInvariance:
