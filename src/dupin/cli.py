@@ -76,7 +76,7 @@ def _report_path(obj_path):
 
 
 # The --tol-* flags (and config keys) each command reads; its report records them.
-COMMAND_TOLS = {"gen": (), "orbit": (), "fig7": ("rank",),
+COMMAND_TOLS = {"gen": (), "orbit": (), "fig7": (),
                 "verify": ("membership", "closure", "contact", "order")}
 
 
@@ -185,7 +185,7 @@ def cmd_fig7(args, cfg):
     tols = tolerances(args, cfg)
     s_grid = np.linspace(-4.0, 4.0, nu)
     t_grid = np.linspace(-4.0, 4.0, nv)
-    out_data = ls.fig7_pipeline(args.t, s_grid, t_grid, rank_tol=tols["rank"])
+    out_data = ls.fig7_pipeline(args.t, s_grid, t_grid)
     mesh = grid_mesh(out_data["points"], flags=out_data["singular_mask"])
     out = _out_path(args.out)
     write_obj(mesh, out)

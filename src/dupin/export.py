@@ -119,11 +119,11 @@ def make_report(operation, parameters, checks, tolerances):
     }
 
 
-def check(name, value, tolerance=None, passed=None, mode="abs_below"):
+def check(name, value, tolerance=None, passed=None):
     c = {"name": name, "value": value}
     if tolerance is not None:
         c["tolerance"] = tolerance
-        c["mode"] = mode
+        c["mode"] = "abs_below"
         c["pass"] = bool(abs(value) < tolerance) if passed is None else bool(passed)
     elif passed is not None:
         c["pass"] = bool(passed)

@@ -26,6 +26,10 @@ class FrameOrderError(GeometryError):
     """An adapted frame field fails one of its order conditions."""
 
 
+ORDER_TOL = 1e-6  # largest accepted order-condition residual of an adapted frame
+INTEGRABILITY_TOL = 5e-2  # integrate_mc: largest accepted structure residual
+
+
 def grid_gradient(f, h, axis, periodic):
     """Grid derivative along one axis; 4th-order central stencils inside
     (exactly so on periodic grids), 2nd-order one-sided at open boundaries;
@@ -154,7 +158,7 @@ def _check_membership(ff, tol=1e-8):
         raise mt.MembershipError(f"frame field leaves the group (residual {r:.2e})")
 
 
-def pullback_mc(ff, membership_tol=1e-8):
+def pullback_mc(ff):
     """omega = e^{-1} de on the grid: the field's own exact form, broadcast to
     the grid, when it carries one; otherwise e^{-1} times the grid derivatives
     (see grid_gradient), with no solve: e^{-1} is the group inverse,
@@ -163,7 +167,7 @@ def pullback_mc(ff, membership_tol=1e-8):
     The result is projected onto the algebra and the discarded mass is
     reported as projection noise.
     """
-    _check_membership(ff, membership_tol)
+    _check_membership(ff)
     if ff.omega is None:
         omega = ff.handle().inverse(ff.mats) @ grid_differential(ff.mats, ff.domain)
     else:
@@ -200,21 +204,20 @@ def congruence_test(e, e_tilde, tol=1e-8):
     return {"congruent": dev < tol, "g": g_mean, "deviation": dev}
 
 
-def integrate_mc(mc, base, integrability_tol=5e-2, order="rows"):
+def integrate_mc(mc, base):
     """Integrate a flat algebra-valued form into a frame field.
 
     Path-ordered exponential midpoint products starting from the base corner:
-    exp(h * eta) at cell midpoints, rows-then-columns (or the transpose order).
-    Group membership is preserved exactly.  The path-independence deviation
-    (rows-first vs columns-first) is reported alongside.
+    exp(h * eta) at cell midpoints, rows-then-columns.  Group membership is
+    preserved exactly.  The path-independence deviation from the
+    columns-first scan is reported alongside.
     """
     sr = structure_residual(mc)
-    if sr > integrability_tol:
+    if sr > INTEGRABILITY_TOL:
         raise IntegrabilityError(f"form is not flat enough (residual {sr:.3e})")
     e_rows, e_cols = _integrate(mc, base)
     dev = float(np.max(np.abs(e_rows - e_cols)))
-    mats = e_rows if order == "rows" else e_cols
-    ff = FrameField(mc.group, mats, mc.domain)
+    ff = FrameField(mc.group, e_rows, mc.domain)
     back = pullback_mc(ff).omega
     back -= mc.omega
     recon = float(np.max(np.abs(back)))

@@ -16,8 +16,8 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
-from .frames import (FrameOrderError, coframe_solve, exterior_d, grid_differential,
-                     orbit_frame, pullback_mc, wedge)
+from .frames import (ORDER_TOL, FrameOrderError, coframe_solve, exterior_d,
+                     grid_differential, orbit_frame, pullback_mc, wedge)
 from .surfaces import ParamDomain, propagate_sign
 
 
@@ -26,8 +26,10 @@ class DegenerateLineError(GeometryError):
 
 
 QUADRIC_TOL = 1e-10
+DUPIN_DERIVATIVE_TOL = 5e-3  # legendre_dupin_test: finite-difference derivative cut
 DEGENERATE_FRACTION = 0.5  # fig7: above this singular share the projection is a curve
 PROJECTION_TOL = 1e-8  # fig7: largest accepted relative rounding bound of the projection
+PENCIL_ROUNDING = 16 * np.finfo(float).eps  # fig7: relative rounding of a0 and a1
 
 
 def quadric_residual(v):
@@ -294,7 +296,7 @@ def curvature_sphere_fields(lm):
     return {"degenerate": False, "roots": out}
 
 
-def legendre_dupin_test(lm, deriv_tol=5e-3):
+def legendre_dupin_test(lm):
     """Dupin verdict: each curvature sphere field is projectively constant along
     its own kernel direction (finite-difference directional derivative)."""
     fields = curvature_sphere_fields(lm)
@@ -316,7 +318,7 @@ def legendre_dupin_test(lm, deriv_tol=5e-3):
         D = D - np.sum(D * K, axis=-1, keepdims=True) * K
         worst = max(worst, float(np.max(np.linalg.norm(D, axis=-1))))
     return {
-        "dupin": worst < deriv_tol,
+        "dupin": worst < DUPIN_DERIVATIVE_TOL,
         "degenerate": False,
         "max_derivative": worst,
         "fields": fields,
@@ -422,31 +424,52 @@ def _check_line_immersion(ff, tol=1e-8):
         )
 
 
-def fig7_pipeline(boost_t, s_grid=None, t_grid=None, rank_tol=1e-8):
-    """Stereographic projection of the spherical projection of the boosted
-    coset orbit; grid points with a rank-deficient first fundamental form are
-    flagged singular.  A boost whose projection has a relative rounding bound
-    above PROJECTION_TOL is rejected (see projection_precision)."""
+def pencil_determinant(lm, ff):
+    """(f, bound) over the grid: f = det(a1 omega^{2..3}_0 - a0 omega^{2..3}_1)
+    is the du^dv coefficient of the motion of sigma = a1 S0 - a0 S1 modulo the
+    line, zero exactly where the point sphere sigma is a curvature sphere;
+    bound is PENCIL_ROUNDING times the first-order change of f when each a_i
+    moves by |S_i|, the scale of the rounding of a_i = <S_i, eps5>."""
+    a0, a1, _ = _point_sphere(lm.S0, lm.S1)
+    A, B = ff.omega[..., 2:4, 0], ff.omega[..., 2:4, 1]       # 1-forms (2, ..., 2)
+    M = a1[..., None] * A - a0[..., None] * B
+    mixed = lambda P, Q: wedge(P[..., 0], Q[..., 1]) + wedge(Q[..., 0], P[..., 1])
+    norm = lambda S: np.linalg.norm(S, axis=-1)
+    bound = norm(lm.S0) * np.abs(mixed(B, M)) + norm(lm.S1) * np.abs(mixed(A, M))
+    return wedge(M[..., 0], M[..., 1]), PENCIL_ROUNDING * bound
+
+
+def _sign_change_nodes(f):
+    """Of each grid edge across which f changes sign strictly, the endpoint
+    with the smaller |f| (the first on a tie)."""
+    out = np.zeros(f.shape, dtype=bool)
+    for g, o in ((f, out), (f.T, out.T)):
+        cross = np.sign(g[:-1]) * np.sign(g[1:]) < 0
+        nearer = np.abs(g[:-1]) <= np.abs(g[1:])
+        o[:-1] |= cross & nearer
+        o[1:] |= cross & ~nearer
+    return out
+
+
+def fig7_pipeline(boost_t, s_grid=None, t_grid=None):
+    """Stereographic projection of the spherical projection sigma of the
+    boosted coset orbit.  sigma fails to immerse exactly where it is a
+    curvature sphere, the zeros of pencil_determinant's f: grid points where
+    f is zero to rounding and the nearer endpoint of each grid edge across
+    which f changes sign are flagged singular, as are the pole and points off
+    the chart.  A boost whose projection has a relative rounding bound above
+    PROJECTION_TOL is rejected (see projection_precision)."""
     if s_grid is None:
         s_grid = np.linspace(-4.0, 4.0, 33)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
-    lm, _ = coset_orbit(boost(boost_t), s_grid, t_grid)
+    lm, ff = coset_orbit(boost(boost_t), s_grid, t_grid)
     bound = projection_precision(lm.S0, lm.S1)
     check_projection_precision(bound)
-    sig = spherical_projection(lm.S0, lm.S1)
-    x, on_chart = sf.moebius_chart(sig, "sphere")
+    x, on_chart = sf.moebius_chart(spherical_projection(lm.S0, lm.S1), "sphere")
     y, pole = sf.stereo_off_pole(x)
-    yu, yv = grid_differential(y, lm.domain)
-    E = np.sum(yu * yu, axis=-1)
-    Fc = np.sum(yu * yv, axis=-1)
-    Gc = np.sum(yv * yv, axis=-1)
-    det = E * Gc - Fc * Fc
-    # the floor keeps a round-off E or G (a projection that is a curve) from
-    # shrinking the cut to round-off itself
-    scale = max(float(np.median(E) * np.median(Gc)), 1e-16 * float(np.median(E + Gc)) ** 2,
-                1e-30)
-    singular = (det < rank_tol * scale) | pole | ~on_chart
+    f, f_bound = pencil_determinant(lm, ff)
+    singular = (np.abs(f) <= f_bound) | _sign_change_nodes(f) | pole | ~on_chart
     degenerate = bool(np.mean(singular) > DEGENERATE_FRACTION)
     return {
         "points": y,
@@ -474,7 +497,7 @@ class LieCoefficients:
     theta3: np.ndarray
 
 
-def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
+def best_lie_frame_check(ff, mc=None):
     """Residuals of the three best-frame order conditions along a Legendre map,
     plus the derived coefficient functions and their exterior-derivative
     compatibility residuals."""
@@ -495,7 +518,7 @@ def best_lie_frame_check(ff, order_tol=1e-6, mc=None):
     if np.min(np.abs(wedge23)) < 1e-12:
         res["coframe_degenerate"] = True
         raise FrameOrderError("theta^2 wedge theta^3 vanishes somewhere on the grid")
-    if res["order1"] > order_tol:
+    if res["order1"] > ORDER_TOL:
         raise FrameOrderError(f"order-1 conditions fail (residual {res['order1']:.3e})")
 
     d = mc.domain

@@ -17,9 +17,6 @@ import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
 
-MEMBERSHIP_TOL = 1e-10
-CLOSURE_TOL = 1e-10
-
 
 class GeometryError(ValueError):
     """Base class for geometric precondition failures."""
@@ -417,7 +414,7 @@ def _rref(A, tol=1e-11):
     return A[:r]
 
 
-def subalgebra_from_constraints(constraints, metric, closure_tol=CLOSURE_TOL):
+def subalgebra_from_constraints(constraints, metric):
     """Solve a list of linear functionals on Maurer-Cartan entries inside so(gram).
 
     Each constraint is a dict {(a, b): coeff} meaning sum coeff * omega^a_b = 0.

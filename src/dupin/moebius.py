@@ -16,8 +16,8 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
-from .frames import (FrameField, FrameOrderError, coframe_solve, grid_differential,
-                     pullback_mc, wedge)
+from .frames import (ORDER_TOL, FrameField, FrameOrderError, coframe_solve,
+                     grid_differential, pullback_mc, wedge)
 from .surfaces import (Jet, ParamDomain, ParametricSurface, cylinder, hyperboloid,
                        quotient_jet, torus)
 
@@ -226,7 +226,7 @@ class MoebiusCoefficients:
     phi: tuple    # the 1-forms (omega^1_0, omega^2_0)
 
 
-def frame_order_check(ff, order_tol=1e-6, mc=None):
+def frame_order_check(ff, mc=None):
     """Verify the first/second/third-order conditions of an adapted Moebius
     frame and extract the coefficient functions and the invariant C.
 
@@ -237,14 +237,14 @@ def frame_order_check(ff, order_tol=1e-6, mc=None):
     w = mc.omega
     res = {}
     res["first_order"] = float(np.max(np.abs(w[..., 3, 0])))
-    if res["first_order"] > order_tol:
+    if res["first_order"] > ORDER_TOL:
         raise FrameOrderError(f"first order fails: |omega^3_0| = {res['first_order']:.3e}")
     w10, w20 = w[..., 1, 0], w[..., 2, 0]
     res["second_order"] = float(np.max(np.abs([w[..., 3, 1] - w10, w[..., 3, 2] + w20])))
-    if res["second_order"] > order_tol:
+    if res["second_order"] > ORDER_TOL:
         raise FrameOrderError(f"second order fails: residual {res['second_order']:.3e}")
     res["third_order"] = float(np.max(np.abs(w[..., 0, 3])))
-    if res["third_order"] > order_tol:
+    if res["third_order"] > ORDER_TOL:
         raise FrameOrderError(f"third order fails: |omega^0_3| = {res['third_order']:.3e}")
 
     q1, q2 = coframe_solve(w10, w20, w[..., 2, 1])
@@ -260,7 +260,7 @@ def frame_order_check(ff, order_tol=1e-6, mc=None):
     C_field = 0.5 * (p1 - p3)
     C = float(np.mean(C_field))
     res["C_spread"] = float(np.ptp(C_field))
-    res["dupin"] = bool(max(res["q1"], res["q2"], res["p2"]) < order_tol)
+    res["dupin"] = bool(max(res["q1"], res["q2"], res["p2"]) < ORDER_TOL)
     res.update(_integrability_residuals(mc.domain, q1, q2, p1, p2, p3, w10, w20))
     coeffs = MoebiusCoefficients(q1, q2, p1, p2, p3, C, res["C_spread"], (w10, w20))
     return coeffs, res

@@ -594,20 +594,20 @@ def pushforward(s, mapping, domain=None):
 
 # --- classification ---------------------------------------------------------------
 
-def classify(s, iso_tol=None, dupin_tol=None):
+def classify(s):
     """Isoparametric / Dupin verdicts over the surface's sample grid.
 
     isoparametric: each principal curvature has spread < iso_tol over the grid.
     dupin: the derivatives e_a(a), e_c(c) of each principal curvature along its
     own curvature line, exact from one 3-jet per vertex, stay below dupin_tol
     everywhere, with distinct curvatures; umbilic points make the Dupin
-    verdict undefined there (excluded, reported).
+    verdict undefined there (excluded, reported).  iso_tol is 1e-6 and
+    dupin_tol DUPIN_TOL on analytic jets, both 1e-3 on finite-difference
+    ones; the report records both.
     """
     analytic = s.analytic
-    if iso_tol is None:
-        iso_tol = 1e-6 if analytic else 1e-3
-    if dupin_tol is None:
-        dupin_tol = DUPIN_TOL if analytic else 1e-3
+    iso_tol = 1e-6 if analytic else 1e-3
+    dupin_tol = DUPIN_TOL if analytic else 1e-3
     umbilic_tol = 1e-9 if analytic else 1e-5
     U, V = s.domain.mesh()
     data = principal_curvatures(s, U, V, umbilic_tol=umbilic_tol)

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dupin import export as ex
+from dupin import cli
 from dupin.cli import main
 
 
@@ -304,6 +306,20 @@ class TestCLI:
         assert check["value"] == rep["checks"][0]["value"] / 17 ** 2
         assert check["tolerance"] == 0.5
 
+    def test_fig7_even_grid_singular_rows(self, tmp_path):
+        # the pinched circles v = +-2 fall between the nodes of a 64x64 grid;
+        # the rows nearest them (v = +-1.968) are flagged and no face uses them
+        out = str(tmp_path / "f64.obj")
+        assert main(["fig7", "--t", "1", "--grid", "64x64", "--out", out]) == 0
+        rep = json.loads(open(out[:-4] + ".report.json").read())
+        points = rep["singular_grid_points"]
+        assert rep["checks"][0]["value"] == 128.0 == len(points)
+        assert sorted({j for _, j in points}) == [16, 47]
+        _, faces = ex.read_obj(out)
+        used = {i for f in faces for i in f}
+        assert not used & {i * 64 + j for i, j in points}
+        assert len(used) == 64 * 62
+
     def test_fig7_grid_vertex_count(self, tmp_path):
         out = str(tmp_path / "f7g.obj")
         assert main(["fig7", "--t", "1", "--grid", "32x32", "--out", out]) == 0
@@ -336,14 +352,12 @@ class TestTolFlags:
     def test_verify_flag_is_read(self, name):
         assert main(["verify", "all", f"--tol-{name}", "0"]) == 1
 
-    def test_fig7_rank_flag_is_read(self, tmp_path):
-        counts = []
-        for extra in ([], ["--tol-rank", "0"]):
-            out = str(tmp_path / f"f{len(extra)}.obj")
-            assert main(["fig7", "--t", "1", "--grid", "17x17", "--out", out] + extra) == 0
-            counts.append(json.loads(open(out[:-4] + ".report.json").read())
-                          ["checks"][0]["value"])
-        assert counts == [34.0, 0.0]
+    def test_every_default_key_is_read(self):
+        # defaults.cfg holds the grid sizes and the tolerances commands read, no more
+        with resources.files("dupin").joinpath("defaults.cfg").open() as fh:
+            keys = set(cli._parse_cfg(fh))
+        read = {name for names in cli.COMMAND_TOLS.values() for name in names}
+        assert keys == {"grid_nu", "grid_nv"} | read
 
     @pytest.mark.parametrize("argv", [
         ["gen", "cylinder", "--radius", "2", "--tol-rank", "1"],
@@ -351,6 +365,7 @@ class TestTolFlags:
         ["orbit", "--C", "0.5", "--tol-order", "1"],
         ["fig7", "--t", "1", "--tol-closure", "1"],
         ["verify", "framecalc", "--tol-rank", "1"],
+        ["fig7", "--t", "1", "--tol-rank", "1"],
     ])
     def test_unread_flag_rejected(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -360,6 +375,8 @@ class TestTolFlags:
     def test_reports_record_only_applied_tolerances(self, tmp_path):
         out = str(tmp_path / "c.obj")
         assert main(["gen", "cylinder", "--radius", "2", "--grid", "12x8", "--out", out]) == 0
+        assert json.loads(open(out[:-4] + ".report.json").read())["tolerances"] == {}
+        assert main(["fig7", "--t", "1", "--grid", "9x9", "--out", out]) == 0
         assert json.loads(open(out[:-4] + ".report.json").read())["tolerances"] == {}
         assert main(["verify", "framecalc", "--out", out]) == 0
         assert sorted(json.loads(open(out).read())["tolerances"]) == [

@@ -366,12 +366,14 @@ def assert_same_integral(mc, base):
     full = materialised(mc)
     assert mc.omega.shape != full.omega.shape
     assert fr.structure_residual(mc) == fr.structure_residual(full)
-    for order in ("rows", "cols"):
-        ff, rep = fr.integrate_mc(mc, base, order=order)
-        ff_full, rep_full = fr.integrate_mc(full, base, order=order)
-        assert np.array_equal(ff.mats, ff_full.mats)
-        assert rep == rep_full
-        assert ff.mats.flags.c_contiguous
+    # both scans, rows-first and the columns-first path-independence reference
+    for e, e_full in zip(fr._integrate(mc, base), fr._integrate(full, base)):
+        assert np.array_equal(e, e_full)
+        assert e.flags.c_contiguous
+    ff, rep = fr.integrate_mc(mc, base)
+    ff_full, rep_full = fr.integrate_mc(full, base)
+    assert np.array_equal(ff.mats, ff_full.mats)
+    assert rep == rep_full
 
 
 class TestBroadcastForms:

@@ -1,6 +1,8 @@
 """Lie sphere geometry: quadric lines, Legendre lifts, the homogeneous example,
 order conditions, the Dupin distribution, boosts, and coset orbits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,19 +417,26 @@ class TestCosetOrbit:
 
     @pytest.mark.parametrize("n", [9, 17, 33])
     def test_fig7_degenerate_under_round_off(self, monkeypatch, n):
-        # at t = 0 the projection is a curve, and one of E, G is round-off;
-        # relative noise of 1e-16 in the projection must not change the verdict
-        real = ls.spherical_projection
+        # at t = 0 every point sphere is a curvature sphere: a0 = <S0, eps5>
+        # is round-off.  Relative noise of 1e-16 in the representatives S0 and
+        # S1, which the pencil determinant reads, must not change the verdict
+        real = ls.coset_orbit
         rng = np.random.default_rng(7)
+        noisy = lambda S: S + 1e-16 * np.abs(S).max(axis=-1, keepdims=True) * rng.standard_normal(S.shape)
+        seen = []
 
-        def noisy(S0, S1):
-            w = real(S0, S1)
-            return w + 1e-16 * np.abs(w).max(axis=-1, keepdims=True) * rng.standard_normal(w.shape)
+        def perturbed(A, s_grid, t_grid):
+            lm, ff = real(A, s_grid, t_grid)
+            seen.append((lm, replace(lm, S0=noisy(lm.S0), S1=noisy(lm.S1))))
+            return seen[-1][1], ff
 
-        monkeypatch.setattr(ls, "spherical_projection", noisy)
+        monkeypatch.setattr(ls, "coset_orbit", perturbed)
         grid = np.linspace(-4.0, 4.0, n)
         out = ls.fig7_pipeline(0.0, grid, grid)
         assert out["degenerate"] and out["singular_count"] == out["grid_size"]
+        # the noise outweighs a0's own round-off, so the check is not vacuous
+        (a0, *_), (b0, *_) = (ls._point_sphere(lm.S0, lm.S1) for lm in seen[0])
+        assert np.max(np.abs(b0 - a0)) > np.max(np.abs(a0))
 
     def test_fig7_surface_of_revolution(self):
         # the regular part is a surface of revolution about the z-axis:
@@ -445,6 +454,41 @@ class TestCosetOrbit:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
         # the slice generators are dual to theta^2 and theta^3
         assert np.max(np.abs(got - 1.0)) < 1e-14
+
+
+class TestFig7SingularSet:
+    """fig7's singular set is where the point sphere is a curvature sphere:
+    on the pinched circles v = +-2, found on any grid, not only at nodes."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(nu=st.integers(9, 129), nv=st.integers(9, 129), square=st.booleans(),
+           t=st.floats(0.3, 5.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_pinched_circles_property(self, nu, nv, square, t, sign):
+        nv = nu if square else nv
+        v = np.linspace(-4.0, 4.0, nv)
+        out = ls.fig7_pipeline(sign * t, np.linspace(-4.0, 4.0, nu), v)
+        mask = out["singular_mask"]
+        assert out["singular_count"] > 0 and not out["degenerate"]
+        rows = mask.all(axis=0)
+        assert np.array_equal(mask, np.broadcast_to(rows, mask.shape))  # whole rows only
+        assert np.all(np.abs(np.abs(v[rows]) - 2.0) <= (1 + 1e-9) * 4.0 / (nv - 1))
+
+    @pytest.mark.parametrize("n, rows", [(33, [8, 24]), (64, [16, 47]), (128, [32, 95])])
+    def test_rows_nearest_the_circles(self, n, rows):
+        grid = np.linspace(-4.0, 4.0, n)
+        mask = ls.fig7_pipeline(1.0, grid, grid)["singular_mask"]
+        assert np.flatnonzero(mask.all(axis=0)).tolist() == rows
+        assert mask.sum() == 2 * n
+
+    def test_pencil_determinant_is_minus_a0_a1(self):
+        # the slice generators are dual to theta^2 and theta^3, so
+        # f = -a0 a1 theta^2 ^ theta^3 = -a0 a1 on the boosted coset
+        s = np.linspace(-4.0, 4.0, 17)
+        lm, ff = ls.coset_orbit(ls.boost(1.0), s, s)
+        a0, a1, _ = ls._point_sphere(lm.S0, lm.S1)
+        f, bound = ls.pencil_determinant(lm, ff)
+        assert np.max(np.abs(f + a0 * a1)) <= 1e-15 * np.max(np.abs(a0 * a1))
+        assert np.all(bound <= 1e-13 * np.abs(a1))
 
 
 class TestProjectionPrecision:
