@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Write the three reference meshes to ./meshes/ as OBJ files.
+"""Write the three reference meshes as OBJ files to demos/meshes/, or to
+$DUPIN_OUTDIR when it is set (as the command line does).
 
   fig_torus.obj       stereographic image of the flat torus (alpha = pi/4)
   fig_hyperboloid.obj ball image of the circular hyperboloid (a = 1/2)
@@ -15,7 +16,8 @@ from dupin import surfaces as srf
 from dupin.export import grid_mesh, write_obj
 from dupin.surfaces import ParamDomain
 
-outdir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "meshes")
+outdir = (os.environ.get("DUPIN_OUTDIR")
+          or os.path.join(os.path.dirname(os.path.abspath(__file__)), "meshes"))
 os.makedirs(outdir, exist_ok=True)
 
 s = srf.pushforward(srf.torus(np.pi / 4, ParamDomain(nu=96, nv=96)), "stereo")

@@ -3,7 +3,8 @@ g^{-1} dg, structure-equation residuals, the congruence test, and integration
 of flat algebra-valued forms by exponential midpoint stepping.
 
 A 1-form f_u du + f_v dv on a grid is one array whose axis 0 holds (f_u, f_v);
-grid_differential, exterior_d, wedge and coframe_solve all use that layout.
+grid_differential, exterior_d, wedge, coframe_solve and pencil all use that
+layout.
 FrameField.omega and MCForm.omega broadcast over the grid, (2, nu|1, nv|1, n, n),
 with length 1 along an axis they do not vary along; pullback_mc's are full."""
 
@@ -84,6 +85,31 @@ def exterior_d(form, domain):
 def wedge(f, g):
     """du^dv coefficient of the wedge of two 1-forms."""
     return f[0] * g[1] - f[1] * g[0]
+
+
+def pencil(P, Q):
+    """(c0, c1, c2) with det(P + r Q) = c0 + c1 r + c2 r^2 for two R^2-valued
+    1-forms P, Q of layout (2, ..., 2): the du^dv coefficients of the wedge of
+    the components of P + r Q."""
+    return (wedge(P[..., 0], P[..., 1]),
+            wedge(P[..., 0], Q[..., 1]) + wedge(Q[..., 0], P[..., 1]),
+            wedge(Q[..., 0], Q[..., 1]))
+
+
+def pencil_roots(c0, c1, c2):
+    """(r_lo, r_hi, disc): the roots r_lo <= r_hi of c0 + c1 r + c2 r^2 and its
+    discriminant c1^2 - 4 c0 c2, for coefficients scaled to at most 1.  Where
+    |c2| <= 1e-10 the pencil has dropped to degree 1: r_lo = -c0/c1 (0 where c1
+    is that small too) and r_hi = inf.  Otherwise the larger-magnitude root is
+    q/c2 with q = -(c1 + sign(c1) sqrt(disc))/2, the other c0/q, with no
+    cancellation; a negative disc is read as 0, so the caller tests disc."""
+    quad = np.abs(c2) > 1e-10
+    disc = c1 * c1 - 4 * c0 * c2
+    q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(quad, q / c2, np.where(np.abs(c1) > 1e-10, -c0 / c1, 0.0))
+        r2 = np.where(quad, np.where(q != 0, c0 / q, 0.0), np.inf)
+    return np.minimum(r1, r2), np.maximum(r1, r2), disc
 
 
 def coframe_solve(theta1, theta2, psi):

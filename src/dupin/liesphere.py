@@ -17,7 +17,8 @@ from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
 from .frames import (ORDER_TOL, FrameOrderError, coframe_solve, exterior_d,
-                     grid_differential, orbit_frame, pullback_mc, wedge)
+                     grid_differential, orbit_frame, pencil, pencil_roots,
+                     pullback_mc, wedge)
 from .surfaces import ParamDomain, propagate_sign
 
 
@@ -228,64 +229,37 @@ def sigma_rank_report(lm, rank_tol=1e-10):
 
 # --- curvature spheres and the Dupin test ---------------------------------------------
 
-def _pencil_complement(S0, S1):
-    """Orthonormal pair spanning {v : <v,S0> = <v,S1> = 0} / span{S0,S1},
-    where the induced form is positive definite (batched)."""
-    G = mt.R42.gram
-    A = np.stack([S0, S1], axis=-2) @ G                    # (..., 2, 6)
-    _, _, vh = np.linalg.svd(A)
-    N = vh[..., 2:, :]                                     # (..., 4, 6) basis of U
-    gram = N @ G @ np.swapaxes(N, -1, -2)                  # rank-2 PSD
-    w, vec = np.linalg.eigh(gram)
-    top = vec[..., :, 2:]                                  # eigvecs of the 2 positive eigvals
-    u = np.swapaxes(top, -1, -2) @ N
-    norm = np.sqrt(np.maximum(w[..., 2:], 1e-300))
-    return u / norm[..., None]                             # (..., 2, 6)
-
-
-def _component(u_basis, w):
-    """Components of w in the complement basis (pairing with ghat)."""
-    G = mt.R42.gram
-    return (u_basis @ G @ w[..., None])[..., 0]
-
-
 def curvature_sphere_fields(lm):
     """Per-point pencil parameters (alpha : beta) where alpha S0 + beta S1 has
-    singular differential modulo the line, as two root fields with kernels."""
+    singular differential modulo the line, as two root fields with kernels.
+
+    dS0 and dS1 are orthogonal to the line, and the Lie product is positive
+    definite modulo it, so for a reference pair r of line motions independent
+    modulo the line, det((dS0 + tau dS1)(d_i) mod the line) det(R) =
+    det(<(dS0 + tau dS1)(d_i), r_j>) (Cauchy-Binet).  r is the one of dS0,
+    dS1 and dS0 + dS1 (tau = 0, inf, 1) with the largest Gram determinant at
+    each point: a nonzero quadratic in tau vanishes at two of them at most.
+    Pairing with r keeps the kernel of the motion, which gives the kernels."""
     dS0 = grid_differential(lm.S0, lm.domain) if lm.dS0 is None else lm.dS0
     dS1 = grid_differential(lm.S1, lm.domain) if lm.dS1 is None else lm.dS1
-    u_basis = _pencil_complement(lm.S0, lm.S1)
-    # the 1-forms (2, ..., 2) of the two line motions' complement components
-    a, b = _component(u_basis, dS0), _component(u_basis, dS1)
-    A2 = wedge(a[..., 0], a[..., 1])
-    B2 = wedge(a[..., 0], b[..., 1]) + wedge(b[..., 0], a[..., 1])
-    C2 = wedge(b[..., 0], b[..., 1])
-    scale = np.max(np.abs(np.stack([A2, B2, C2])))
+    # the 1-form (2, ..., 2) of <x(d_i), r(d_j)>: direction i, component j
+    gram = lambda x, r: np.moveaxis(inner(x[:, None], r[None], mt.R42), 1, -1)
+    refs = (dS0, dS1, dS0 + dS1)
+    dets = [wedge(g[..., 0], g[..., 1]) for g in map(gram, refs, refs)]
+    ref = np.choose(np.argmax(dets, axis=0)[..., None], refs)
+    a, b = gram(dS0, ref), gram(dS1, ref)
+    coeffs = np.stack(pencil(a, b))
+    scale = np.max(np.abs(coeffs))
     if scale < 1e-13:
         return {"degenerate": True, "roots": []}
-    A2, B2, C2 = A2 / scale, B2 / scale, C2 / scale
-    # det M(1, tau) = A2 + B2 tau + C2 tau^2; tau = beta/alpha
-    roots = []
-    eps = 1e-10
-    quad = np.abs(C2) > eps
-    disc = B2 * B2 - 4 * A2 * C2
-    if np.any(quad & (disc < -1e-9)):
+    lo, hi, disc = pencil_roots(*(coeffs / scale))  # of det(a + tau b), tau = beta/alpha
+    if np.any(np.isfinite(hi) & (disc < -1e-9)):  # hi is finite where the degree is 2
         return {"degenerate": False, "complex": True, "roots": []}
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(quad, (-B2 - sq) / (2 * C2), np.where(np.abs(B2) > eps, -A2 / B2, 0.0))
-        t2 = np.where(quad, (-B2 + sq) / (2 * C2), np.inf)
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
+    out = []
     for t in (lo, hi):
         finite = np.isfinite(t)
-        alpha = np.where(finite, 1.0, 0.0)
-        beta = np.where(finite, t, 1.0)
-        norm = np.sqrt(alpha * alpha + beta * beta)
-        roots.append(np.stack([alpha / norm, beta / norm], axis=-1))
-
-    out = []
-    for ab in roots:
+        ab = np.stack([np.where(finite, 1.0, 0.0), np.where(finite, t, 1.0)], axis=-1)
+        ab /= np.linalg.norm(ab, axis=-1, keepdims=True)
         M = np.moveaxis(ab[..., 0:1] * a + ab[..., 1:2] * b, 0, -1)  # (..., 2 comps, 2 cols)
         k_a = np.stack([M[..., 0, 1], -M[..., 0, 0]], axis=-1)
         k_b = np.stack([M[..., 1, 1], -M[..., 1, 0]], axis=-1)
@@ -433,10 +407,9 @@ def pencil_determinant(lm, ff):
     a0, a1, _ = _point_sphere(lm.S0, lm.S1)
     A, B = ff.omega[..., 2:4, 0], ff.omega[..., 2:4, 1]       # 1-forms (2, ..., 2)
     M = a1[..., None] * A - a0[..., None] * B
-    mixed = lambda P, Q: wedge(P[..., 0], Q[..., 1]) + wedge(Q[..., 0], P[..., 1])
+    (f, dA, _), (_, dB, _) = pencil(M, A), pencil(M, B)  # f, and its a1 and -a0 slopes
     norm = lambda S: np.linalg.norm(S, axis=-1)
-    bound = norm(lm.S0) * np.abs(mixed(B, M)) + norm(lm.S1) * np.abs(mixed(A, M))
-    return wedge(M[..., 0], M[..., 1]), PENCIL_ROUNDING * bound
+    return f, PENCIL_ROUNDING * (norm(lm.S0) * np.abs(dB) + norm(lm.S1) * np.abs(dA))
 
 
 def _sign_change_nodes(f):

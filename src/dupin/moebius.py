@@ -17,7 +17,7 @@ from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
 from .frames import (ORDER_TOL, FrameField, FrameOrderError, coframe_solve,
-                     grid_differential, pullback_mc, wedge)
+                     grid_differential, pencil, pencil_roots, pullback_mc, wedge)
 from .surfaces import (Jet, ParamDomain, ParametricSurface, cylinder, hyperboloid,
                        quotient_jet, torus)
 
@@ -101,34 +101,24 @@ def sphere_map_dupin_test(S_grid, domain, rank_tol=1e-8):
 
 def curvature_sphere_params(mc, i, j, double_root_tol=1e-12):
     """Real roots r of (omega^1_3 + r omega^1_0) wedge (omega^2_3 + r omega^2_0)
-    at grid point (i, j) of a first-order Moebius frame's pulled-back form."""
+    at grid point (i, j) of a first-order Moebius frame's pulled-back form
+    (frames.pencil and pencil_roots, with the coefficients scaled to at most 1:
+    where |c2| <= 1e-10 max |c_k| the upper root is inf)."""
     w = mc.omega[:, i, j]
-    w13, w23, w10, w20 = w[:, 1, 3], w[:, 2, 3], w[:, 1, 0], w[:, 2, 0]
-    c2 = wedge(w10, w20)
+    c0, c1, c2 = pencil(w[:, 1:3, 3], w[:, 1:3, 0])
     if abs(c2) < 1e-14:
         raise GeometryError("degenerate coframe: omega^1_0 wedge omega^2_0 = 0")
-    c0 = wedge(w13, w23)
-    c1 = wedge(w13, w20) + wedge(w10, w23)
     scale = max(abs(c0), abs(c1), abs(c2))
     if scale < 1e-14:
         return {"roots": [], "double_root": False, "totally_umbilic": True}
-    disc = c1 * c1 - 4 * c2 * c0
-    if abs(disc) <= double_root_tol * scale**2:
-        root = -c1 / (2 * c2) if abs(c2) > 1e-14 else None
-        return {
-            "roots": [root, root] if root is not None else [],
-            "double_root": True,
-            "totally_umbilic": False,
-        }
+    lo, hi, disc = pencil_roots(c0 / scale, c1 / scale, c2 / scale)
+    if abs(disc) <= double_root_tol:
+        root = float(0.5 * (lo + hi))
+        return {"roots": [root, root], "double_root": True, "totally_umbilic": False}
     if disc < 0:
         return {"roots": [], "double_root": False, "totally_umbilic": False,
                 "complex_roots": True}
-    sq = np.sqrt(disc)
-    if abs(c2) > 1e-14:
-        roots = sorted([(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)])
-    else:
-        roots = [-c0 / c1]
-    return {"roots": roots, "double_root": False, "totally_umbilic": False}
+    return {"roots": [float(lo), float(hi)], "double_root": False, "totally_umbilic": False}
 
 
 # --- canonical adapted frames -----------------------------------------------------

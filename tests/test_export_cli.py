@@ -331,6 +331,18 @@ class TestCLI:
         # an impossible closure tolerance forces a failing suite -> exit 1
         assert main(["verify", "moebius", "--tol-closure", "1e-18"]) == 1
 
+    def test_example_dupin_applies_its_tolerance(self, tmp_path, monkeypatch):
+        # a derivative above the recorded 1e-8 fails the check even when
+        # legendre_dupin_test's own verdict is Dupin
+        from dupin import liesphere as ls
+        monkeypatch.setattr(ls, "legendre_dupin_test",
+                            lambda lm: {"dupin": True, "max_derivative": 1e-6})
+        out = str(tmp_path / "v.json")
+        assert main(["verify", "liesphere", "--out", out]) == 1
+        checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+        assert checks["example_dupin"]["tolerance"] == 1e-8
+        assert checks["example_dupin"]["pass"] is False
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DUPIN_OUTDIR", str(tmp_path / "envdir"))
         assert main(["gen", "cylinder", "--radius", "2", "--grid", "12x8",

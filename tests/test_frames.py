@@ -178,6 +178,45 @@ class TestCoframeSolve:
             fr.coframe_solve(theta1, theta2, psi)
 
 
+class TestPencil:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.floats(-10.0, 10.0))
+    def test_determinant_identity(self, seed, r):
+        # oracle: det(P + r Q) of the 2x2 matrices (component, direction)
+        P, Q = np.random.default_rng(seed).normal(size=(2, 2, 5, 4, 2))
+        c0, c1, c2 = fr.pencil(P, Q)
+        ref = np.linalg.det(np.moveaxis(P + r * Q, 0, -1))
+        assert np.max(np.abs(c0 + c1 * r + c2 * r * r - ref)) <= 1e-12 * (1 + r * r)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(r1=st.floats(-5.0, 5.0), gap=st.floats(0.1, 5.0), lead=st.floats(0.1, 10.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_roots_match_np_roots(self, r1, gap, lead, sign):
+        c = sign * lead * np.array([1.0, -(2 * r1 + gap), r1 * (r1 + gap)])  # c2, c1, c0
+        c /= np.max(np.abs(c))
+        lo, hi, disc = fr.pencil_roots(c[2], c[1], c[0])
+        ref = np.sort(np.roots(c).real)
+        assert disc > 0
+        assert abs(lo - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
+        assert abs(hi - ref[1]) <= 1e-12 * max(1.0, abs(ref[1]))
+
+    def test_small_root_without_cancellation(self):
+        # roots 1e-9 and 1: (-c1 - sqrt(disc)) / (2 c2) would lose 7 digits
+        lo, hi, _ = fr.pencil_roots(1e-9, -(1.0 + 1e-9), 1.0)
+        assert abs(lo - 1e-9) <= 1e-15 * 1e-9 and hi == 1.0
+
+    def test_degree_one_pencil(self):
+        lo, hi, _ = fr.pencil_roots(np.array([0.5, 0.3]), np.array([-1.0, 1e-11]),
+                                    np.array([0.0, 1e-11]))
+        assert lo.tolist() == [0.5, 0.0] and np.all(np.isinf(hi))
+
+    def test_complex_roots_negative_discriminant(self):
+        # 1 + r^2 has roots +-i
+        lo, hi, disc = fr.pencil_roots(np.array(1.0), np.array(0.0), np.array(1.0))
+        assert disc == -4.0
+        assert np.isfinite(lo) and np.isfinite(hi)
+
+
 class TestStructureResidual:
     def test_flat_pullback_small(self):
         fig1 = srf.pushforward(srf.torus(np.pi / 4), "stereo")

@@ -1,6 +1,7 @@
 """Lie sphere geometry: quadric lines, Legendre lifts, the homogeneous example,
 order conditions, the Dupin distribution, boosts, and coset orbits."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from dupin import liesphere as ls
 from dupin import moebius as mb
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
-from dupin.frames import pullback_mc, FrameField, orbit_frame
+from dupin.frames import (pullback_mc, FrameField, grid_differential, orbit_frame, pencil,
+                          pencil_roots)
 from dupin.surfaces import ParamDomain
 
 RNG = np.random.default_rng(4242)
@@ -83,6 +85,27 @@ def _pad_mid(w):
     out = np.zeros(w.shape[:-1] + (5,))
     out[..., 1:4] = w
     return out
+
+
+@functools.cache
+def euclidean_lift(name):
+    """Legendre lift, on a 96x96 grid with grid differentials, of a surface in
+    R^3 with its first curvature sphere map: "figure1", the stereographic
+    torus(pi/4) image (a Dupin cyclide), or "warped", a warped torus (not
+    Dupin)."""
+    dom = ParamDomain(nu=96, nv=96)
+    s = (srf.pushforward(srf.torus(np.pi / 4, dom), "stereo") if name == "figure1"
+         else srf.warped_torus(domain=dom))
+    U, V = s.domain.mesh()
+    y = s.position(U, V)
+    n = srf.surface_normal(s, U, V)
+    d = srf.principal_curvatures(s, U, V)
+    Fhat = sf.embed_moebius(y, "euclidean")
+    ninf = np.zeros(5)
+    ninf[0], ninf[4] = -0.5, 0.5
+    E3 = _pad_mid(n) + (2.0 * np.sum(y * n, axis=-1))[..., None] * ninf
+    S = d.a[..., None] * Fhat + E3
+    return ls.legendre_lift(Fhat, S, s.domain, tangency_tol=1e-4)
 
 
 def trig_example_lambda(domain):
@@ -167,32 +190,35 @@ class TestExampleImmersion:
         assert out["max_derivative"] < 1e-10
 
 
-class TestLegendreLift:
-    def torus_lift(self, branch="a"):
-        s = srf.torus(np.pi / 4)
-        U, V = s.domain.mesh()
-        x = s.position(U, V)
-        _, _, e3 = s.frame(U, V)
-        a, c = s.constant_curvatures
-        kappa = a if branch == "a" else c
-        S = mb.tangent_sphere(x, e3, np.arctan2(1.0, kappa))
-        F = sf.embed_moebius(x, "sphere")
-        return ls.legendre_lift(F, S, s.domain), s
+def torus_lift(branch="a"):
+    """Legendre lift of the torus(pi/4) in S^3 with the tangent sphere map of
+    one principal curvature, on the default grid with grid differentials."""
+    s = srf.torus(np.pi / 4)
+    U, V = s.domain.mesh()
+    x = s.position(U, V)
+    _, _, e3 = s.frame(U, V)
+    a, c = s.constant_curvatures
+    kappa = a if branch == "a" else c
+    S = mb.tangent_sphere(x, e3, np.arctan2(1.0, kappa))
+    F = sf.embed_moebius(x, "sphere")
+    return ls.legendre_lift(F, S, s.domain), s
 
+
+class TestLegendreLift:
     def test_torus_lift_contact(self):
-        lm, _ = self.torus_lift()
+        lm, _ = torus_lift()
         assert ls.contact_residual(lm) < 1e-8
         assert max(lm.line_residuals().values()) < 1e-10
 
     def test_projection_recovers_surface(self):
-        lm, s = self.torus_lift()
+        lm, s = torus_lift()
         sig = ls.spherical_projection(lm.S0, lm.S1)
         x, _ = sf.moebius_chart(sig, "sphere")
         U, V = s.domain.mesh()
         assert np.max(np.abs(x - s.position(U, V))) < 1e-10
 
     def test_torus_lift_dupin(self):
-        lm, _ = self.torus_lift()
+        lm, _ = torus_lift()
         out = ls.legendre_dupin_test(lm)
         assert out["dupin"] is True
 
@@ -225,33 +251,11 @@ class TestLegendreLift:
 
     def test_figure1_lift_dupin(self):
         # Euclidean lift of the stereographic torus image (a Dupin cyclide)
-        s = srf.pushforward(srf.torus(np.pi / 4, ParamDomain(nu=96, nv=96)), "stereo")
-        U, V = s.domain.mesh()
-        y = s.position(U, V)
-        n = srf.surface_normal(s, U, V)
-        d = srf.principal_curvatures(s, U, V)
-        Fhat = sf.embed_moebius(y, "euclidean")
-        ninf = np.zeros(5)
-        ninf[0], ninf[4] = -0.5, 0.5
-        E3 = _pad_mid(n) + (2.0 * np.sum(y * n, axis=-1))[..., None] * ninf
-        S = d.a[..., None] * Fhat + E3
-        lm = ls.legendre_lift(Fhat, S, s.domain, tangency_tol=1e-4)
-        out = ls.legendre_dupin_test(lm)
+        out = ls.legendre_dupin_test(euclidean_lift("figure1"))
         assert out["dupin"] is True
 
     def test_warped_lift_not_dupin(self):
-        s = srf.warped_torus(domain=ParamDomain(nu=96, nv=96))
-        U, V = s.domain.mesh()
-        y = s.position(U, V)
-        n = srf.surface_normal(s, U, V)
-        d = srf.principal_curvatures(s, U, V)
-        Fhat = sf.embed_moebius(y, "euclidean")
-        ninf = np.zeros(5)
-        ninf[0], ninf[4] = -0.5, 0.5
-        E3 = _pad_mid(n) + (2.0 * np.sum(y * n, axis=-1))[..., None] * ninf
-        S = d.a[..., None] * Fhat + E3
-        lm = ls.legendre_lift(Fhat, S, s.domain, tangency_tol=1e-4)
-        out = ls.legendre_dupin_test(lm)
+        out = ls.legendre_dupin_test(euclidean_lift("warped"))
         assert out["dupin"] is False
 
     def test_contact_negative_control(self):
@@ -346,13 +350,119 @@ class TestDistributionAndBoost:
         assert np.max(np.abs(B - np.eye(6))) < 1e-12
 
 
+def _pencil_complement(S0, S1):
+    """Orthonormal pair spanning {v : <v,S0> = <v,S1> = 0} / span{S0,S1},
+    where the induced form is positive definite (batched): a 2x6 SVD and a
+    4x4 eigh per point."""
+    G = mt.R42.gram
+    A = np.stack([S0, S1], axis=-2) @ G                    # (..., 2, 6)
+    _, _, vh = np.linalg.svd(A)
+    N = vh[..., 2:, :]                                     # (..., 4, 6) basis of U
+    gram = N @ G @ np.swapaxes(N, -1, -2)                  # rank-2 PSD
+    w, vec = np.linalg.eigh(gram)
+    top = vec[..., :, 2:]                                  # eigvecs of the 2 positive eigvals
+    u = np.swapaxes(top, -1, -2) @ N
+    norm = np.sqrt(np.maximum(w[..., 2:], 1e-300))
+    return u / norm[..., None]                             # (..., 2, 6)
+
+
+def _component(u_basis, w):
+    """Components of w in the complement basis (pairing with ghat)."""
+    return (u_basis @ mt.R42.gram @ w[..., None])[..., 0]
+
+
+def complement_motions(lm):
+    """The line motions dS0, dS1 as 1-forms (2, ..., 2) of their components in
+    an orthonormal basis of the complement of the line, rebuilt at every grid
+    point from the epsilon-coordinate representatives."""
+    dS0 = grid_differential(lm.S0, lm.domain) if lm.dS0 is None else lm.dS0
+    dS1 = grid_differential(lm.S1, lm.domain) if lm.dS1 is None else lm.dS1
+    u_basis = _pencil_complement(lm.S0, lm.S1)
+    return _component(u_basis, dS0), _component(u_basis, dS1)
+
+
 def svd_path_svals(lm):
-    """Reference for ls.line_motion_svals: the complement of the line rebuilt
-    at every grid point from its epsilon-coordinate representatives."""
-    u_basis = ls._pencil_complement(lm.S0, lm.S1)
-    m = np.concatenate([ls._component(u_basis, lm.dS0), ls._component(u_basis, lm.dS1)],
-                       axis=-1)
+    """Reference for ls.line_motion_svals: the singular values of the 4x2
+    matrix of the complement components of dS0 and dS1."""
+    m = np.concatenate(complement_motions(lm), axis=-1)
     return np.linalg.svd(np.moveaxis(m, 0, -1), compute_uv=False)
+
+
+def reference_fields(lm):
+    """Reference for ls.curvature_sphere_fields: the roots (alpha : beta) of
+    det(a + tau b) for the complement components a, b of the line motions,
+    with the kernel of alpha a + beta b from its SVD."""
+    a, b = complement_motions(lm)
+    c = np.stack(pencil(a, b))
+    lo, hi, _ = pencil_roots(*(c / np.max(np.abs(c))))
+    out = []
+    for t in (lo, hi):
+        finite = np.isfinite(t)
+        ab = np.stack([1.0 * finite, np.where(finite, t, 1.0)], axis=-1)
+        ab /= np.linalg.norm(ab, axis=-1, keepdims=True)
+        M = np.moveaxis(ab[..., 0:1] * a + ab[..., 1:2] * b, 0, -1)
+        out.append((ab, np.linalg.svd(M)[2][..., -1, :]))
+    return out
+
+
+def fields_deviation(got, want):
+    """Largest deviation between two pairs of root fields (alpha_beta,
+    kernel), each field up to sign and the two roots as an unordered pair."""
+    dist = lambda x, y: np.minimum(np.linalg.norm(x - y, axis=-1),
+                                   np.linalg.norm(x + y, axis=-1))
+    pair = lambda g, w: np.maximum(dist(g[0], w[0]), dist(g[1], w[1]))
+    straight = np.maximum(pair(got[0], want[0]), pair(got[1], want[1]))
+    crossed = np.maximum(pair(got[0], want[1]), pair(got[1], want[0]))
+    return float(np.max(np.minimum(straight, crossed)))
+
+
+def field_pairs(lm):
+    return [(r["alpha_beta"], r["kernel"]) for r in ls.curvature_sphere_fields(lm)["roots"]]
+
+
+class TestCurvatureSphereFields:
+    """curvature_sphere_fields reads the pencil from Lie inner products with a
+    reference pair of line motions; the complement basis rebuilt per point by
+    SVD and eigh is the reference."""
+
+    @pytest.mark.parametrize("make, tol", [
+        (ls.example_lambda, 1e-12),
+        (lambda: ls.coset_orbit(ls.boost(1.0), *2 * [np.linspace(-4.0, 4.0, 33)])[0], 1e-12),
+        (lambda: torus_lift()[0], 1e-12),
+        (lambda: euclidean_lift("figure1"), 1e-4),
+        (lambda: euclidean_lift("warped"), 1e-4),
+    ], ids=["example", "coset_boost1", "torus", "figure1_96", "warped_96"])
+    def test_matches_complement_reference(self, make, tol):
+        lm = make()
+        assert fields_deviation(field_pairs(lm), reference_fields(lm)) <= tol
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.floats(0.01, 0.5))
+    def test_lie_invariance(self, seed, size):
+        # the homogeneous example's line with the representative S0 + phi S1:
+        # its curvature spheres S1 and S0 = (S0 + phi S1) - phi S1 sit at
+        # tau = inf and tau = -phi.  A Lie sphere transformation g keeps
+        # contact, maps the curvature spheres to g K with the same pencil
+        # parameters and kernels, and keeps the map Dupin
+        lm = ls.example_lambda(ParamDomain(nu=32, nv=32))
+        U, V = lm.domain.mesh()
+        phi = 0.5 * np.sin(U - 2 * V)
+        dphi = 0.5 * np.cos(U - 2 * V) * np.array([1.0, -2.0])[:, None, None]
+        lm = replace(lm, S0=lm.S0 + phi[..., None] * lm.S1,
+                     dS0=lm.dS0 + phi[..., None] * lm.dS1 + dphi[..., None] * lm.S1)
+        fields = field_pairs(lm)
+        (ab, _), (ab_inf, _) = fields
+        assert np.max(np.abs(ab[..., 1] + phi * ab[..., 0])) <= 1e-12  # (alpha : beta) = (1 : -phi)
+        assert np.max(np.abs(ab_inf[..., 0])) <= 1e-12
+        X = mt.algebra_project(np.random.default_rng(seed).normal(size=(6, 6)), mt.R42)
+        g = mt.mat_exp(size * X / np.max(np.abs(X)))
+        assert mt.group_residual(g, mt.R42) < 1e-12
+        moved = ls.LegendreMap(*(S @ g.T for S in (lm.S0, lm.S1)), lm.domain,
+                               *(dS @ g.T for dS in (lm.dS0, lm.dS1)))
+        assert ls.contact_residual(moved) < 1e-8
+        assert fields_deviation(field_pairs(moved), fields) <= 1e-10
+        out = ls.legendre_dupin_test(moved)
+        assert out["dupin"] and out["max_derivative"] < 1e-8
 
 
 def revolution_residual(out):
