@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 REPORT_SCHEMA_VERSION = 1
+_BLOCK = 8192                            # records per streamed OBJ part
 
 
 @dataclass
@@ -40,16 +41,20 @@ def grid_mesh(points, flags=None, periodic_u=False, periodic_v=False):
         flags = np.zeros((nu, nv), dtype=bool)
     verts = points.reshape(-1, 3)
     vflags = np.asarray(flags, dtype=bool).reshape(-1)
-    i, j = np.meshgrid(np.arange(nu if periodic_u else nu - 1),
-                       np.arange(nv if periodic_v else nv - 1), indexing="ij")
+    i = np.arange(nu if periodic_u else nu - 1)
+    j = np.arange(nv if periodic_v else nv - 1)
     i1, j1 = (i + 1) % nu, (j + 1) % nv
-    corners = [(a * nv + b).ravel() for a, b in ((i, j), (i1, j), (i1, j1), (i, j1))]
-    keep = ~(vflags[corners[0]] | vflags[corners[1]] | vflags[corners[2]] | vflags[corners[3]])
-    return Mesh(verts, np.stack([c[keep] for c in corners], axis=1), vflags)
+    faces = np.empty((len(i), len(j), 4), dtype=np.intp)
+    for col, (a, b) in enumerate(((i, j), (i1, j), (i1, j1), (i, j1))):
+        np.add((a * nv)[:, None], b, out=faces[:, :, col])
+    faces = faces.reshape(-1, 4)
+    drop = vflags[faces].any(axis=1)
+    return Mesh(verts, faces[~drop] if drop.any() else faces, vflags)
 
 
 def _atomic_write(path, parts):
-    """Write bytes parts one at a time to a temp file, then rename it over path."""
+    """Write bytes parts (any iterable) one at a time to a temp file, then
+    rename it over path; nothing is left behind if a part fails."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
@@ -62,34 +67,46 @@ def _atomic_write(path, parts):
         raise
 
 
-def _face_records(faces, n):
-    """The 'f %d %d %d %d' lines of 1-based labels: each vertex's label is
-    formatted once, as a space and right-aligned NUL-padded digits, gathered
-    per face, and the NULs dropped."""
+def _vertex_labels(n):
+    """Each vertex's 1-based label as a space and right-aligned NUL-padded
+    digits: an (n, w + 1) uint8 table, w the digit count of n, filled one
+    block of labels at a time."""
     w = len(str(n))
     labels = np.zeros((n, w + 1), dtype=np.uint8)
     labels[:, 0] = ord(" ")
-    k = np.arange(1, n + 1)
-    for col in range(w, 0, -1):
-        labels[:, col] = np.where(k > 0, ord("0") + k % 10, 0)
-        k //= 10
-    text = np.empty((len(faces), 4 * (w + 1) + 2), dtype=np.uint8)
-    text[:, 0] = ord("f")
-    text[:, 1:-1] = np.take(labels, faces, axis=0).reshape(-1, 4 * (w + 1))
-    text[:, -1] = ord("\n")
-    return text[text != 0].tobytes()
+    for s in range(0, n, _BLOCK):
+        k = np.arange(s + 1, min(s + _BLOCK, n) + 1)
+        for col in range(w, 0, -1):
+            labels[s:s + _BLOCK, col] = np.where(k > 0, ord("0") + k % 10, 0)
+            k //= 10
+    return labels
+
+
+def _obj_records(vertices, faces):
+    """The OBJ bytes of write_obj in parts of at most _BLOCK records each:
+    vertex records by `%.12g`, face records gathered from the label table with
+    the NULs dropped, so no part grows with the mesh."""
+    n = len(vertices)
+    yield b"# vertices: %d faces: %d\n" % (n, len(faces))
+    for s in range(0, n, _BLOCK):
+        block = vertices[s:s + _BLOCK]
+        yield (b"v %.12g %.12g %.12g\n" * len(block)) % tuple(block.ravel().tolist())
+    labels = _vertex_labels(n)
+    for s in range(0, len(faces), _BLOCK):
+        block = faces[s:s + _BLOCK]
+        text = np.empty((len(block), 4 * labels.shape[1] + 2), dtype=np.uint8)
+        text[:, 0] = ord("f")
+        text[:, 1:-1] = np.take(labels, block, axis=0).reshape(len(block), -1)
+        text[:, -1] = ord("\n")
+        yield text[text != 0].tobytes()
 
 
 def write_obj(mesh, path):
     """ASCII OBJ: a '# vertices: n faces: F' line, then 'v %.12g %.12g %.12g'
-    records and 1-based 'f %d %d %d %d' records; deterministic bytes."""
+    records and 1-based 'f %d %d %d %d' records; deterministic bytes, streamed
+    to the file in blocks of records."""
     mesh.validate()
-    n, nf = len(mesh.vertices), len(mesh.faces)
-    _atomic_write(path, [
-        b"# vertices: %d faces: %d\n" % (n, nf),
-        (b"v %.12g %.12g %.12g\n" * n) % tuple(mesh.vertices.ravel().tolist()),
-        _face_records(mesh.faces, n),
-    ])
+    _atomic_write(path, _obj_records(mesh.vertices, mesh.faces))
 
 
 def read_obj(path):

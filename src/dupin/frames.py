@@ -38,23 +38,18 @@ def grid_gradient(f, h, axis, periodic):
     f = np.asarray(f)
     if not np.iscomplexobj(f):
         f = f.astype(float, copy=False)
-    if f.shape[axis] == 1:
-        return np.zeros_like(f)
-    if periodic:
-        fp1 = np.roll(f, -1, axis=axis)
-        fm1 = np.roll(f, 1, axis=axis)
-        fp2 = np.roll(f, -2, axis=axis)
-        fm2 = np.roll(f, 2, axis=axis)
-        return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
-    out = np.empty_like(f)
     n = f.shape[axis]
+    if n == 1:
+        return np.zeros_like(f)
     sl = lambda i: tuple(slice(None) if k != axis else i for k in range(f.ndim))
+    # the central stencil at every sample with two neighbours on each side
+    central = lambda g: (8.0 * (g[sl(slice(3, -1))] - g[sl(slice(1, -3))])
+                         - (g[sl(slice(4, None))] - g[sl(slice(None, -4))])) / (12.0 * h)
+    if periodic:
+        return central(np.concatenate([f[sl(slice(-2, None))], f, f[sl(slice(None, 2))]], axis=axis))
+    out = np.empty_like(f)
     if n >= 5:
-        inner = slice(2, n - 2)
-        out[sl(inner)] = (
-            8.0 * (f[sl(slice(3, n - 1))] - f[sl(slice(1, n - 3))])
-            - (f[sl(slice(4, n))] - f[sl(slice(0, n - 4))])
-        ) / (12.0 * h)
+        out[sl(slice(2, -2))] = central(f)
         edge = [0, 1, n - 2, n - 1]
     else:
         edge = list(range(n))

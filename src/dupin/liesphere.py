@@ -331,14 +331,6 @@ def boost(t):
         return np.diag([np.exp(t), 1.0, 1.0, 1.0, 1.0, np.exp(-t)])
 
 
-def boost_eps(t):
-    """Same element in epsilon coordinates: cosh/sinh block on (eps0, eps5)."""
-    B = np.eye(6)
-    B[0, 0] = B[5, 5] = np.cosh(t)
-    B[0, 5] = B[5, 0] = np.sinh(t)
-    return B
-
-
 def example_base_frame():
     """The example_frame value at (u, v) = (0, 0): the constant Lie frame whose
     right coset carries the homogeneous Legendre immersion."""

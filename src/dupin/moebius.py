@@ -58,10 +58,6 @@ def vec_to_sphere(S):
     return m, r
 
 
-def sphere_vec_residual(S):
-    return float(np.max(np.abs(inner(S, S, mt.R41) - 1.0)))
-
-
 def tangent_sphere(x, e3, r):
     """Tangent sphere vector cot(r) (x + eps4) + e3 along a surface in S^3."""
     x = np.asarray(x, dtype=float)
@@ -109,16 +105,13 @@ def curvature_sphere_params(mc, i, j, double_root_tol=1e-12):
     if abs(c2) < 1e-14:
         raise GeometryError("degenerate coframe: omega^1_0 wedge omega^2_0 = 0")
     scale = max(abs(c0), abs(c1), abs(c2))
-    if scale < 1e-14:
-        return {"roots": [], "double_root": False, "totally_umbilic": True}
     lo, hi, disc = pencil_roots(c0 / scale, c1 / scale, c2 / scale)
     if abs(disc) <= double_root_tol:
         root = float(0.5 * (lo + hi))
-        return {"roots": [root, root], "double_root": True, "totally_umbilic": False}
+        return {"roots": [root, root], "double_root": True}
     if disc < 0:
-        return {"roots": [], "double_root": False, "totally_umbilic": False,
-                "complex_roots": True}
-    return {"roots": [float(lo), float(hi)], "double_root": False, "totally_umbilic": False}
+        return {"roots": [], "double_root": False, "complex_roots": True}
+    return {"roots": [float(lo), float(hi)], "double_root": False}
 
 
 # --- canonical adapted frames -----------------------------------------------------

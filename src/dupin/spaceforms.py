@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics as mt
-from .metrics import GeometryError, inner, R31, SQRT2
+from .metrics import GeometryError, SQRT2
 
 POLE_TOL = 1e-9
 
@@ -27,22 +27,6 @@ class PoleError(GeometryError):
 
 class DomainError(GeometryError):
     pass
-
-
-def check_sphere_point(x, tol=1e-10):
-    x = np.asarray(x, dtype=float)
-    r = np.max(np.abs(np.sum(x * x, axis=-1) - 1.0))
-    if r > tol:
-        raise DomainError(f"point not on S^3 (residual {r:.3e})")
-    return x
-
-
-def check_hyperbolic_point(x, tol=1e-10):
-    x = np.asarray(x, dtype=float)
-    r = np.max(np.abs(inner(x, x, R31) + 1.0))
-    if r > tol or np.min(x[..., 3]) < 1.0 - tol:
-        raise DomainError("point not on the upper hyperboloid sheet")
-    return x
 
 
 # --- stereographic projections -----------------------------------------------

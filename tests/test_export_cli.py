@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -85,8 +86,11 @@ def reference_obj(mesh):
     ]).encode()
 
 
-def written_obj(mesh):
-    with tempfile.TemporaryDirectory() as d:
+def written_obj(mesh, block=None):
+    """write_obj's bytes, streamed in blocks of `block` records if given."""
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ex, "_BLOCK", block)
         path = os.path.join(d, "m.obj")
         ex.write_obj(mesh, path)
         with open(path, "rb") as fh:
@@ -136,6 +140,57 @@ class TestObjBytes:
     def test_matches_reference_property(self, mesh):
         assert written_obj(mesh) == reference_obj(mesh)
 
+    # Blocks of 7 records put block boundaries inside every case above.
+    @pytest.mark.parametrize("case", OBJ_CASES)
+    def test_matches_reference_small_blocks(self, case):
+        nu, nv, pu, pv, flag_share = OBJ_CASES[case]
+        mesh = random_grid_mesh(nu, nv, pu, pv, flag_share)
+        assert written_obj(mesh, block=7) == reference_obj(mesh)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=obj_meshes())
+    def test_matches_reference_property_small_blocks(self, mesh):
+        assert written_obj(mesh, block=7) == reference_obj(mesh)
+
+    @pytest.mark.parametrize("block", [7, ex._BLOCK])
+    @pytest.mark.parametrize("shift", [-1, 0, 1, None], ids=["B-1", "B", "B+1", "2B+1"])
+    def test_block_boundary_counts(self, block, shift):
+        """n vertices and n faces with n at and around one and two blocks."""
+        n = 2 * block + 1 if shift is None else block + shift
+        rng = np.random.default_rng(n)
+        mesh = ex.Mesh(rng.standard_normal((n, 3)), rng.integers(0, n, (n, 4)),
+                       np.zeros(n, dtype=bool))
+        assert written_obj(mesh, block) == reference_obj(mesh)
+
+
+def traced_peak(fn, *args):
+    """The peak of memory traced while fn(*args) runs, above what was traced
+    before it, in bytes; and fn's result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+class TestExportMemory:
+    """At 256 x 256 the export layer's working memory is about one block of
+    records and one face array, not a multiple of the mesh text."""
+
+    def test_write_obj_transient(self, tmp_path):
+        mesh = random_grid_mesh(256, 256, True, True)
+        peak, _ = traced_peak(ex.write_obj, mesh, str(tmp_path / "m.obj"))
+        assert peak < 4e6
+
+    def test_grid_mesh_transient(self):
+        pts = np.zeros((256, 256, 3))
+        flags = np.zeros((256, 256), dtype=bool)
+        peak, mesh = traced_peak(ex.grid_mesh, pts, flags, True, True)
+        assert len(mesh.faces) == 256 * 256
+        assert peak <= 1.5 * mesh.faces.nbytes
+
 
 class TestAtomicWrite:
     @staticmethod
@@ -152,6 +207,25 @@ class TestAtomicWrite:
                 ex.write_obj(random_grid_mesh(4, 4), str(path))
             else:
                 ex.write_report(ex.make_report("op", {}, [], {}), str(path))
+        assert path.read_bytes() == b"previous\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_block_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A record block that raises partway through the stream leaves the
+        previous file as it was and no temp file."""
+        class FailingBlocks(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, slice) and key.start:
+                    raise RuntimeError("block failed")
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(ex, "_BLOCK", 7)
+        mesh = random_grid_mesh(4, 4)
+        mesh.vertices = mesh.vertices.view(FailingBlocks)
+        path = tmp_path / "out.obj"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError, match="block failed"):
+            ex.write_obj(mesh, str(path))
         assert path.read_bytes() == b"previous\n"
         assert list(tmp_path.iterdir()) == [path]
 
