@@ -47,7 +47,6 @@ from .frames import (
     integrate_mc,
 )
 from .moebius import (
-    OrientedSphere,
     sphere_to_vec,
     vec_to_sphere,
     tangent_sphere,

@@ -25,9 +25,9 @@ class Mesh:
         faces = np.asarray(self.faces)
         if faces.ndim != 2 or faces.shape[1] != 4 or faces.dtype.kind not in "iu":
             raise ValueError(f"faces must be an integer (F, 4) array, got {faces.dtype} {faces.shape}")
-        if np.any((faces < 0) | (faces >= len(self.vertices))):
+        if faces.size and (faces.min() < 0 or faces.max() >= len(self.vertices)):
             raise ValueError("face index out of range")
-        if np.any(self.flags[faces]):
+        if any(self.flags[faces[s:s + _BLOCK]].any() for s in range(0, len(faces), _BLOCK)):
             raise ValueError("flagged vertex used by a face")
 
 
@@ -82,15 +82,29 @@ def _vertex_labels(n):
     return labels
 
 
+def _vertex_records(block):
+    """The 'v %.12g %.12g %.12g' records of a block of vertices.  `%.12g`
+    depends only on a float's 64 bits, so when at most half of the block's
+    coordinates are distinct bit patterns (0.0 and -0.0 differ), each distinct
+    one is formatted once and the records are assembled from those texts."""
+    coords = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    bits = coords.view(np.int64)
+    ordered = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > len(bits):
+        return (b"v %.12g %.12g %.12g\n" * len(block)) % tuple(coords.tolist())
+    keys, inv = np.unique(bits, return_inverse=True)
+    text = ((b"%.12g\n" * len(keys)) % tuple(keys.view(np.float64).tolist())).split(b"\n")
+    return (b"v %b %b %b\n" * len(block)) % tuple(np.array(text, dtype=object)[inv].tolist())
+
+
 def _obj_records(vertices, faces):
     """The OBJ bytes of write_obj in parts of at most _BLOCK records each:
-    vertex records by `%.12g`, face records gathered from the label table with
-    the NULs dropped, so no part grows with the mesh."""
+    vertex records by `_vertex_records`, face records gathered from the label
+    table with the NULs dropped, so no part grows with the mesh."""
     n = len(vertices)
     yield b"# vertices: %d faces: %d\n" % (n, len(faces))
     for s in range(0, n, _BLOCK):
-        block = vertices[s:s + _BLOCK]
-        yield (b"v %.12g %.12g %.12g\n" * len(block)) % tuple(block.ravel().tolist())
+        yield _vertex_records(vertices[s:s + _BLOCK])
     labels = _vertex_labels(n)
     for s in range(0, len(faces), _BLOCK):
         block = faces[s:s + _BLOCK]

@@ -24,21 +24,6 @@ from .surfaces import (Jet, ParamDomain, ParametricSurface, cylinder, hyperboloi
 
 # --- the oriented-sphere model -------------------------------------------------
 
-@dataclass
-class OrientedSphere:
-    """Sphere in S^3 with center m (unit 4-vector) and signed radius r in (0, pi)."""
-
-    m: np.ndarray
-    r: float
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        if abs(np.linalg.norm(self.m) - 1.0) > 1e-10:
-            raise GeometryError("sphere center must be a unit vector in R^4")
-        if not (0.0 < self.r < np.pi):
-            raise GeometryError("signed radius must lie in (0, pi)")
-
-
 def sphere_to_vec(m, r):
     """S_r(m) -> (m + cos r eps4)/sin r in S^{3,1}; vectorized over m rows."""
     m = np.asarray(m, dtype=float)
@@ -180,19 +165,6 @@ def canonical_best_frame(surface):
     theta = np.stack([[inner(xj, ek, surface.metric) for ek in e[:2]] for xj in (xu, xv)])
     omega = np.einsum("jk...,kab->j...ab", theta, B)
     return FrameField("moebius", mt.P_DELTA.T @ (V @ M), surface.domain, omega)
-
-
-def first_order_frame_umbilic(x_grid, e3_grid, kappa, dx, domain):
-    """First-order (not second-order normalizable) frame along a totally
-    umbilic surface in S^3, for pencil-degeneracy tests: P_DELTA^T V
-    M(kappa - 1, kappa + 1) for the sphere lift V of x, a Gram-Schmidt tangent
-    frame from ``dx`` and the normal."""
-    xu, xv = dx
-    e1 = xu / np.linalg.norm(xu, axis=-1, keepdims=True)
-    e2 = xv - np.sum(xv * e1, axis=-1, keepdims=True) * e1
-    e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
-    V = _lifted_frame("sphere", x_grid, e1, e2, e3_grid)
-    return FrameField("moebius", mt.P_DELTA.T @ (V @ _adapted_mix(kappa - 1, kappa + 1)), domain)
 
 
 # --- order conditions and the conformal invariant ---------------------------------

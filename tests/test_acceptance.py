@@ -6,6 +6,7 @@ pinned here and must not be loosened.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ from dupin import liesphere as ls
 from dupin import frames as fr
 from dupin.cli import main
 from dupin.surfaces import ParamDomain
+
+
+def read_json(path):
+    """The JSON document in the file at path, read with the file closed after."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _report(num, name, ok):
@@ -177,10 +184,10 @@ def test_10_congruence():
 def test_11_fig7_cli(tmp_path):
     out1 = str(tmp_path / "fig7.obj")
     rc1 = main(["fig7", "--t", "1", "--out", out1])
-    rep1 = json.loads(open(out1[:-4] + ".report.json").read())
+    rep1 = read_json(out1[:-4] + ".report.json")
     out0 = str(tmp_path / "fig7_0.obj")
     rc0 = main(["fig7", "--t", "0", "--out", out0])
-    rep0 = json.loads(open(out0[:-4] + ".report.json").read())
+    rep0 = read_json(out0[:-4] + ".report.json")
     n_sing = len(rep1["singular_grid_points"])
     ok = (
         rc1 == 0
@@ -196,5 +203,5 @@ def test_12_determinism(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     rc1 = main(["verify", "all", "--out", a])
     rc2 = main(["verify", "all", "--out", b])
-    ok = rc1 == 0 and rc2 == 0 and open(a, "rb").read() == open(b, "rb").read()
+    ok = rc1 == 0 and rc2 == 0 and Path(a).read_bytes() == Path(b).read_bytes()
     _report(12, "verify-all reports byte-identical", bool(ok))

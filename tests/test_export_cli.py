@@ -5,6 +5,7 @@ import os
 import tempfile
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ from hypothesis.extra import numpy as hnp
 from dupin import export as ex
 from dupin import cli
 from dupin.cli import main
+
+
+def read_json(path):
+    """The JSON document in the file at path, read with the file closed after."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 class TestMesh:
@@ -97,10 +104,15 @@ def written_obj(mesh, block=None):
             return fh.read()
 
 
-def random_grid_mesh(nu, nv, periodic_u=False, periodic_v=False, flag_share=0.0):
-    """Normal vertices scaled by powers of ten from 1e-8 to 1e7."""
+def random_grid_mesh(nu, nv, periodic_u=False, periodic_v=False, flag_share=0.0, pool=None):
+    """Normal vertices scaled by powers of ten from 1e-8 to 1e7.  With `pool`,
+    every coordinate is one of `pool` such values, so each block of records
+    repeats its coordinates as sampled symmetric surfaces do."""
     rng = np.random.default_rng(nu * 1000 + nv)
-    pts = rng.standard_normal((nu, nv, 3)) * 10.0 ** rng.integers(-8, 8, (nu, nv, 3))
+    shape = (nu, nv, 3) if pool is None else pool
+    pts = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    if pool is not None:
+        pts = rng.choice(pts, (nu, nv, 3))
     return ex.grid_mesh(pts, rng.random((nu, nv)) < flag_share, periodic_u, periodic_v)
 
 
@@ -119,9 +131,12 @@ SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e
 
 
 @st.composite
-def obj_meshes(draw):
+def obj_meshes(draw, pooled=False):
+    """Grid meshes of any floats; with `pooled`, of at most 4 distinct ones."""
     nu, nv = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    if pooled:
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=4)))
     pts = draw(hnp.arrays(np.float64, (nu, nv, 3), elements=values))
     flags = draw(hnp.arrays(np.bool_, (nu, nv)))
     return ex.grid_mesh(pts, flags, draw(st.booleans()), draw(st.booleans()))
@@ -163,6 +178,62 @@ class TestObjBytes:
         assert written_obj(mesh, block) == reference_obj(mesh)
 
 
+def shared_blocks(vertices, block):
+    """The number of blocks `_vertex_records` formats distinct coordinates
+    once for, counted by its calls to np.unique."""
+    calls = []
+    unique = np.unique
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        for s in range(0, len(vertices), block):
+            ex._vertex_records(vertices[s:s + block])
+    return len(calls)
+
+
+class TestSharedCoordinates:
+    """Blocks with repeated coordinates format each distinct bit pattern once
+    and give the bytes of formatting every coordinate."""
+
+    def test_pool_of_ten(self):
+        mesh = random_grid_mesh(100, 100, True, True, pool=10)
+        assert shared_blocks(mesh.vertices, ex._BLOCK) == 2
+        assert written_obj(mesh) == reference_obj(mesh)
+
+    @pytest.mark.parametrize("block", [7, ex._BLOCK])
+    def test_signed_zeros(self, block):
+        rng = np.random.default_rng(0)
+        verts = rng.choice([0.0, -0.0], (3 * block, 3))
+        mesh = ex.Mesh(verts, np.zeros((0, 4), dtype=int), np.zeros(len(verts), dtype=bool))
+        assert shared_blocks(verts, block) == 3
+        text = written_obj(mesh, block)
+        assert b" 0" in text and b" -0" in text
+        assert text == reference_obj(mesh)
+
+    @pytest.mark.parametrize("extra, shared", [(0, 1), (1, 0)], ids=["half", "half+1"])
+    def test_half_distinct(self, extra, shared):
+        """8 vertices, 24 coordinates: 12 distinct values take the shared
+        path, 13 the direct one."""
+        rng = np.random.default_rng(extra)
+        values = rng.standard_normal(12 + extra)
+        coords = np.concatenate([values, values[:12 - extra]])
+        verts = rng.permutation(coords).reshape(8, 3)
+        assert len(np.unique(verts)) == 12 + extra
+        mesh = ex.Mesh(verts, np.arange(8).reshape(2, 4), np.zeros(8, dtype=bool))
+        assert shared_blocks(verts, 8) == shared
+        assert written_obj(mesh, block=8) == reference_obj(mesh)
+
+    @pytest.mark.parametrize("case", OBJ_CASES)
+    def test_matches_reference_small_blocks(self, case):
+        nu, nv, pu, pv, flag_share = OBJ_CASES[case]
+        mesh = random_grid_mesh(nu, nv, pu, pv, flag_share, pool=4)
+        assert written_obj(mesh, block=7) == reference_obj(mesh)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=obj_meshes(pooled=True))
+    def test_matches_reference_property_small_blocks(self, mesh):
+        assert written_obj(mesh, block=7) == reference_obj(mesh)
+
+
 def traced_peak(fn, *args):
     """The peak of memory traced while fn(*args) runs, above what was traced
     before it, in bytes; and fn's result."""
@@ -183,6 +254,17 @@ class TestExportMemory:
         mesh = random_grid_mesh(256, 256, True, True)
         peak, _ = traced_peak(ex.write_obj, mesh, str(tmp_path / "m.obj"))
         assert peak < 4e6
+
+    def test_write_obj_transient_shared(self, tmp_path):
+        mesh = random_grid_mesh(256, 256, True, True, pool=10)
+        assert shared_blocks(mesh.vertices, ex._BLOCK) == 8
+        peak, _ = traced_peak(ex.write_obj, mesh, str(tmp_path / "m.obj"))
+        assert peak < 4e6
+
+    def test_validate_transient(self):
+        mesh = ex.grid_mesh(np.zeros((512, 512, 3)), None, True, True)
+        peak, _ = traced_peak(mesh.validate)
+        assert peak < 0.5e6
 
     def test_grid_mesh_transient(self):
         pts = np.zeros((256, 256, 3))
@@ -258,7 +340,7 @@ class TestCLI:
         assert main(["gen", "cylinder", "--radius", "1", "--grid", "24x12", "--out", out]) == 0
         verts, faces = ex.read_obj(out)
         assert len(verts) == 24 * 12
-        rep = json.loads(open(out[:-4] + ".report.json").read())
+        rep = read_json(out[:-4] + ".report.json")
         assert rep["passed"]
         assert rep["parameters"]["surface"] == "cylinder"
 
@@ -267,7 +349,7 @@ class TestCLI:
         rc = main(["gen", "torus", "--alpha", "0.7853981634", "--project", "stereo",
                    "--grid", "32x32", "--out", out])
         assert rc == 0
-        rep = json.loads(open(out[:-4] + ".report.json").read())
+        rep = read_json(out[:-4] + ".report.json")
         by_name = {c["name"]: c for c in rep["checks"]}
         assert by_name["isoparametric"]["pass"] is False
         assert by_name["dupin"]["pass"] is True
@@ -279,7 +361,7 @@ class TestCLI:
         rc = main(["gen", "torus", "--alpha", alpha, "--project", "stereo",
                    "--grid", "32x32", "--out", out])
         assert rc == 0
-        rep = json.loads(open(out[:-4] + ".report.json").read())
+        rep = read_json(out[:-4] + ".report.json")
         by_name = {c["name"]: c for c in rep["checks"]}
         assert by_name["dupin"]["pass"] is True
 
@@ -353,7 +435,7 @@ class TestCLI:
     def test_fig7_singular_set(self, tmp_path):
         out = str(tmp_path / "f7.obj")
         assert main(["fig7", "--t", "1", "--out", out]) == 0
-        rep = json.loads(open(out[:-4] + ".report.json").read())
+        rep = read_json(out[:-4] + ".report.json")
         assert rep["degenerate"] is False
         n_sing = len(rep["singular_grid_points"])
         assert 0 < n_sing < 33 * 33
@@ -366,14 +448,14 @@ class TestCLI:
     def test_fig7_degenerate(self, tmp_path):
         out = str(tmp_path / "f70.obj")
         assert main(["fig7", "--t", "0", "--out", out]) == 0
-        rep = json.loads(open(out[:-4] + ".report.json").read())
+        rep = read_json(out[:-4] + ".report.json")
         assert rep["degenerate"] is True
 
     @pytest.mark.parametrize("t, degenerate", [("0", True), ("1", False)])
     def test_fig7_degenerate_check(self, tmp_path, t, degenerate):
         out = str(tmp_path / "f7d.obj")
         assert main(["fig7", "--t", t, "--grid", "17x17", "--out", out]) == 0
-        rep = json.loads(open(out[:-4] + ".report.json").read())
+        rep = read_json(out[:-4] + ".report.json")
         check = {c["name"]: c for c in rep["checks"]}["degenerate"]
         assert rep["degenerate"] is degenerate
         assert check["pass"] is (not rep["degenerate"]) and rep["passed"] is check["pass"]
@@ -385,7 +467,7 @@ class TestCLI:
         # the rows nearest them (v = +-1.968) are flagged and no face uses them
         out = str(tmp_path / "f64.obj")
         assert main(["fig7", "--t", "1", "--grid", "64x64", "--out", out]) == 0
-        rep = json.loads(open(out[:-4] + ".report.json").read())
+        rep = read_json(out[:-4] + ".report.json")
         points = rep["singular_grid_points"]
         assert rep["checks"][0]["value"] == 128.0 == len(points)
         assert sorted({j for _, j in points}) == [16, 47]
@@ -413,7 +495,7 @@ class TestCLI:
                             lambda lm: {"dupin": True, "max_derivative": 1e-6})
         out = str(tmp_path / "v.json")
         assert main(["verify", "liesphere", "--out", out]) == 1
-        checks = {c["name"]: c for c in json.loads(open(out).read())["checks"]}
+        checks = {c["name"]: c for c in read_json(out)["checks"]}
         assert checks["example_dupin"]["tolerance"] == 1e-8
         assert checks["example_dupin"]["pass"] is False
 
@@ -426,7 +508,7 @@ class TestCLI:
     def test_tol_flag_override(self, tmp_path):
         out = str(tmp_path / "v.json")
         assert main(["verify", "framecalc", "--tol-order", "1e-6", "--out", out]) == 0
-        rep = json.loads(open(out).read())
+        rep = read_json(out)
         assert rep["tolerances"]["order"] == 1e-6
 
 
@@ -461,11 +543,11 @@ class TestTolFlags:
     def test_reports_record_only_applied_tolerances(self, tmp_path):
         out = str(tmp_path / "c.obj")
         assert main(["gen", "cylinder", "--radius", "2", "--grid", "12x8", "--out", out]) == 0
-        assert json.loads(open(out[:-4] + ".report.json").read())["tolerances"] == {}
+        assert read_json(out[:-4] + ".report.json")["tolerances"] == {}
         assert main(["fig7", "--t", "1", "--grid", "9x9", "--out", out]) == 0
-        assert json.loads(open(out[:-4] + ".report.json").read())["tolerances"] == {}
+        assert read_json(out[:-4] + ".report.json")["tolerances"] == {}
         assert main(["verify", "framecalc", "--out", out]) == 0
-        assert sorted(json.loads(open(out).read())["tolerances"]) == [
+        assert sorted(read_json(out)["tolerances"]) == [
             "closure", "contact", "membership", "order"]
 
 
@@ -475,14 +557,14 @@ class TestDeterminism:
         args = ["gen", "cylinder", "--radius", "1", "--grid", "16x8"]
         main(args + ["--out", a])
         main(args + ["--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
         assert (
-            open(a[:-4] + ".report.json", "rb").read()
-            == open(b[:-4] + ".report.json", "rb").read()
+            Path(a[:-4] + ".report.json").read_bytes()
+            == Path(b[:-4] + ".report.json").read_bytes()
         )
 
     def test_verify_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["verify", "moebius", "--out", a])
         main(["verify", "moebius", "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()

