@@ -5,7 +5,6 @@ verified moving-frame computations, coset-orbit surfaces, and mesh export."""
 from . import metrics, spaceforms, surfaces, frames, moebius, liesphere, export, verify
 from .metrics import (
     Metric,
-    ProjectivePoint,
     SubalgebraBasis,
     inner,
     change_basis,
@@ -51,7 +50,6 @@ from .moebius import (
     vec_to_sphere,
     tangent_sphere,
     curvature_sphere_params,
-    sphere_map_dupin_test,
     canonical_best_frame,
     frame_order_check,
     hc_basis,

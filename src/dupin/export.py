@@ -89,10 +89,14 @@ def _vertex_records(block):
     one is formatted once and the records are assembled from those texts."""
     coords = np.ascontiguousarray(block, dtype=np.float64).ravel()
     bits = coords.view(np.int64)
-    ordered = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > len(bits):
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # a new bit pattern starts
+    if 2 * np.count_nonzero(first) > len(bits):
         return (b"v %.12g %.12g %.12g\n" * len(block)) % tuple(coords.tolist())
-    keys, inv = np.unique(bits, return_inverse=True)
+    keys = ordered[first]
+    inv = np.empty(len(bits), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
     text = ((b"%.12g\n" * len(keys)) % tuple(keys.view(np.float64).tolist())).split(b"\n")
     return (b"v %b %b %b\n" * len(block)) % tuple(np.array(text, dtype=object)[inv].tolist())
 

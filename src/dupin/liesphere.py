@@ -309,18 +309,18 @@ def h_constraints():
 
 
 def h_basis():
-    """Basis of the 6-dimensional subalgebra annihilating h_constraints()."""
-    sub = mt.subalgebra_from_constraints(h_constraints(), mt.LIE)
-    if sub.dim != 6:
-        raise GeometryError(f"Dupin distribution has dimension {sub.dim}, expected 6")
-    return sub
+    """Basis of the 6-dimensional subalgebra annihilating h_constraints(), dual
+    to the coframe theta^2 = omega^2_1, theta^3 = omega^3_0 and to the isotropy
+    entries omega^0_0, omega^1_1, omega^0_3, omega^1_2 that LieCoefficients
+    reads."""
+    return mt.subalgebra_from_constraints(h_constraints(), mt.LIE,
+                                          [(2, 1), (3, 0), (0, 0), (1, 1), (0, 3), (1, 2)])
 
 
 def slice_generators():
     """The two h-basis elements dual to the coframe entries theta^2 = omega^2_1
-    and theta^3 = omega^3_0 (the order-condition kernel directions have zero
-    components there)."""
-    return h_basis().duals([(2, 1), (3, 0)])
+    and theta^3 = omega^3_0."""
+    return h_basis().elements[:2]
 
 
 def boost(t):
@@ -462,11 +462,11 @@ class LieCoefficients:
     theta3: np.ndarray
 
 
-def best_lie_frame_check(ff, mc=None):
+def best_lie_frame_check(ff):
     """Residuals of the three best-frame order conditions along a Legendre map,
     plus the derived coefficient functions and their exterior-derivative
     compatibility residuals."""
-    mc = mc or pullback_mc(ff)
+    mc = pullback_mc(ff)
     w = mc.omega
 
     def emax(a, b):

@@ -291,32 +291,6 @@ def mat_exp(X):
     return E.reshape(X.shape)
 
 
-@dataclass
-class ProjectivePoint:
-    """Equivalence class of a nonzero vector; canonical representative scales
-    the largest-magnitude coordinate to +1 (ties broken by lowest index)."""
-
-    rep: np.ndarray
-
-    def __init__(self, rep):
-        rep = np.asarray(rep, dtype=float)
-        m = np.max(np.abs(rep))
-        if m == 0.0 or not np.isfinite(m):
-            raise MembershipError("projective point needs a nonzero finite representative")
-        idx = int(np.argmax(np.abs(rep)))
-        self.rep = rep / rep[idx]
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return self.rep.shape == other.rep.shape and bool(
-            np.allclose(self.rep, other.rep, atol=1e-10)
-        )
-
-    def __repr__(self):
-        return f"ProjectivePoint({np.array2string(self.rep, precision=6)})"
-
-
 def projective_normalize(reps):
     """Canonical projective scaling applied along the last axis (vectorized)."""
     reps = np.asarray(reps, dtype=float)
@@ -353,107 +327,47 @@ def algebra_entry_basis(metric):
     return basis
 
 
-def algebra_coordinates(X, metric):
-    """Coordinates of an algebra element in the independent-entry basis."""
-    X = np.asarray(X, dtype=float)
-    return np.array([X[e] for e, _ in algebra_entry_basis(metric)])
-
-
-def algebra_from_coordinates(coords, metric):
-    basis = algebra_entry_basis(metric)
-    X = np.zeros((metric.dim, metric.dim))
-    for c, (_, M) in zip(coords, basis):
-        X = X + c * M
-    return X
-
-
 @dataclass
 class SubalgebraBasis:
-    """Basis of a linear-constraint subalgebra, with bracket-closure residual."""
+    """Basis of a subalgebra of so(gram) dual to Maurer-Cartan entries: the
+    k-th element has entry ``entries[k]`` equal to 1 and the other listed
+    entries 0, so a bracket [X_i, X_j] lies in the span iff it equals
+    sum_k [X_i, X_j][entries[k]] X_k; ``closure_residual`` is the largest
+    entry of their difference."""
 
-    metric: Metric
+    entries: list
     elements: list
-    coords: np.ndarray           # (dim, n_coords) rows are basis coordinates
-    constraint_description: list
     closure_residual: float
 
     @property
     def dim(self):
         return len(self.elements)
 
-    def duals(self, entries):
-        """Elements of the span dual to the given Maurer-Cartan entries:
-        the k-th has entry k equal to 1 and every other listed entry 0.
-        Solved over the basis elements with a component on the entries."""
-        basis = [X for X in self.elements if max(abs(X[e]) for e in entries) > 1e-12]
-        if len(basis) != len(entries):
-            raise GeometryError(f"{len(basis)} basis elements have a component "
-                                f"on the {len(entries)} entries {entries}")
-        A = np.array([[X[e] for e in entries] for X in basis]).T
-        coeff = np.linalg.solve(A, np.eye(len(entries)))
-        return [sum(c * X for c, X in zip(col, basis)) for col in coeff.T]
 
-
-def _rref(A, tol=1e-11):
-    """Reduced row echelon form with partial pivoting (deterministic)."""
-    A = np.array(A, dtype=float)
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = r + int(np.argmax(np.abs(A[r:, c])))
-        if np.abs(A[pivot, c]) < tol:
-            continue
-        A[[r, pivot]] = A[[pivot, r]]
-        A[r] = A[r] / A[r, c]
-        for i in range(rows):
-            if i != r:
-                A[i] = A[i] - A[i, c] * A[r]
-        r += 1
-    return A[:r]
-
-
-def subalgebra_from_constraints(constraints, metric):
-    """Solve a list of linear functionals on Maurer-Cartan entries inside so(gram).
-
-    Each constraint is a dict {(a, b): coeff} meaning sum coeff * omega^a_b = 0.
-    Returns a SubalgebraBasis whose rows are brought to reduced row echelon
-    form over the entry coordinates, so the basis is deterministic and its
-    elements are duals of the free entries whenever the constraints are
-    entry-aligned.  Inconsistent/overfull constraints yield an empty basis.
-    """
-    basis = algebra_entry_basis(metric)
-    ncoord = len(basis)
-    M = np.zeros((max(len(constraints), 1), ncoord))
-    for k, functional in enumerate(constraints):
-        for j, (_, B) in enumerate(basis):
-            M[k, j] = sum(coeff * B[entry] for entry, coeff in functional.items())
-    # nullspace via SVD
-    _, s, vh = np.linalg.svd(M)
-    tol = max(M.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(tol, 1e-12)))
-    null = vh[rank:]
-    if null.shape[0] == 0:
-        return SubalgebraBasis(metric, [], np.zeros((0, ncoord)), list(constraints), 0.0)
-    coords = _rref(null)
-    elements = [algebra_from_coordinates(row, metric) for row in coords]
-    closure = _closure_residual(coords, elements, metric)
-    return SubalgebraBasis(metric, elements, coords, list(constraints), closure)
-
-
-def _closure_residual(coords, elements, metric):
-    """Max distance of pairwise brackets from the span of the basis."""
-    if len(elements) < 2:
-        return 0.0
-    A = coords.T  # n_coords x dim
-    worst = 0.0
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            b = algebra_coordinates(bracket(elements[i], elements[j]), metric)
-            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-            worst = max(worst, float(np.max(np.abs(A @ sol - b))) if b.size else 0.0)
-    return worst
+def subalgebra_from_constraints(constraints, metric, entries):
+    """The basis of {X in so(gram): every constraint vanishes on X} dual to the
+    Maurer-Cartan ``entries``; each constraint is a dict {(a, b): coeff}
+    meaning sum coeff * omega^a_b = 0.  One solve in the coordinates of
+    ``algebra_entry_basis``, so each element lies in so(gram) by construction,
+    with a row per constraint and a unit row per entry.  Raises GeometryError
+    unless that system is square and nonsingular with a finite solution."""
+    basis = np.stack([M for _, M in algebra_entry_basis(metric)])  # (ncoord, n, n)
+    rows = [sum(c * basis[:, a, b] for (a, b), c in f.items()) for f in constraints]
+    rows += [basis[:, a, b] for a, b in entries]
+    rhs = np.eye(len(rows), len(entries), -len(constraints))  # 0 on constraints, I on entries
+    try:
+        # LinAlgError unless square and nonsingular
+        coeff = np.linalg.solve(np.reshape(rows, (len(rows), len(basis))), rhs)
+    except np.linalg.LinAlgError:
+        coeff = None
+    if coeff is None or not np.isfinite(coeff).all():
+        raise GeometryError(f"{len(constraints)} constraints and the entries {list(entries)} "
+                            f"do not single out a basis of so({metric.name})")
+    E = np.tensordot(coeff.T, basis, axes=1)  # (len(entries), n, n)
+    B = E[:, None] @ E[None] - E[None] @ E[:, None]  # B[i, j] = [X_i, X_j]
+    a, b = np.array(entries, dtype=int).reshape(-1, 2).T
+    closure = np.max(np.abs(B - np.einsum("ijk,kab->ijab", B[..., a, b], E)), initial=0.0)
+    return SubalgebraBasis(list(entries), list(E), float(closure))
 
 
 # --- the Euclidean motion group (not metric-defined) -------------------------

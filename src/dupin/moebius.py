@@ -1,7 +1,6 @@
 """Oriented spheres in S^3 and their S^{3,1} model, tangent and curvature
-sphere maps, the sphere-map Dupin test, adapted Moebius frames with order
-verification, the conformal invariant C, and the 2-plane subalgebras h_C with
-their orbit surfaces.
+sphere maps, adapted Moebius frames with order verification, the conformal
+invariant C, and the 2-plane subalgebras h_C with their orbit surfaces.
 
 Moebius frames are 5x5 matrices in the delta basis; sphere vectors and null
 lifts are handled in epsilon coordinates and converted where needed.
@@ -52,30 +51,6 @@ def tangent_sphere(x, e3, r):
     out[..., :4] = cot[..., None] * x + e3
     out[..., 4] = cot
     return out
-
-
-# --- sphere-map Dupin test -------------------------------------------------------
-
-def sphere_map_dupin_test(S_grid, domain, rank_tol=1e-8):
-    """Dupin criterion for a sphere map along an immersion: its plain
-    differential dS (a 5x2 matrix per grid point) is singular everywhere.
-
-    Returns the verdict with singular-value statistics; a map with dS = 0
-    everywhere passes but is flagged degenerate.
-    """
-    S_grid = np.asarray(S_grid, dtype=float)
-    J = np.moveaxis(grid_differential(S_grid, domain), 0, -1)  # (nu, nv, 5, 2)
-    svals = np.linalg.svd(J, compute_uv=False)
-    scale = max(float(np.max(svals)), 1.0)
-    second = svals[..., 1]
-    dupin = bool(np.max(second) < rank_tol * scale)
-    degenerate = bool(np.max(svals) < rank_tol)
-    return {
-        "dupin": dupin,
-        "degenerate": degenerate,
-        "max_second_singular_value": float(np.max(second)),
-        "min_singular_values": (float(np.min(svals[..., 0])), float(np.min(second))),
-    }
 
 
 # --- curvature sphere pencil -----------------------------------------------------
@@ -181,14 +156,14 @@ class MoebiusCoefficients:
     phi: tuple    # the 1-forms (omega^1_0, omega^2_0)
 
 
-def frame_order_check(ff, mc=None):
+def frame_order_check(ff):
     """Verify the first/second/third-order conditions of an adapted Moebius
     frame and extract the coefficient functions and the invariant C.
 
     Returns (MoebiusCoefficients, residual dict).  Raises FrameOrderError
     naming the first failed order.
     """
-    mc = mc or pullback_mc(ff)
+    mc = pullback_mc(ff)
     w = mc.omega
     res = {}
     res["first_order"] = float(np.max(np.abs(w[..., 3, 0])))
@@ -264,14 +239,8 @@ def hc_constraints(C):
 
 
 def hc_basis(C):
-    """Basis {X1, X2} of h_C, canonicalized so X1 is dual to omega^1_0 and X2
-    to omega^2_0."""
-    sub = mt.subalgebra_from_constraints(hc_constraints(C), mt.MOEB)
-    if sub.dim != 2:
-        raise GeometryError(f"C = {C:g}: h_C has dimension {sub.dim}, not 2; use a smaller |C|")
-    sub.elements = sub.duals([(1, 0), (2, 0)])
-    sub.coords = np.stack([mt.algebra_coordinates(X, mt.MOEB) for X in sub.elements])
-    return sub
+    """Basis {X1, X2} of h_C dual to the coframe omega^1_0, omega^2_0."""
+    return mt.subalgebra_from_constraints(hc_constraints(C), mt.MOEB, [(1, 0), (2, 0)])
 
 
 def hc_swap_conjugation():
@@ -309,7 +278,11 @@ def canonical_surface_for_C(C, domain=None):
         return torus(np.arccos(A) / 2.0, domain)
     if regime == "cylinder":
         return cylinder(1.0, domain)
-    return hyperboloid(np.sqrt((A - 1.0) / (A + 1.0)), domain)
+    a = np.sqrt((A - 1.0) / (A + 1.0))
+    if a == 1.0:
+        raise GeometryError(f"C = {C:g}: the hyperboloid parameter sqrt((|C|-1)/(|C|+1)) "
+                            "rounds to 1; use a smaller |C|")
+    return hyperboloid(a, domain)
 
 
 def canonical_base_frame(C):
@@ -332,9 +305,8 @@ def hc_orbit(C, s_grid, t_grid):
     pulled back to the space form indicated by the regime of C; chart failures
     are flagged, not fatal, and placed at the chart's origin.  Raises
     GeometryError if the orbit overflows on the grid."""
-    sub = hc_basis(C)
-    X1, X2 = sub.elements
-    base = canonical_base_frame(C)
+    base = canonical_base_frame(C)  # first: it rejects a |C| too large for a hyperboloid
+    X1, X2 = hc_basis(C).elements
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
@@ -364,10 +336,9 @@ def orbit_surface(C, domain=None):
     one mat_exp per generator for the whole jet; the chart's quotient rule
     (``surfaces.quotient_jet``) carries it into the space form.  Position and
     jet raise GeometryError when a point escapes the chart."""
-    sub = hc_basis(C)
-    X1, X2 = sub.elements
     # the frame in epsilon coordinates, so q comes out in them (change_basis is linear)
     base = mt.change_basis(canonical_base_frame(C), 5, "delta", "epsilon", kind="frame")
+    X1, X2 = hc_basis(C).elements
     W0 = np.stack([np.linalg.matrix_power(X2, k)[:, 0] for k in range(4)],
                   axis=-1)  # X2^k delta0, k = 0..3
     domain = domain or ParamDomain(

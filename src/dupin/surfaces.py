@@ -679,16 +679,17 @@ def euclidean_best_frame(s):
 
 
 def propagate_sign(field):
-    """Flip vector signs along row 0 then down each column for continuity."""
-    out = field.copy()
-    for i in range(1, out.shape[0]):
-        flip = np.sum(out[i, 0] * out[i - 1, 0]) < 0
-        if flip:
-            out[i, 0] = -out[i, 0]
-    for j in range(1, out.shape[1]):
-        flip = np.sum(out[:, j] * out[:, j - 1], axis=-1) < 0
-        out[:, j][flip] = -out[:, j][flip]
-    return out
+    """Flip vector signs along row 0 then down each column for continuity:
+    each vector's sign is the cumulative product of the signs of its
+    neighbour dot products back to the corner."""
+    def step(a, b):
+        return np.where(np.sum(a * b, axis=-1) < 0, -1.0, 1.0)
+
+    sign = np.ones(field.shape[:2])
+    sign[1:, 0] = step(field[1:, 0], field[:-1, 0])
+    sign[:, 1:] = step(field[:, 1:], field[:, :-1])
+    sign[:, 0] = np.cumprod(sign[:, 0])
+    return field * np.cumprod(sign, axis=1)[..., None]
 
 
 def dupin_pde_residual(ff):

@@ -49,6 +49,25 @@ def _first_order_frame_umbilic(x_grid, e3_grid, kappa, dx, domain):
     return FrameField("moebius", mt.P_DELTA.T @ (V @ mb._adapted_mix(kappa - 1, kappa + 1)), domain)
 
 
+def _sphere_map_dupin_test(S_grid, domain, rank_tol=1e-8):
+    """Reference Dupin criterion for a sphere map along an immersion: its plain
+    differential dS (a 5x2 matrix per grid point) is singular everywhere.
+
+    Returns the verdict with singular-value statistics; a map with dS = 0
+    everywhere passes but is flagged degenerate.
+    """
+    S_grid = np.asarray(S_grid, dtype=float)
+    J = np.moveaxis(grid_differential(S_grid, domain), 0, -1)  # (nu, nv, 5, 2)
+    svals = np.linalg.svd(J, compute_uv=False)
+    scale = max(float(np.max(svals)), 1.0)
+    second = svals[..., 1]
+    return {
+        "dupin": bool(np.max(second) < rank_tol * scale),
+        "degenerate": bool(np.max(svals) < rank_tol),
+        "max_second_singular_value": float(np.max(second)),
+    }
+
+
 def random_spheres(n):
     m = RNG.normal(size=(n, 4))
     m /= np.linalg.norm(m, axis=-1, keepdims=True)
@@ -116,13 +135,13 @@ class TestTangentSphere:
         # cot r = a = -1 branch on torus(pi/4)
         r = np.arctan2(1.0, -1.0)
         S = mb.tangent_sphere(self.x, self.e3, r)
-        out = mb.sphere_map_dupin_test(S, self.s.domain)
+        out = _sphere_map_dupin_test(S, self.s.domain)
         assert out["dupin"] is True
         assert not out["degenerate"]
 
     def test_non_curvature_sphere_full_rank(self):
         S = mb.tangent_sphere(self.x, self.e3, np.pi / 2 + 0.3)
-        out = mb.sphere_map_dupin_test(S, self.s.domain)
+        out = _sphere_map_dupin_test(S, self.s.domain)
         assert out["dupin"] is False
 
     def test_constant_map_degenerate(self):
@@ -130,7 +149,7 @@ class TestTangentSphere:
             mb.sphere_to_vec(np.array([1.0, 0, 0, 0]), 1.0),
             self.x.shape[:-1] + (5,),
         ).copy()
-        out = mb.sphere_map_dupin_test(S, self.s.domain)
+        out = _sphere_map_dupin_test(S, self.s.domain)
         assert out["dupin"] is True
         assert out["degenerate"]
 
@@ -262,6 +281,46 @@ class TestFrameOrderCheck:
             mb.frame_order_check(ff2)
 
 
+def _hc_closed_form(C):
+    """h_C's basis dual to (omega^1_0, omega^2_0), read off hc_constraints:
+    X1 has omega^0_1 = C - 1/2, omega^3_1 = 1 and X2 has omega^0_2 = -(C + 1/2),
+    omega^3_2 = -1, each with its so(4,1) partner entries (delta basis)."""
+    X1, X2 = np.zeros((2, 5, 5))
+    X1[1, 0] = X1[4, 1] = X1[3, 1] = 1.0
+    X1[1, 3] = -1.0
+    X1[0, 1] = X1[1, 4] = C - 0.5
+    X2[2, 0] = X2[4, 2] = X2[2, 3] = 1.0
+    X2[3, 2] = -1.0
+    X2[0, 2] = X2[2, 4] = -(C + 0.5)
+    return X1, X2
+
+
+class TestHCBasis:
+    @pytest.mark.parametrize("C", [0.0, 1.0, 1e3, 1e5, 1e8, -1e8])
+    def test_closed_form_exact(self, C):
+        for X, want in zip(mb.hc_basis(C).elements, _hc_closed_form(C)):
+            assert np.array_equal(X, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_c=st.floats(-3.0, 6.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_dual_basis_property(self, log_c, sign):
+        C = sign * 10.0 ** log_c
+        sub = mb.hc_basis(C)
+        scale = max(1.0, abs(C))
+        pairing = np.array([[X[e] for e in ((1, 0), (2, 0))] for X in sub.elements])
+        assert np.array_equal(pairing, np.eye(2))
+        for X in sub.elements:
+            assert mt.algebra_residual(X, mt.MOEB) == 0.0
+            for con in mb.hc_constraints(C):
+                assert abs(sum(co * X[e] for e, co in con.items())) <= 1e-15 * scale
+        assert sub.closure_residual <= 1e-15 * scale ** 2
+
+    @pytest.mark.parametrize("C", [1e17, -1e300])
+    def test_canonical_hyperboloid_rejects_huge_C(self, C):
+        with pytest.raises(mt.GeometryError, match=r"\|C\|"):
+            mb.canonical_surface_for_C(C)
+
+
 class TestHCOrbits:
     def test_swap_conjugation_exact(self):
         W = mb.hc_swap_conjugation()
@@ -381,8 +440,8 @@ class TestHCOrbits:
         d = srf.principal_curvatures(surf, U, V)
         for branch in (d.a, d.c):
             S = mb.tangent_sphere(x, n, np.arctan2(1.0, branch))
-            out = mb.sphere_map_dupin_test(S, surf.domain, rank_tol=2e-3)
+            out = _sphere_map_dupin_test(S, surf.domain, rank_tol=2e-3)
             assert out["dupin"], out
         generic = mb.tangent_sphere(x, n, np.arctan2(1.0, d.a + 0.7 * (d.c - d.a)))
-        out = mb.sphere_map_dupin_test(generic, surf.domain, rank_tol=2e-3)
+        out = _sphere_map_dupin_test(generic, surf.domain, rank_tol=2e-3)
         assert not out["dupin"]

@@ -359,3 +359,39 @@ class TestBestFrameAndPDE:
         assert np.max(np.abs(mc.omega[0][..., 3, 0])) < 1e-3  # finite-difference budget
         assert np.max(np.abs(mc.omega[0][..., 3, 1] - d.a * mc.omega[0][..., 1, 0])) < 1e-4
         assert np.max(np.abs(mc.omega[1][..., 3, 2] - d.c * mc.omega[1][..., 2, 0])) < 1e-4
+
+
+def _propagate_sign_loop(field):
+    """Reference: flip vector signs along row 0 then down each column, one
+    grid point at a time, against the neighbour already fixed."""
+    out = field.copy()
+    for i in range(1, out.shape[0]):
+        if np.sum(out[i, 0] * out[i - 1, 0]) < 0:
+            out[i, 0] = -out[i, 0]
+    for j in range(1, out.shape[1]):
+        flip = np.sum(out[:, j] * out[:, j - 1], axis=-1) < 0
+        out[:, j][flip] = -out[:, j][flip]
+    return out
+
+
+class TestPropagateSign:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.integers(1, 12), nv=st.integers(1, 12),
+           dim=st.sampled_from([3, 6]))
+    def test_matches_loop_on_random_unit_fields(self, seed, nu, nv, dim):
+        f = np.random.default_rng(seed).normal(size=(nu, nv, dim))
+        f /= np.linalg.norm(f, axis=-1, keepdims=True)
+        assert np.array_equal(srf.propagate_sign(f), _propagate_sign_loop(f))
+
+    def test_matches_loop_on_figure1_principal_directions(self):
+        fig1 = srf.pushforward(srf.torus(np.pi / 4), "stereo")
+        U, V = fig1.domain.mesh()
+        data = srf.principal_curvatures(fig1, U, V)
+        jet = fig1.jet(U, V)
+        for d in (data.dir_a, data.dir_c):
+            e = d[..., 0:1] * jet.xu + d[..., 1:2] * jet.xv
+            e /= np.linalg.norm(e, axis=-1, keepdims=True)
+            # as computed, and with random signs for the routine to undo
+            flips = np.random.default_rng(7).choice([-1.0, 1.0], size=e.shape[:2])
+            for f in (e, flips[..., None] * e):
+                assert np.array_equal(srf.propagate_sign(f), _propagate_sign_loop(f))
