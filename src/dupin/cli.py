@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -22,7 +23,6 @@ from . import verify
 from .export import check, grid_mesh, make_report, write_obj, write_report
 from .metrics import MOEB, GeometryError, inner
 from .spaceforms import hyp_stereo, stereo_off_pole
-from .surfaces import ParamDomain
 
 
 def load_config(path=None):
@@ -89,21 +89,12 @@ def tolerances(args, cfg):
 def cmd_gen(args, cfg):
     nu, nv = parse_grid(args.grid, cfg)
     tols = tolerances(args, cfg)
-    if args.surface == "torus":
-        if args.alpha is None:
-            raise GeometryError("torus needs --alpha (radians)")
-        dom = ParamDomain(nu=nu, nv=nv)
-        s = srf.torus(args.alpha, dom)
-    elif args.surface == "hyperboloid":
-        if args.a is None:
-            raise GeometryError("hyperboloid needs --a")
-        dom = ParamDomain(v_range=(-1.5, 1.5), nu=nu, nv=nv, periodic_v=False)
-        s = srf.hyperboloid(args.a, dom)
-    else:
-        if args.radius is None:
-            raise GeometryError("cylinder needs --radius")
-        dom = ParamDomain(v_range=(-2.0, 2.0), nu=nu, nv=nv, periodic_v=False)
-        s = srf.cylinder(args.radius, dom)
+    make, value, flag = {"torus": (srf.torus, args.alpha, "--alpha (radians)"),
+                         "hyperboloid": (srf.hyperboloid, args.a, "--a"),
+                         "cylinder": (srf.cylinder, args.radius, "--radius")}[args.surface]
+    if value is None:
+        raise GeometryError(f"{args.surface} needs {flag}")
+    s = make(value, replace(make(value).domain, nu=nu, nv=nv))
 
     if args.project != "none":
         s = srf.pushforward(s, args.project)

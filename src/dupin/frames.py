@@ -173,9 +173,9 @@ class MCForm:
         return GROUPS[self.group].algebra_residual(self.omega)
 
 
-def _check_membership(ff, tol=1e-8):
+def _check_membership(ff):
     r = ff.membership_residual()
-    if not r <= tol:
+    if not r <= 1e-8:
         raise mt.MembershipError(f"frame field leaves the group (residual {r:.2e})")
 
 
@@ -211,9 +211,10 @@ def structure_residual(mc):
     return float(np.max(np.abs(resid)))
 
 
-def congruence_test(e, e_tilde, tol=1e-8):
+def congruence_test(e, e_tilde):
     """Two frame fields differ by one fixed group element iff g(m) =
-    e_tilde(m) e(m)^{-1} is constant; returns (congruent, mean g, deviation).
+    e_tilde(m) e(m)^{-1} is constant; returns (congruent, mean g, deviation),
+    congruent when the deviation is below 1e-8.
     e^{-1} is the group inverse, so both fields must lie in the group."""
     if e.group != e_tilde.group or e.mats.shape != e_tilde.mats.shape:
         raise GeometryError("congruence test needs matching grids and groups")
@@ -222,7 +223,7 @@ def congruence_test(e, e_tilde, tol=1e-8):
     g = e_tilde.mats @ e.handle().inverse(e.mats)
     g_mean = np.mean(g, axis=(0, 1))
     dev = float(np.max(np.abs(g - g_mean)))
-    return {"congruent": dev < tol, "g": g_mean, "deviation": dev}
+    return {"congruent": dev < 1e-8, "g": g_mean, "deviation": dev}
 
 
 def integrate_mc(mc, base):

@@ -70,12 +70,12 @@ class PencilLine:
         }
 
 
-def make_line(S0, S1, tol=QUADRIC_TOL):
+def make_line(S0, S1):
     S0 = np.asarray(S0, dtype=float)
     S1 = np.asarray(S1, dtype=float)
-    if quadric_residual(S0) > tol or quadric_residual(S1) > tol:
+    if quadric_residual(S0) > QUADRIC_TOL or quadric_residual(S1) > QUADRIC_TOL:
         raise DegenerateLineError("representative off the quadric")
-    if np.max(np.abs(inner(S0, S1, mt.R42))) > tol:
+    if np.max(np.abs(inner(S0, S1, mt.R42))) > QUADRIC_TOL:
         raise DegenerateLineError("representatives are not orthogonal")
     svals = np.linalg.svd(np.stack([S0, S1]), compute_uv=False)
     if svals[-1] < 1e-9 * svals[0]:
@@ -115,12 +115,13 @@ def projection_precision(S0, S1):
         return float(np.finfo(float).eps * np.max(kappa))
 
 
-def check_projection_precision(bound, tol=PROJECTION_TOL):
-    """Reject a projection whose rounding bound exceeds tol; a NaN bound fails."""
-    if not bound <= tol:
+def check_projection_precision(bound):
+    """Reject a projection whose rounding bound exceeds PROJECTION_TOL; a NaN
+    bound fails."""
+    if not bound <= PROJECTION_TOL:
         raise GeometryError(
             f"the spherical projection has relative rounding bound {bound:.3e}, not within "
-            f"the tolerance {tol:g}; use a smaller boost"
+            f"the tolerance {PROJECTION_TOL:g}; use a smaller boost"
         )
 
 
@@ -212,9 +213,10 @@ def example_frame(domain=None):
 
 # --- spherical-projection rank test ---------------------------------------------------
 
-def sigma_rank_report(lm, rank_tol=1e-10):
+def sigma_rank_report(lm):
     """Singular values of the differential of sigma composed with the map;
-    the second singular value vanishes where the projection is singular."""
+    the second singular value vanishes where the projection is singular
+    ("singular_everywhere": below 1e-10 on the whole grid)."""
     sig = spherical_projection(lm.S0, lm.S1)
     sig = _smooth_normalize(sig)
     d = lm.domain
@@ -222,7 +224,7 @@ def sigma_rank_report(lm, rank_tol=1e-10):
     svals = np.linalg.svd(J, compute_uv=False)
     return {
         "max_second_singular_value": float(np.max(svals[..., 1])),
-        "singular_everywhere": bool(np.max(svals[..., 1]) < rank_tol),
+        "singular_everywhere": bool(np.max(svals[..., 1]) < 1e-10),
         "svals": svals,
     }
 
@@ -376,11 +378,12 @@ def line_motion_svals(ff):
     return np.linalg.svd(J, compute_uv=False)
 
 
-def _check_line_immersion(ff, tol=1e-8):
+def _check_line_immersion(ff):
     """The two line motions, taken modulo the pencil plane, must be
-    independent at every grid point."""
+    independent at every grid point: the second singular value at least 1e-8
+    times the largest (or 1)."""
     svals = line_motion_svals(ff)
-    dependent = np.broadcast_to(svals[..., 1] < tol * max(float(np.max(svals)), 1.0),
+    dependent = np.broadcast_to(svals[..., 1] < 1e-8 * max(float(np.max(svals)), 1.0),
                                 ff.mats.shape[:2])
     if dependent.any():
         nu, nv = dependent.shape

@@ -350,7 +350,8 @@ def subalgebra_from_constraints(constraints, metric, entries):
     meaning sum coeff * omega^a_b = 0.  One solve in the coordinates of
     ``algebra_entry_basis``, so each element lies in so(gram) by construction,
     with a row per constraint and a unit row per entry.  Raises GeometryError
-    unless that system is square and nonsingular with a finite solution."""
+    unless that system is square and nonsingular with a finite solution, and
+    when the closure residual overflows."""
     basis = np.stack([M for _, M in algebra_entry_basis(metric)])  # (ncoord, n, n)
     rows = [sum(c * basis[:, a, b] for (a, b), c in f.items()) for f in constraints]
     rows += [basis[:, a, b] for a, b in entries]
@@ -364,9 +365,13 @@ def subalgebra_from_constraints(constraints, metric, entries):
         raise GeometryError(f"{len(constraints)} constraints and the entries {list(entries)} "
                             f"do not single out a basis of so({metric.name})")
     E = np.tensordot(coeff.T, basis, axes=1)  # (len(entries), n, n)
-    B = E[:, None] @ E[None] - E[None] @ E[:, None]  # B[i, j] = [X_i, X_j]
     a, b = np.array(entries, dtype=int).reshape(-1, 2).T
-    closure = np.max(np.abs(B - np.einsum("ijk,kab->ijab", B[..., a, b], E)), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        B = E[:, None] @ E[None] - E[None] @ E[:, None]  # B[i, j] = [X_i, X_j]
+        closure = np.max(np.abs(B - np.einsum("ijk,kab->ijab", B[..., a, b], E)), initial=0.0)
+    if not np.isfinite(closure):
+        raise GeometryError(f"the closure residual of the basis dual to {list(entries)} "
+                            "overflows: its brackets exceed the floating-point range")
     return SubalgebraBasis(list(entries), list(E), float(closure))
 
 

@@ -125,7 +125,7 @@ def canonical_best_frame(surface):
     principal frame by its space form's row of ``sf.SPACE_FORMS``.  Since
     dV = V (theta_1 A_1 + theta_2 A_2) (see ``_lifted_connection``), the
     field carries its exact form omega = sum_k theta_k M^{-1} A_k M."""
-    if surface.frame is None or not hasattr(surface, "constant_curvatures"):
+    if surface.frame is None or surface.constant_curvatures is None:
         raise GeometryError(f"no canonical frame for {surface.name!r}: it needs an "
                             "analytic principal frame and constant curvatures")
     a, c = surface.constant_curvatures
@@ -297,9 +297,6 @@ def canonical_base_frame(C):
     return base @ hc_swap_conjugation() if C < 0 else base.copy()
 
 
-_REGIME_FORM = {"torus": "sphere", "cylinder": "euclidean", "hyperboloid": "hyperbolic"}
-
-
 def hc_orbit(C, s_grid, t_grid):
     """Orbit surface base * exp(s X1) exp(t X2) [delta0] of the h_C subgroup,
     pulled back to the space form indicated by the regime of C; chart failures
@@ -319,11 +316,10 @@ def hc_orbit(C, s_grid, t_grid):
         raise GeometryError(f"C = {C:g}, span = {span:g}: the h_C orbit overflows; "
                             "use a smaller |C| or span")
     pts = mt.projective_normalize(pts)
-    regime = hc_regime(C)
-    form = _REGIME_FORM[regime]
+    form = canonical_surface_for_C(C).form
     chart, valid = sf.moebius_chart(mt.change_basis(pts, 5, "delta", "epsilon"), form)
     chart[~valid] = 0.0 if form == "euclidean" else np.eye(4)[3]
-    return OrbitResult(C, regime, pts, chart, valid)
+    return OrbitResult(C, hc_regime(C), pts, chart, valid)
 
 
 def orbit_surface(C, domain=None):
@@ -345,7 +341,7 @@ def orbit_surface(C, domain=None):
         u_range=(-1.0, 1.0), v_range=(-1.0, 1.0),
         nu=32, nv=32, periodic_u=False, periodic_v=False,
     )
-    form = _REGIME_FORM[hc_regime(C)]
+    form = canonical_surface_for_C(C).form
     num, den = sf.quotient_chart(form)
 
     def lift(u, v, partials):

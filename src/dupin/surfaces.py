@@ -103,8 +103,11 @@ class ParametricSurface:
     arrays.  Without an analytic ``jet`` the surface differentiates
     ``position`` by central differences (``analytic`` is then False).
     ``normal`` and ``frame`` optionally supply the analytic unit normal and
-    oriented principal frames (e1, e2, e3) of the canonical catalog.
+    oriented principal frames (e1, e2, e3) of the canonical catalog, and
+    ``constant_curvatures`` its principal curvatures (a, c), a < c.
     """
+
+    constant_curvatures = None
 
     def __init__(self, form, position, domain, name="surface", params=None,
                  jet=None, normal=None, frame=None):
@@ -167,14 +170,13 @@ class ParametricSurface:
         )
 
     def constraint_residual(self):
-        """Max deviation of sampled positions from the form's constraint set."""
-        U, V = self.domain.mesh()
-        x = self.position(U, V)
-        if self.form == "sphere":
-            return float(np.max(np.abs(np.sum(x * x, axis=-1) - 1.0)))
-        if self.form == "hyperbolic":
-            return float(np.max(np.abs(mt.inner(x, x, self.metric) + 1.0)))
-        return 0.0
+        """Max deviation of sampled positions from the form's constraint set
+        <x, x> = 1/K; 0.0 in R^3 (K = 0), where there is none."""
+        K = sf.space_form(self.form).K
+        if K == 0:
+            return 0.0
+        x = self.position(*self.domain.mesh())
+        return float(np.max(np.abs(mt.inner(x, x, self.metric) - 1.0 / K)))
 
 
 # --- normals ------------------------------------------------------------------
@@ -343,6 +345,60 @@ def _jet_planes(u, v, dim):
     return np.zeros((10, dim) + np.broadcast(u, v).shape)
 
 
+def _circle_derivatives(t):
+    """The k-th derivatives (cos^(k) t, sin^(k) t), k = 0..3, from one cos and
+    one sin evaluation."""
+    c, s_ = np.cos(t), np.sin(t)
+    return ((c, s_), (-s_, c), (-c, -s_), (s_, -c))
+
+
+def _hyperbola_derivatives(t):
+    """The k-th derivatives (sinh^(k) t, cosh^(k) t), k = 0..3."""
+    sh, ch = np.sinh(t), np.cosh(t)
+    return ((sh, ch), (ch, sh), (sh, ch), (ch, sh))
+
+
+def _line_derivatives(t):
+    """The k-th derivatives of the unit-speed line t, k = 0..3."""
+    return ((t,), (np.ones_like(t),), (0.0,), (0.0,))
+
+
+def _product(form, name, params, domain, profile_u, profile_v):
+    """The product surface x(u, v) = (scale_u p(u), scale_v q(v)) of two
+    unit-speed profile curves of constant curvature in disjoint coordinate
+    slots.  Each profile is (derivative table, scale, normal coefficient,
+    principal curvature); from them come the exact jet, the normal
+    (normal_u p(u), normal_v q(v)), the principal frame (e1 the unit tangent
+    of the profile of smaller curvature, e3 the normal) and the constant
+    curvatures."""
+    (tab_u, scale_u, nrm_u, kappa_u), (tab_v, scale_v, nrm_v, kappa_v) = profile_u, profile_v
+    # the order-k derivatives of both profiles, times fu and fv, stacked
+    scaled = lambda u, v, k, fu, fv: _stack(*(fu * c for c in tab_u(u)[k]),
+                                            *(fv * c for c in tab_v(v)[k]))
+    normal = lambda u, v: scaled(u, v, 0, nrm_u, nrm_v)
+
+    def jet(u, v):
+        tu, tv = tab_u(u), tab_v(v)
+        m = len(tu[0])
+        J = _jet_planes(u, v, m + len(tv[0]))
+        for k, (i, j) in enumerate(_ORDERS):
+            if j == 0:
+                J[k, :m] = [scale_u * c for c in tu[i]]
+            if i == 0:
+                J[k, m:] = [scale_v * c for c in tv[j]]
+        return Jet(*np.moveaxis(J, 1, -1))
+
+    def frame(u, v):
+        tu, tv = tab_u(u)[1], tab_v(v)[1]
+        e_u, e_v = _stack(*tu, *(0 * v for _ in tv)), _stack(*(0 * u for _ in tu), *tv)
+        return ((e_u, e_v) if kappa_u <= kappa_v else (e_v, e_u)) + (normal(u, v),)
+
+    surf = ParametricSurface(form, lambda u, v: scaled(u, v, 0, scale_u, scale_v), domain,
+                             name, params, jet, normal, frame)
+    surf.constant_curvatures = (min(kappa_u, kappa_v), max(kappa_u, kappa_v))
+    return surf
+
+
 def torus(alpha, domain=None):
     """Flat product torus S^1(cos a) x S^1(sin a) in S^3; curvatures
     (-tan a, cot a) with the catalog normal orientation."""
@@ -350,32 +406,9 @@ def torus(alpha, domain=None):
         raise GeometryError("torus parameter must lie in (0, pi/4]")
     alpha = min(alpha, np.pi / 4)
     r, s_ = np.cos(alpha), np.sin(alpha)
-    domain = domain or ParamDomain()
-
-    pos = lambda u, v: _stack(r * np.cos(u), r * np.sin(u), s_ * np.cos(v), s_ * np.sin(v))
-
-    def jet(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        J = _jet_planes(u, v, 4)
-        J[0, 0], J[0, 1], J[0, 2], J[0, 3] = r * cu, r * su, s_ * cv, s_ * sv
-        J[1, 0], J[1, 1], J[2, 2], J[2, 3] = -r * su, r * cu, -s_ * sv, s_ * cv
-        J[3, 0], J[3, 1], J[5, 2], J[5, 3] = -r * cu, -r * su, -s_ * cv, -s_ * sv
-        J[6, 0], J[6, 1], J[9, 2], J[9, 3] = r * su, -r * cu, s_ * sv, -s_ * cv
-        return Jet(*np.moveaxis(J, 1, -1))
-
-    normal = lambda u, v: _stack(s_ * np.cos(u), s_ * np.sin(u), -r * np.cos(v), -r * np.sin(v))
-
-    def frame(u, v):
-        e1 = _stack(-np.sin(u), np.cos(u), 0 * u, 0 * v)
-        e2 = _stack(0 * u, 0 * u, -np.sin(v), np.cos(v))
-        return e1, e2, normal(u, v)
-
-    surf = ParametricSurface(
-        "sphere", pos, domain, name="torus", params={"alpha": alpha},
-        jet=jet, normal=normal, frame=frame,
-    )
-    surf.constant_curvatures = (-np.tan(alpha), 1.0 / np.tan(alpha))
-    return surf
+    return _product("sphere", "torus", {"alpha": alpha}, domain or ParamDomain(),
+                    (_circle_derivatives, r, s_, -np.tan(alpha)),
+                    (_circle_derivatives, s_, -r, 1.0 / np.tan(alpha)))
 
 
 def cylinder(radius, domain=None):
@@ -384,32 +417,10 @@ def cylinder(radius, domain=None):
     if not (np.isfinite(radius) and radius > 0):
         raise GeometryError("cylinder radius must be finite and positive")
     R = float(radius)
-    domain = domain or ParamDomain(v_range=(-2.0, 2.0), periodic_v=False)
-
-    pos = lambda u, v: _stack(R * np.cos(u), R * np.sin(u), v)
-
-    def jet(u, v):
-        cu, su = np.cos(u), np.sin(u)
-        J = _jet_planes(u, v, 3)
-        J[0, 0], J[0, 1], J[0, 2] = R * cu, R * su, v
-        J[1, 0], J[1, 1], J[2, 2] = -R * su, R * cu, 1.0
-        J[3, 0], J[3, 1] = -R * cu, -R * su
-        J[6, 0], J[6, 1] = R * su, -R * cu
-        return Jet(*np.moveaxis(J, 1, -1))
-
-    normal = lambda u, v: _stack(-np.cos(u), -np.sin(u), 0 * v)
-
-    def frame(u, v):
-        e1 = _stack(0 * u, 0 * u, np.ones_like(v))       # ruling: curvature 0
-        e2 = _stack(-np.sin(u), np.cos(u), 0 * v)        # circle: curvature 1/R
-        return e1, e2, normal(u, v)
-
-    surf = ParametricSurface(
-        "euclidean", pos, domain, name="cylinder", params={"radius": R},
-        jet=jet, normal=normal, frame=frame,
-    )
-    surf.constant_curvatures = (0.0, 1.0 / R)
-    return surf
+    return _product("euclidean", "cylinder", {"radius": R},
+                    domain or ParamDomain(v_range=(-2.0, 2.0), periodic_v=False),
+                    (_circle_derivatives, R, -1.0, 1.0 / R),
+                    (_line_derivatives, 1.0, 0.0, 0.0))
 
 
 def hyperboloid(a, domain=None):
@@ -422,45 +433,10 @@ def hyperboloid(a, domain=None):
     if not (0.0 < a < 1.0):
         raise GeometryError("hyperboloid parameter must lie in (0, 1)")
     b = np.sqrt(1.0 - a * a)
-    rho, sc = a / b, 1.0 / b
-    domain = domain or ParamDomain(v_range=(-1.5, 1.5), periodic_v=False)
-
-    pos = lambda u, v: _stack(
-        rho * np.cos(u), rho * np.sin(u), sc * np.sinh(v), sc * np.cosh(v)
-    )
-
-    def jet(u, v):
-        cu, su, chv, shv = np.cos(u), np.sin(u), np.cosh(v), np.sinh(v)
-        J = _jet_planes(u, v, 4)
-        J[0, 0], J[0, 1], J[0, 2], J[0, 3] = rho * cu, rho * su, sc * shv, sc * chv
-        J[1, 0], J[1, 1], J[2, 2], J[2, 3] = -rho * su, rho * cu, sc * chv, sc * shv
-        J[3, 0], J[3, 1], J[5, 2], J[5, 3] = -rho * cu, -rho * su, sc * shv, sc * chv
-        J[6, 0], J[6, 1], J[9, 2], J[9, 3] = rho * su, -rho * cu, sc * chv, sc * shv
-        return Jet(*np.moveaxis(J, 1, -1))
-
-    # orientation with curvatures (a along the hyperbola, 1/a along the circle)
-    normal = lambda u, v: _stack(
-        -sc * np.cos(u), -sc * np.sin(u), -rho * np.sinh(v), -rho * np.cosh(v)
-    )
-
-    def frame(u, v):
-        e1 = _stack(0 * u, 0 * u, np.cosh(v), np.sinh(v))   # curvature a
-        e2 = _stack(-np.sin(u), np.cos(u), 0 * v, 0 * v)    # curvature 1/a
-        return e1, e2, normal(u, v)
-
-    surf = ParametricSurface(
-        "hyperbolic", pos, domain, name="hyperboloid", params={"a": a},
-        jet=jet, normal=normal, frame=frame,
-    )
-    surf.constant_curvatures = (a, 1.0 / a)
-    return surf
-
-
-def _circle_derivatives(t):
-    """The k-th derivatives (cos^(k) t, sin^(k) t), k = 0..3, from one cos and
-    one sin evaluation."""
-    c, s_ = np.cos(t), np.sin(t)
-    return ((c, s_), (-s_, c), (-c, -s_), (s_, -c))
+    return _product("hyperbolic", "hyperboloid", {"a": a},
+                    domain or ParamDomain(v_range=(-1.5, 1.5), periodic_v=False),
+                    (_circle_derivatives, a / b, -1.0 / b, 1.0 / a),
+                    (_hyperbola_derivatives, 1.0 / b, -(a / b), a))
 
 
 def sphere_patch(radius=1.0, domain=None):
@@ -559,7 +535,7 @@ def quotient_jet(src, x, num, den, shift=0.0):
     return Jet(*(np.moveaxis(p, 0, -1) for p in phi.values()))
 
 
-def pushforward(s, mapping, domain=None):
+def pushforward(s, mapping):
     """Compose a surface with stereo / hyp_stereo / identity into R^3.
 
     Both charts are phi = y/d, with y a slice of three coordinates and d one
@@ -567,7 +543,6 @@ def pushforward(s, mapping, domain=None):
     and the image of any other surface differentiates its own position by
     central differences.
     """
-    domain = domain or s.domain
     if mapping == "identity":
         return s
     if mapping == "stereo":
@@ -586,7 +561,7 @@ def pushforward(s, mapping, domain=None):
         return quotient_jet(src, phi(src.x), num, den, shift=1.0)
 
     return ParametricSurface(
-        "euclidean", lambda u, v: phi(s.position(u, v)), domain,
+        "euclidean", lambda u, v: phi(s.position(u, v)), s.domain,
         name=f"{s.name}_{mapping}", params=dict(s.params),
         jet=jet if s.analytic else None,
     )

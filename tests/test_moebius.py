@@ -315,6 +315,13 @@ class TestHCBasis:
                 assert abs(sum(co * X[e] for e, co in con.items())) <= 1e-15 * scale
         assert sub.closure_residual <= 1e-15 * scale ** 2
 
+    @pytest.mark.filterwarnings("error")  # the overflow is an error, not a warning and nan
+    def test_closure_overflow_rejected(self):
+        assert mb.hc_basis(1e154).closure_residual == 0.0
+        for C in (1e155, 1e300):
+            with pytest.raises(mt.GeometryError, match="overflows"):
+                mb.hc_basis(C)
+
     @pytest.mark.parametrize("C", [1e17, -1e300])
     def test_canonical_hyperboloid_rejects_huge_C(self, C):
         with pytest.raises(mt.GeometryError, match=r"\|C\|"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dupin import metrics as mt
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
 from dupin.moebius import orbit_surface
@@ -54,6 +55,40 @@ class TestCatalog:
         I, II = srf.fundamental_forms(s, np.array([0.3]), np.array([0.9]))
         assert np.allclose(I[0], np.diag([R * R, 1.0]), atol=1e-12)
         assert np.allclose(II[0], np.diag([R, 0.0]), atol=1e-12)
+
+
+    def test_constraint_residual_samples_nothing_in_R3(self):
+        def position(u, v):
+            raise AssertionError("R^3 has no constraint to sample")
+
+        s = srf.ParametricSurface("euclidean", position, ParamDomain())
+        assert s.constraint_residual() == 0.0
+
+
+class TestProductFrames:
+    """Each catalog surface's analytic frame, normal and constant curvatures
+    against its own jet, across parameters and at random points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(0.05, np.pi / 4), R=st.floats(0.2, 5.0), a=st.floats(0.05, 0.95),
+           u=st.floats(-4.0, 4.0), v=st.floats(-2.0, 2.0))
+    def test_frame_matches_jet(self, alpha, R, a, u, v):
+        u, v = np.array([u]), np.array([v])
+        for s in (srf.torus(alpha), srf.cylinder(R), srf.hyperboloid(a)):
+            g, jet, e = s.metric, s.jet(u, v), s.frame(u, v)
+            gram = [[mt.inner(p, q, g)[0] for q in e] for p in e]
+            assert np.max(np.abs(np.subtract(gram, np.eye(3)))) <= 1e-12
+            if s.form != "euclidean":
+                assert max(abs(mt.inner(ek, jet.x, g)[0]) for ek in e) <= 1e-12
+            span = np.stack([jet.xu[0], jet.xv[0]], axis=-1)
+            for ek in e[:2]:
+                coef = np.linalg.lstsq(span, ek[0], rcond=None)[0]
+                assert np.max(np.abs(span @ coef - ek[0])) <= 1e-12
+            assert np.max(np.abs(e[2] - s.normal(u, v))) <= 1e-12
+            d = srf.principal_curvatures(s, u, v)
+            assert np.max(np.abs(np.subtract((d.a[0], d.c[0]), s.constant_curvatures))) <= 1e-12
+            mapped = d.dir_a[..., :1] * jet.xu + d.dir_a[..., 1:] * jet.xv
+            assert min(np.max(np.abs(mapped - e[0])), np.max(np.abs(mapped + e[0]))) <= 1e-12
 
 
 class TestComputedNormal:
