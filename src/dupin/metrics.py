@@ -170,10 +170,11 @@ def group_residual(T, metric):
 
 
 def group_inverse(T, metric):
-    """gram^{-1} T^T gram, the inverse of a form-preserving T; exact for the
-    grams used here, whose entries are 0 and +-1."""
-    g = metric.gram
-    return np.linalg.inv(g) @ np.swapaxes(np.asarray(T, dtype=float), -1, -2) @ g
+    """gram^{-1} T^T gram, the inverse of a form-preserving T, as one exact
+    signed gather: entry (a, b) is eta_a eta_b T[b*, a*] with b* the partner
+    dual_index[b].  Adding 0.0 turns -0 into +0, as the matrix product did."""
+    d, eta = np.array(metric.dual_index), np.array(metric.eta)
+    return eta[:, None] * eta * np.asarray(T, dtype=float)[..., d, d[:, None]] + 0.0
 
 
 def algebra_residual(X, metric):

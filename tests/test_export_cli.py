@@ -3,7 +3,6 @@
 import json
 import os
 import tempfile
-import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +14,8 @@ from hypothesis.extra import numpy as hnp
 from dupin import export as ex
 from dupin import cli
 from dupin.cli import main
+
+from conftest import traced_peak
 
 
 def read_json(path):
@@ -233,18 +234,6 @@ class TestSharedCoordinates:
     @given(mesh=obj_meshes(pooled=True))
     def test_matches_reference_property_small_blocks(self, mesh):
         assert written_obj(mesh, block=7) == reference_obj(mesh)
-
-
-def traced_peak(fn, *args):
-    """The peak of memory traced while fn(*args) runs, above what was traced
-    before it, in bytes; and fn's result."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base, out
-    finally:
-        tracemalloc.stop()
 
 
 class TestExportMemory:

@@ -12,6 +12,8 @@ from dupin import liesphere as ls
 from dupin import moebius as mb
 from dupin.surfaces import ParamDomain
 
+from conftest import traced_peak
+
 RNG = np.random.default_rng(99)
 
 
@@ -368,13 +370,7 @@ class TestIntegrateMC:
 
     def test_round_trip_up_to_translation(self):
         # constant-form field: integrate(pullback(e)) is congruent to e
-        X = so3_generator()
-        Y = np.zeros((3, 3))
-        Y[1, 2], Y[2, 1] = -0.4, 0.4
-        dom = ParamDomain((0, 1.5), (0, 1.1), 24, 18, False, False)
-        ff = exp_field(X, Y, dom, "so3")
-        g0 = mt.mat_exp(mt.algebra_project(RNG.normal(size=(3, 3)), mt.R3))
-        ff = ff.left_translated(g0)
+        ff = round_trip_field(RNG)
         mc = fr.pullback_mc(ff)
         ff2, rep = fr.integrate_mc(mc, ff.mats[0, 0])
         assert fr.congruence_test(ff, ff2)["deviation"] < 1e-4
@@ -408,6 +404,17 @@ class TestIntegrateMC:
             devs.append(rep["path_independence"])
         assert devs[1] < devs[0] / 1.5
         assert devs[2] < devs[1] / 1.5
+
+
+def round_trip_field(rng):
+    """exp(uX) exp(vY) on a 24 x 18 open so(3) grid, left-translated by a
+    random rotation."""
+    X = so3_generator()
+    Y = np.zeros((3, 3))
+    Y[1, 2], Y[2, 1] = -0.4, 0.4
+    dom = ParamDomain((0, 1.5), (0, 1.1), 24, 18, False, False)
+    g0 = mt.mat_exp(mt.algebra_project(rng.normal(size=(3, 3)), mt.R3))
+    return exp_field(X, Y, dom, "so3").left_translated(g0)
 
 
 def materialised(mc):
@@ -511,3 +518,146 @@ class TestLeftInvariance:
         assert ff.omega.shape == (2, 1, 5, 6, 6)
         assert np.max(np.abs(fr.pullback_mc(ff).omega - ff.omega)) < 1e-12
         assert ff.left_translated(M).omega is ff.omega
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["open", "periodic_u"])
+def cylinder128(request):
+    """The 128 x 128 e(3) cylinder form, a base frame, and its integral."""
+    X1, X2 = cylinder_distribution()
+    dom = ParamDomain((0, 2 * np.pi), (-1.0, 1.0), 128, 128, request.param, False)
+    mc = fr.constant_form(X1, X2, dom, "e3")
+    base = mt.e3_matrix([0.2, -0.4, 1.0], mt.mat_exp(0.7 * so3_generator()))
+    return mc, base, fr.integrate_mc(mc, base)[0]
+
+
+def reference_gradient(f, h, axis, periodic):
+    """grid_gradient as whole-array expressions, the periodic stencil on a
+    wrap-padded copy."""
+    n = f.shape[axis]
+    sl = lambda i: tuple(slice(None) if k != axis else i for k in range(f.ndim))
+    central = lambda g: (8.0 * (g[sl(slice(3, -1))] - g[sl(slice(1, -3))])
+                         - (g[sl(slice(4, None))] - g[sl(slice(None, -4))])) / (12.0 * h)
+    if periodic:
+        return central(np.concatenate([f[sl(slice(-2, None))], f, f[sl(slice(None, 2))]], axis=axis))
+    out = np.empty_like(f)
+    out[sl(slice(2, -2))] = central(f)
+    out[sl(0)] = (-3 * f[sl(0)] + 4 * f[sl(1)] - f[sl(2)]) / (2 * h)
+    out[sl(1)] = (f[sl(2)] - f[sl(0)]) / (2 * h)
+    out[sl(n - 2)] = (f[sl(n - 1)] - f[sl(n - 3)]) / (2 * h)
+    out[sl(n - 1)] = (3 * f[sl(n - 1)] - 4 * f[sl(n - 2)] + f[sl(n - 3)]) / (2 * h)
+    return out
+
+
+def reference_pullback(ff):
+    """(omega, projection noise) from the full form e^{-1} de on the grid."""
+    dom, G = ff.domain, ff.handle()
+    raw = G.inverse(ff.mats) @ np.stack([reference_gradient(ff.mats, dom.du, 0, dom.periodic_u),
+                                         reference_gradient(ff.mats, dom.dv, 1, dom.periodic_v)])
+    p = G.algebra_project(raw)
+    return p, float(np.max(np.abs(raw - p)))
+
+
+def reference_congruence(e, e_tilde):
+    g = e_tilde.mats @ e.handle().inverse(e.mats)
+    g_mean = np.mean(g, axis=(0, 1))
+    return g_mean, float(np.max(np.abs(g - g_mean)))
+
+
+class TestAgainstFullFormFormulas:
+    """The axis-at-a-time and in-place computations equal the whole-array
+    formulas bit for bit."""
+
+    def assert_integrate_report(self, mc, base):
+        ff, rep = fr.integrate_mc(mc, base)
+        e_rows, e_cols = fr._integrate(mc, base)
+        assert np.array_equal(ff.mats, e_rows)
+        assert rep["path_independence"] == np.max(np.abs(e_rows - e_cols))
+        assert rep["reconstruction"] == np.max(np.abs(fr.pullback_mc(ff).omega - mc.omega))
+
+    def test_integrate_report_cylinder(self, cylinder128):
+        mc, base, _ = cylinder128
+        self.assert_integrate_report(mc, base)
+
+    def test_integrate_report_round_trip(self):
+        ff = round_trip_field(np.random.default_rng(3))
+        self.assert_integrate_report(fr.pullback_mc(ff), ff.mats[0, 0])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_grid_gradient_cylinder(self, cylinder128, axis):
+        _, _, ff = cylinder128
+        dom = ff.domain
+        h, periodic = ((dom.du, dom.periodic_u), (dom.dv, dom.periodic_v))[axis]
+        assert np.array_equal(fr.grid_gradient(ff.mats, h, axis, periodic),
+                              reference_gradient(ff.mats, h, axis, periodic))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 9])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_grid_gradient_open(self, n, axis):
+        # periodic axes: TestGridGradient.test_periodic_matches_roll_stencil
+        f = np.random.default_rng(n).standard_normal((n, 7, 2) if axis == 0 else (6, n, 2))
+        assert np.array_equal(fr.grid_gradient(f, 0.3, axis, False),
+                              reference_gradient(f, 0.3, axis, False))
+
+    def test_pullback_cylinder(self, cylinder128):
+        _, _, ff = cylinder128
+        mc = fr.pullback_mc(ff)
+        omega, noise = reference_pullback(ff)
+        assert np.array_equal(mc.omega, omega) and mc.projection_noise == noise
+
+    @pytest.mark.parametrize("group", sorted(mt.GROUPS))
+    def test_pullback_random(self, group):
+        dom = ParamDomain((0.0, 1.0), (0.0, 2.0), 7, 6, True, False)
+        ff = random_field(group, dom)
+        mc = fr.pullback_mc(ff)
+        omega, noise = reference_pullback(ff)
+        assert np.array_equal(mc.omega, omega) and mc.projection_noise == noise
+
+    def test_congruence_cylinder(self, cylinder128):
+        mc, _, e = cylinder128
+        e_id, _ = fr.integrate_mc(mc, np.eye(4))
+        out = fr.congruence_test(e_id, e)
+        g, dev = reference_congruence(e_id, e)
+        assert np.array_equal(out["g"], g) and out["deviation"] == dev
+
+    @pytest.mark.parametrize("group", ["so3", "e3", "lie"])
+    def test_congruence_random(self, group):
+        dom = ParamDomain(nu=6, nv=5)
+        e, e_tilde = random_field(group, dom), random_field(group, dom)
+        out = fr.congruence_test(e, e_tilde)
+        g, dev = reference_congruence(e, e_tilde)
+        assert np.array_equal(out["g"], g) and out["deviation"] == dev
+
+
+# numpy's iteration buffers on strided views (8192 elements an operand) and
+# Python objects: a fixed allowance that does not grow with the grid
+SLACK = 2 ** 17
+
+
+class TestFrameMemory:
+    """At 128 x 128 the frame calculus holds a few arrays the size F of one
+    E(3) frame field at once: one grid axis's derivative, product and
+    projection, never the whole form's."""
+
+    def test_integrate_mc(self, cylinder128):
+        mc, base, ff = cylinder128
+        peak, _ = traced_peak(fr.integrate_mc, mc, base)
+        assert peak <= 5 * ff.mats.nbytes + SLACK
+
+    def test_pullback_mc(self, cylinder128):
+        _, _, ff = cylinder128
+        peak, _ = traced_peak(fr.pullback_mc, ff)
+        assert peak <= 5.5 * ff.mats.nbytes + SLACK
+
+    def test_congruence_test(self, cylinder128):
+        _, _, ff = cylinder128
+        other = ff.left_translated(mt.e3_matrix([1.0, 2.0, 3.0], np.eye(3)))
+        peak, _ = traced_peak(fr.congruence_test, ff, other)
+        assert peak <= 2 * ff.mats.nbytes + SLACK
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_grid_gradient(self, cylinder128, axis):
+        _, _, ff = cylinder128
+        dom = ff.domain
+        h, periodic = ((dom.du, dom.periodic_u), (dom.dv, dom.periodic_v))[axis]
+        peak, _ = traced_peak(fr.grid_gradient, ff.mats, h, axis, periodic)
+        assert peak <= 2 * ff.mats.nbytes + SLACK

@@ -1,9 +1,10 @@
 """Golden outputs of every README command line at small grids.
 
 Each case runs ``dupin-cli`` and compares its OBJ and JSON report with the
-files in ``tests/golden/``: vertices at 1e-12, face lists exactly, reports
-structurally (same keys, lists and non-float values; floats at 1e-12 absolute
-plus 1e-9 relative).
+files in ``tests/golden/``: each vertex coordinate to one unit in the last of
+the 12 significant digits ``%.12g`` prints, and at least 1e-12, face lists
+exactly, reports structurally (same keys, lists and non-float values; floats
+at 1e-12 absolute plus 1e-9 relative).
 
 The ``verify all`` report is compared the same way, which pins C, the order
 residuals and every other value it records.
@@ -78,11 +79,21 @@ def assert_same_structure(got, want, path="report"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
+def print_quantum(x):
+    """One unit in the 12th significant digit of each entry of x, the last
+    digit `%.12g` prints, and at least 1e-12: a coordinate that is 0 up to
+    round-off, such as 2e-16 on the orbit cylinder's axis, has no digits."""
+    exponents = np.array([int(f"{c:.11e}".split("e")[1]) for c in x.ravel()], dtype=float)
+    return np.maximum(np.where(x == 0, 0.0, 10.0 ** (exponents.reshape(x.shape) - 11)), 1e-12)
+
+
 def assert_same_obj(got, want):
     verts, faces = read_obj(got)
     want_verts, want_faces = read_obj(want)
     assert verts.shape == want_verts.shape
-    assert np.max(np.abs(verts - want_verts), initial=0.0) <= 1e-12
+    # a last printed digit may round the other way; the 0.1% covers the binary
+    # rounding of the two decimals, which is under 3e-4 of a unit
+    assert np.all(np.abs(verts - want_verts) <= 1.001 * print_quantum(want_verts))
     assert faces == want_faces
 
 
@@ -220,6 +231,30 @@ def test_capture_rewrites_only_changed_files(perturb, tmp_path, monkeypatch):
     new = json.loads(after[report.name])
     assert new["checks"][0]["value"] == 0.0
     assert new["checks"][1:] == rep["checks"][1:]
+
+
+@pytest.mark.parametrize("want, got, same", [
+    ("1.23456789012", "1.23456789013", True),     # one unit of the 12th digit
+    ("1.23456789012", "1.23456789014", False),    # two units
+    ("9.99999999999", "10", True),
+    ("123456.789012", "123456.789013", True),     # a unit of 1e-6
+    ("0.0123456789012", "0.0123456789022", True),  # 1e-12, the floor
+    ("0.0123456789012", "0.0123456789032", False),
+    ("2.01192029e-16", "3.13258663e-17", True),   # 0 up to round-off
+    ("0", "1e-12", True),
+    ("0", "2e-12", False),
+])
+def test_obj_vertices_to_one_printed_unit(want, got, same, tmp_path):
+    paths = []
+    for name, x in (("want", want), ("got", got)):
+        paths.append(tmp_path / f"{name}.obj")
+        paths[-1].write_text(f"# vertices: 1 faces: 0\nv {x} 0 -1\n")
+    try:
+        assert_same_obj(paths[1], paths[0])
+    except AssertionError:
+        assert not same
+    else:
+        assert same
 
 
 def test_keep_golden_keeps_matching_records():

@@ -137,6 +137,20 @@ class TestGroupAlgebraResiduals:
             assert np.allclose(G.inverse(T), np.linalg.inv(T), atol=1e-12), G.name
             assert G.inverse(T[0]).shape == (G.n, G.n)
 
+    @pytest.mark.parametrize("name, metric", [("so3", mt.R3), ("so4", mt.R4), ("so31", mt.R31),
+                                              ("moebius", mt.MOEB), ("lie", mt.LIE)])
+    def test_group_inverse_is_the_matrix_product(self, name, metric):
+        # oracle: the matrix product gram^{-1} T^T gram, bit for bit and with the
+        # signs of zeros, on matrices with +0 and -0 entries
+        rng = np.random.default_rng(metric.dim)
+        T = rng.normal(size=(7, 5, metric.dim, metric.dim))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        T[rng.random(T.shape) < 0.2] = -0.0
+        ref = np.linalg.inv(metric.gram) @ np.swapaxes(T, -1, -2) @ metric.gram
+        for got in (mt.group_inverse(T, metric), mt.GROUPS[name].inverse(T)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     def test_projection_lands_in_algebra(self):
         for metric in [mt.R3, mt.R31, mt.MOEB, mt.LIE]:
             X = RNG.normal(size=(metric.dim, metric.dim))
