@@ -1,6 +1,6 @@
 """Mesh and report emission: OBJ meshes from parameter grids (singular vertices
-excluded from faces), JSON residual reports, atomic writes, and a minimal OBJ
-reader for round-trip checks."""
+excluded from faces), streamed in blocks of BLOCK records, JSON residual
+reports, and atomic writes."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 REPORT_SCHEMA_VERSION = 1
-_BLOCK = 8192                            # records per streamed OBJ part
+BLOCK = 8192        # records per streamed OBJ part; grid points per classify slab
 
 
 @dataclass
@@ -27,7 +27,7 @@ class Mesh:
             raise ValueError(f"faces must be an integer (F, 4) array, got {faces.dtype} {faces.shape}")
         if faces.size and (faces.min() < 0 or faces.max() >= len(self.vertices)):
             raise ValueError("face index out of range")
-        if any(self.flags[faces[s:s + _BLOCK]].any() for s in range(0, len(faces), _BLOCK)):
+        if any(self.flags[faces[s:s + BLOCK]].any() for s in range(0, len(faces), BLOCK)):
             raise ValueError("flagged vertex used by a face")
 
 
@@ -74,10 +74,10 @@ def _vertex_labels(n):
     w = len(str(n))
     labels = np.zeros((n, w + 1), dtype=np.uint8)
     labels[:, 0] = ord(" ")
-    for s in range(0, n, _BLOCK):
-        k = np.arange(s + 1, min(s + _BLOCK, n) + 1)
+    for s in range(0, n, BLOCK):
+        k = np.arange(s + 1, min(s + BLOCK, n) + 1)
         for col in range(w, 0, -1):
-            labels[s:s + _BLOCK, col] = np.where(k > 0, ord("0") + k % 10, 0)
+            labels[s:s + BLOCK, col] = np.where(k > 0, ord("0") + k % 10, 0)
             k //= 10
     return labels
 
@@ -102,16 +102,16 @@ def _vertex_records(block):
 
 
 def _obj_records(vertices, faces):
-    """The OBJ bytes of write_obj in parts of at most _BLOCK records each:
+    """The OBJ bytes of write_obj in parts of at most BLOCK records each:
     vertex records by `_vertex_records`, face records gathered from the label
     table with the NULs dropped, so no part grows with the mesh."""
     n = len(vertices)
     yield b"# vertices: %d faces: %d\n" % (n, len(faces))
-    for s in range(0, n, _BLOCK):
-        yield _vertex_records(vertices[s:s + _BLOCK])
+    for s in range(0, n, BLOCK):
+        yield _vertex_records(vertices[s:s + BLOCK])
     labels = _vertex_labels(n)
-    for s in range(0, len(faces), _BLOCK):
-        block = faces[s:s + _BLOCK]
+    for s in range(0, len(faces), BLOCK):
+        block = faces[s:s + BLOCK]
         text = np.empty((len(block), 4 * labels.shape[1] + 2), dtype=np.uint8)
         text[:, 0] = ord("f")
         text[:, 1:-1] = np.take(labels, block, axis=0).reshape(len(block), -1)
@@ -125,21 +125,6 @@ def write_obj(mesh, path):
     to the file in blocks of records."""
     mesh.validate()
     _atomic_write(path, _obj_records(mesh.vertices, mesh.faces))
-
-
-def read_obj(path):
-    """Minimal reference OBJ parser: vertices and faces only."""
-    verts, faces = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(tok.split("/")[0]) - 1 for tok in parts[1:]])
-    return np.array(verts), faces
 
 
 def make_report(operation, parameters, checks, tolerances):

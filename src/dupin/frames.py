@@ -231,12 +231,14 @@ def structure_residual(mc):
     coordinate form of the flatness equation, two samples in from each open
     boundary; GeometryError if an open axis has fewer than 5 samples."""
     dom = mc.domain
-    resid = exterior_d(mc.omega, dom) + mt.bracket(*mc.omega)
-    iu, iv = (slice(None) if p else slice(2, -2) for p in (dom.periodic_u, dom.periodic_v))
-    resid = np.broadcast_to(resid, (dom.nu, dom.nv) + resid.shape[2:])[iu, iv]
-    if resid.size == 0:
+    axes = ((dom.nu, dom.periodic_u), (dom.nv, dom.periodic_v))
+    if any(n < 5 and not periodic for n, periodic in axes):
         raise GeometryError(f"an open axis needs at least 5 samples, got {dom.nu}x{dom.nv}")
-    return float(np.max(np.abs(resid)))
+    resid = exterior_d(mc.omega, dom) + mt.bracket(*mc.omega)
+    # an axis of length 1 is a broadcast one, whose value every sample shares
+    iu, iv = (slice(2, -2) if length > 1 and not periodic else slice(None)
+              for (_, periodic), length in zip(axes, resid.shape))
+    return float(np.max(np.abs(resid[iu, iv])))
 
 
 def congruence_test(e, e_tilde):

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import export
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError
@@ -578,42 +579,48 @@ def classify(s):
     everywhere, with distinct curvatures; umbilic points make the Dupin
     verdict undefined there (excluded, reported).  iso_tol is 1e-6 and
     dupin_tol DUPIN_TOL on analytic jets, both 1e-3 on finite-difference
-    ones; the report records both.
+    ones; the report records both.  The grid is evaluated in slabs of whole
+    rows of at most export.BLOCK points, on the axis grids, keeping only
+    running reductions, so the working set does not grow with the grid.
     """
     analytic = s.analytic
     iso_tol = 1e-6 if analytic else 1e-3
     dupin_tol = DUPIN_TOL if analytic else 1e-3
     umbilic_tol = 1e-9 if analytic else 1e-5
-    U, V = s.domain.mesh()
-    data = principal_curvatures(s, U, V, umbilic_tol=umbilic_tol)
-    umbilic_idx = np.argwhere(data.umbilic)
+    u, v = s.domain.grids()
+    rows = max(1, export.BLOCK // len(v))
+    lo, hi, umbilic, along = zip(*(
+        _classify_slab(s, u[r:r + rows, None], v[None, :], umbilic_tol, r)
+        for r in range(0, len(u), rows)))
+    spread_a, spread_c = np.max(hi, axis=0) - np.min(lo, axis=0)
+    umbilic_idx = np.concatenate(umbilic)
     report = {
         "surface": s.name,
         "params": dict(s.params),
         "grid": (s.domain.nu, s.domain.nv),
         "iso_tol": iso_tol,
         "dupin_tol": dupin_tol,
-        "spread_a": float(np.ptp(data.a)),
-        "spread_c": float(np.ptp(data.c)),
+        "spread_a": float(spread_a),
+        "spread_c": float(spread_c),
         "umbilic_count": int(len(umbilic_idx)),
     }
     isoparametric = report["spread_a"] < iso_tol and report["spread_c"] < iso_tol
-    if data.umbilic.all():
+    if len(umbilic_idx) == len(u) * len(v):
         warnings.warn("surface is umbilic on the whole grid; Dupin undefined")
         report["dupin_derivative_a"] = report["dupin_derivative_c"] = float("nan")
         return {
             "isoparametric": isoparametric, "dupin": None,
             "umbilic_points": umbilic_idx.tolist(), "report": report,
         }
-    if data.umbilic.any():
+    if len(umbilic_idx):
         warnings.warn("umbilic points found; excluded from the Dupin test")
-    mask = ~data.umbilic
-    report["dupin_derivative_a"] = float(np.max(np.abs(data.along_a[mask])))
-    report["dupin_derivative_c"] = float(np.max(np.abs(data.along_c[mask])))
+    along_a, along_c = np.max([m for m in along if m is not None], axis=0)
+    report["dupin_derivative_a"] = float(along_a)
+    report["dupin_derivative_c"] = float(along_c)
     dupin = (
         report["dupin_derivative_a"] < dupin_tol
         and report["dupin_derivative_c"] < dupin_tol
-        and not data.umbilic.any()
+        and not len(umbilic_idx)
     )
     return {
         "isoparametric": isoparametric,
@@ -621,6 +628,19 @@ def classify(s):
         "umbilic_points": umbilic_idx.tolist(),
         "report": report,
     }
+
+
+def _classify_slab(s, u, v, umbilic_tol, row):
+    """classify's reductions over the grid rows from ``row`` on, sampled at
+    u (rows, 1) and v (1, nv): (min a, min c), (max a, max c), the umbilics'
+    grid indices, and (max|e_a(a)|, max|e_c(c)|) over the non-umbilic points,
+    None where there are none.  The slab's CurvatureData is freed on return."""
+    data = principal_curvatures(s, u, v, umbilic_tol=umbilic_tol)
+    keep = ~data.umbilic
+    along = ((np.max(np.abs(data.along_a[keep])), np.max(np.abs(data.along_c[keep])))
+             if keep.any() else None)
+    return ((np.min(data.a), np.min(data.c)), (np.max(data.a), np.max(data.c)),
+            np.argwhere(data.umbilic) + (row, 0), along)
 
 
 # --- Euclidean adapted frames and the Dupin PDE system ---------------------------
@@ -636,15 +656,14 @@ def euclidean_best_frame(s):
     if data.umbilic.any():
         bad = np.argwhere(data.umbilic).tolist()
         raise UmbilicError(f"umbilic grid points: {bad[:8]}{'...' if len(bad) > 8 else ''}")
-    jet = s.jet(U, V)
+    jet = data.jet
     e1, e2 = (d[..., 0:1] * jet.xu + d[..., 1:2] * jet.xv for d in (data.dir_a, data.dir_c))
     e1, e2 = (propagate_sign(e / np.linalg.norm(e, axis=-1, keepdims=True)) for e in (e1, e2))
     e3 = np.cross(e1, e2)
-    x = s.position(U, V)
     nu, nv = U.shape
     mats = np.zeros((nu, nv, 4, 4))
     mats[..., 0, 0] = 1.0
-    mats[..., 1:, 0] = x
+    mats[..., 1:, 0] = jet.x
     mats[..., 1:, 1] = e1
     mats[..., 1:, 2] = e2
     mats[..., 1:, 3] = e3

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import numpy as np
+
 
 def traced_peak(fn, *args):
     """The peak of memory traced while fn(*args) runs, above what was traced
@@ -13,3 +15,18 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1] - base, out
     finally:
         tracemalloc.stop()
+
+
+def read_obj(path):
+    """Minimal reference OBJ parser: vertices and faces only."""
+    verts, faces = [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                verts.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                faces.append([int(tok.split("/")[0]) - 1 for tok in parts[1:]])
+    return np.array(verts), faces

@@ -15,7 +15,7 @@ from dupin import export as ex
 from dupin import cli
 from dupin.cli import main
 
-from conftest import traced_peak
+from conftest import read_obj, traced_peak
 
 
 def read_json(path):
@@ -51,7 +51,7 @@ class TestMesh:
         mesh = ex.grid_mesh(self.grid())
         path = str(tmp_path / "m.obj")
         ex.write_obj(mesh, path)
-        verts, faces = ex.read_obj(path)
+        verts, faces = read_obj(path)
         assert len(verts) == len(mesh.vertices)
         assert len(faces) == len(mesh.faces)
         assert np.max(np.abs(verts - mesh.vertices)) < 1e-12
@@ -98,7 +98,7 @@ def written_obj(mesh, block=None):
     """write_obj's bytes, streamed in blocks of `block` records if given."""
     with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(ex, "_BLOCK", block)
+            mp.setattr(ex, "BLOCK", block)
         path = os.path.join(d, "m.obj")
         ex.write_obj(mesh, path)
         with open(path, "rb") as fh:
@@ -168,7 +168,7 @@ class TestObjBytes:
     def test_matches_reference_property_small_blocks(self, mesh):
         assert written_obj(mesh, block=7) == reference_obj(mesh)
 
-    @pytest.mark.parametrize("block", [7, ex._BLOCK])
+    @pytest.mark.parametrize("block", [7, ex.BLOCK])
     @pytest.mark.parametrize("shift", [-1, 0, 1, None], ids=["B-1", "B", "B+1", "2B+1"])
     def test_block_boundary_counts(self, block, shift):
         """n vertices and n faces with n at and around one and two blocks."""
@@ -198,10 +198,10 @@ class TestSharedCoordinates:
 
     def test_pool_of_ten(self):
         mesh = random_grid_mesh(100, 100, True, True, pool=10)
-        assert shared_blocks(mesh.vertices, ex._BLOCK) == 2
+        assert shared_blocks(mesh.vertices, ex.BLOCK) == 2
         assert written_obj(mesh) == reference_obj(mesh)
 
-    @pytest.mark.parametrize("block", [7, ex._BLOCK])
+    @pytest.mark.parametrize("block", [7, ex.BLOCK])
     def test_signed_zeros(self, block):
         rng = np.random.default_rng(0)
         verts = rng.choice([0.0, -0.0], (3 * block, 3))
@@ -247,7 +247,7 @@ class TestExportMemory:
 
     def test_write_obj_transient_shared(self, tmp_path):
         mesh = random_grid_mesh(256, 256, True, True, pool=10)
-        assert shared_blocks(mesh.vertices, ex._BLOCK) == 8
+        assert shared_blocks(mesh.vertices, ex.BLOCK) == 8
         peak, _ = traced_peak(ex.write_obj, mesh, str(tmp_path / "m.obj"))
         assert peak < 4e6
 
@@ -291,7 +291,7 @@ class TestAtomicWrite:
                     raise RuntimeError("block failed")
                 return super().__getitem__(key)
 
-        monkeypatch.setattr(ex, "_BLOCK", 7)
+        monkeypatch.setattr(ex, "BLOCK", 7)
         mesh = random_grid_mesh(4, 4)
         mesh.vertices = mesh.vertices.view(FailingBlocks)
         path = tmp_path / "out.obj"
@@ -328,7 +328,7 @@ class TestCLI:
     def test_gen_cylinder(self, tmp_path):
         out = str(tmp_path / "cyl.obj")
         assert main(["gen", "cylinder", "--radius", "1", "--grid", "24x12", "--out", out]) == 0
-        verts, faces = ex.read_obj(out)
+        verts, faces = read_obj(out)
         assert len(verts) == 24 * 12
         rep = read_json(out[:-4] + ".report.json")
         assert rep["passed"]
@@ -419,7 +419,7 @@ class TestCLI:
             assert checks["chart_failures"]["pass"] is (chart_failures == 0)
             assert (checks["null_cone"]["value"] < 1e-13) is null_cone
             assert checks["null_cone"]["pass"] is null_cone and rep["passed"] is passed
-            verts, _ = ex.read_obj(out)
+            verts, _ = read_obj(out)
             assert np.isfinite(verts).all()
 
     def test_fig7_singular_set(self, tmp_path):
@@ -430,7 +430,7 @@ class TestCLI:
         n_sing = len(rep["singular_grid_points"])
         assert 0 < n_sing < 33 * 33
         # flagged vertices excluded from faces
-        verts, faces = ex.read_obj(out)
+        verts, faces = read_obj(out)
         used = {i for f in faces for i in f}
         flagged = {i * 33 + j for i, j in rep["singular_grid_points"]}
         assert not used & flagged
@@ -461,7 +461,7 @@ class TestCLI:
         points = rep["singular_grid_points"]
         assert rep["checks"][0]["value"] == 128.0 == len(points)
         assert sorted({j for _, j in points}) == [16, 47]
-        _, faces = ex.read_obj(out)
+        _, faces = read_obj(out)
         used = {i for f in faces for i in f}
         assert not used & {i * 64 + j for i, j in points}
         assert len(used) == 64 * 62
@@ -469,7 +469,7 @@ class TestCLI:
     def test_fig7_grid_vertex_count(self, tmp_path):
         out = str(tmp_path / "f7g.obj")
         assert main(["fig7", "--t", "1", "--grid", "32x32", "--out", out]) == 0
-        verts, _ = ex.read_obj(out)
+        verts, _ = read_obj(out)
         assert len(verts) == 32 * 32
 
     def test_verify_exit_codes(self, tmp_path):

@@ -654,6 +654,12 @@ class TestFrameMemory:
         peak, _ = traced_peak(fr.congruence_test, ff, other)
         assert peak <= 2 * ff.mats.nbytes + SLACK
 
+    def test_structure_residual(self, cylinder128):
+        # the constant form's residual keeps length 1 along both grid axes
+        mc, _, _ = cylinder128
+        peak, _ = traced_peak(fr.structure_residual, mc)
+        assert peak <= SLACK
+
     @pytest.mark.parametrize("axis", [0, 1])
     def test_grid_gradient(self, cylinder128, axis):
         _, _, ff = cylinder128

@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 
 from dupin.cli import main
-from dupin.export import read_obj
+
+from conftest import read_obj
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 

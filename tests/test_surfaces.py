@@ -1,15 +1,20 @@
 """Surface geometry: catalog identities, fundamental forms, classification,
 adapted frames, and the Dupin PDE residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dupin import export as ex
 from dupin import metrics as mt
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
 from dupin.moebius import orbit_surface
 from dupin.surfaces import ParamDomain
+
+from conftest import traced_peak
 
 
 class TestCatalog:
@@ -348,6 +353,108 @@ class TestClassify:
         )
         with pytest.raises(srf.SingularPointError):
             srf.fundamental_forms(s, *dom.mesh())
+
+
+# nu = 21 rows, so slabs of 4 rows do not divide the grid; u = 0 on row 10
+# and v = 0 on column 8 of the square [-1, 1]^2
+SLAB_GRID = dict(nu=21, nv=17)
+SQUARE = ParamDomain((-1.0, 1.0), (-1.0, 1.0), periodic_u=False, periodic_v=False, **SLAB_GRID)
+
+
+def graph_surface(position, name):
+    """A surface over SQUARE from coordinate functions of (u, v),
+    differentiated by central differences."""
+    return srf.ParametricSurface(
+        "euclidean", lambda u, v: np.stack(np.broadcast_arrays(*position(u, v)), axis=-1),
+        SQUARE, name)
+
+
+def slab_surfaces():
+    torus = srf.torus(np.pi / 5, ParamDomain(**SLAB_GRID))
+    hyperboloid = srf.hyperboloid(0.6, ParamDomain(v_range=(-1.5, 1.5), periodic_v=False,
+                                                   **SLAB_GRID))
+    return {
+        "torus": torus,
+        "cylinder": srf.cylinder(1.3, ParamDomain(v_range=(-2.0, 2.0), periodic_v=False,
+                                                  **SLAB_GRID)),
+        "hyperboloid": hyperboloid,
+        "torus_stereo": srf.pushforward(torus, "stereo"),
+        "hyperboloid_hyp_stereo": srf.pushforward(hyperboloid, "hyp_stereo"),
+        "sphere_patch": srf.sphere_patch(1.0, SQUARE),
+        "warped_torus": srf.warped_torus(domain=ParamDomain(**SLAB_GRID)),
+        "orbit_surface": orbit_surface(2.0, SQUARE),
+        # umbilic at the origin only
+        "paraboloid": graph_surface(lambda u, v: (u, v, u * u + v * v), "paraboloid"),
+    }
+
+
+def classify_in_slabs(s, monkeypatch, block):
+    """classify(s) with slabs of at most ``block`` grid points, and the texts
+    of the warnings it raised."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ex, "BLOCK", block)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = srf.classify(s)
+    return out, [str(w.message) for w in caught if w.category is UserWarning]
+
+
+# slab sizes in grid points from the row length nv: one row; half a row,
+# which classify rounds up to one row; four rows, which do not divide nu
+BLOCKS = {"one_row": lambda nv: nv, "half_row": lambda nv: nv // 2,
+          "non_divisor": lambda nv: 4 * nv}
+
+
+class TestClassifySlabs:
+    """classify evaluates the grid in slabs of whole rows; its dict, verdicts
+    and warnings do not depend on the slab size."""
+
+    @pytest.mark.parametrize("name", sorted(slab_surfaces()))
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    def test_slab_invariance(self, name, block, monkeypatch):
+        s = slab_surfaces()[name]
+        nu, nv = s.domain.nu, s.domain.nv
+        whole, caught = classify_in_slabs(s, monkeypatch, nu * nv)
+        out, caught_in_slabs = classify_in_slabs(s, monkeypatch, BLOCKS[block](nv))
+        # repr tells -0.0 from 0.0 and matches NaN, where == would not
+        assert (repr(out), caught_in_slabs) == (repr(whole), caught)
+
+    def test_umbilic_paths(self, monkeypatch):
+        s = slab_surfaces()["sphere_patch"]
+        out, caught = classify_in_slabs(s, monkeypatch, 4 * s.domain.nv)
+        assert out["dupin"] is None and out["report"]["umbilic_count"] == 21 * 17
+        assert caught == ["surface is umbilic on the whole grid; Dupin undefined"]
+        s = slab_surfaces()["paraboloid"]
+        out, caught = classify_in_slabs(s, monkeypatch, 4 * s.domain.nv)
+        assert out["umbilic_points"] == [[10, 8]] and out["dupin"] is False
+        assert caught == ["umbilic points found; excluded from the Dupin test"]
+
+    def test_singular_point_raises_at_its_slab(self, monkeypatch):
+        # x_u = 0 on row 10 (u = 0), in the third slab of 4 rows
+        s = graph_surface(lambda u, v: (u * u, v, v * v), "fold")
+        starts, real = [], srf.principal_curvatures
+
+        def recorded(s, u, v, umbilic_tol):
+            starts.append(u[0, 0])
+            return real(s, u, v, umbilic_tol=umbilic_tol)
+
+        messages = []
+        for rows in (s.domain.nu, 4):
+            with monkeypatch.context() as mp:
+                mp.setattr(srf, "principal_curvatures", recorded)
+                mp.setattr(ex, "BLOCK", rows * s.domain.nv)
+                with pytest.raises(srf.SingularPointError) as err:
+                    srf.classify(s)
+            messages.append(str(err.value))
+        assert messages == ["first fundamental form is rank deficient"] * 2
+        assert starts == s.domain.grids()[0][[0, 0, 4, 8]].tolist()
+
+    def test_traced_peak_256(self):
+        # one slab's 3-jet is J = 8192 points x 10 fields x 3 coordinates x 8
+        # bytes; the whole 256 x 256 grid at once peaked at about 20 J
+        s = srf.pushforward(srf.torus(0.5, ParamDomain(nu=256, nv=256)), "stereo")
+        peak, _ = traced_peak(srf.classify, s)
+        assert peak <= 3.5 * ex.BLOCK * 10 * 3 * 8
 
 
 class TestBestFrameAndPDE:
