@@ -26,13 +26,20 @@ from .spaceforms import hyp_stereo, stereo_off_pole
 
 
 def load_config(path=None):
+    """The packaged defaults, updated from the file named by --config or
+    DUPIN_CONFIG, which must exist, else from ./dupin.cfg if there is one."""
     cfg = {}
     with resources.files(__package__).joinpath("defaults.cfg").open() as fh:
         cfg.update(_parse_cfg(fh))
-    path = path or os.environ.get("DUPIN_CONFIG") or "dupin.cfg"
-    if os.path.exists(path):
-        with open(path) as fh:
-            cfg.update(_parse_cfg(fh))
+    path = path or os.environ.get("DUPIN_CONFIG")
+    if not path and os.path.exists("dupin.cfg"):
+        path = "dupin.cfg"
+    if path:
+        try:
+            with open(path) as fh:
+                cfg.update(_parse_cfg(fh))
+        except OSError as exc:
+            raise GeometryError(f"cannot read config {path!r}: {exc.strerror}") from exc
     return cfg
 
 
@@ -43,7 +50,10 @@ def _parse_cfg(fh):
         if not line or "=" not in line:
             continue
         k, v = (t.strip() for t in line.split("=", 1))
-        out[k] = float(v) if "." in v or "e" in v.lower() else int(v)
+        try:
+            out[k] = float(v) if "." in v or "e" in v.lower() else int(v)
+        except ValueError as exc:
+            raise GeometryError(f"config key {k!r} must be a number, got {v!r}") from exc
     return out
 
 
@@ -81,9 +91,15 @@ COMMAND_TOLS = {"gen": (), "orbit": (), "fig7": (),
 
 
 def tolerances(args, cfg):
-    """The command's tolerances: each --tol-* flag given, else the config."""
-    flags = {name: getattr(args, f"tol_{name}") for name in COMMAND_TOLS[args.command]}
-    return {name: cfg[name] if val is None else val for name, val in flags.items()}
+    """The command's tolerances: each --tol-* flag given, else the config;
+    each must be finite and non-negative."""
+    tols = {}
+    for name in COMMAND_TOLS[args.command]:
+        val = getattr(args, f"tol_{name}")
+        tols[name] = val = cfg[name] if val is None else val
+        if not 0 <= val < np.inf:
+            raise GeometryError(f"tolerance {name} must be finite and non-negative, got {val}")
+    return tols
 
 
 def cmd_gen(args, cfg):
@@ -263,9 +279,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = load_config(args.config)
     try:
-        return args.fn(args, cfg)
+        return args.fn(args, load_config(args.config))
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -129,7 +129,7 @@ def check_projection_precision(bound):
 
 @dataclass
 class LegendreMap:
-    """Grid of pencil lines over a parameter domain; optional analytic
+    """Grid of pencil lines over a parameter domain; optional exact
     differentials of the two representative fields, as 1-forms (2, ..., 6)."""
 
     S0: np.ndarray
@@ -155,7 +155,7 @@ def _smooth_normalize(field):
 
 def contact_residual(lm):
     """Max over the grid of |<dS0, S1>| in both parameter directions, with the
-    representatives rescaled by a fixed coordinate functional f.  An analytic
+    representatives rescaled by a fixed coordinate functional f.  An exact
     dS0 is divided by f: it differs from d(S0/f) by a multiple of S0, which
     pairs to zero with S1."""
     f = lm.S0[..., _fixed_norm_coordinate(lm.S0), None]
@@ -165,7 +165,7 @@ def contact_residual(lm):
 
 def legendre_lift(F, S, domain, dF=None, dS=None, tangency_tol=1e-6):
     """Legendre lift [F, S + eps5] of an immersion into Moebius space with a
-    tangent sphere map S along it; the optional analytic differentials dF and
+    tangent sphere map S along it; the optional exact differentials dF and
     dS are 1-forms, (2, ..., 5) arrays or (d/du, d/dv) pairs."""
     F = np.asarray(F, dtype=float)
     S = np.asarray(S, dtype=float)

@@ -127,7 +127,7 @@ def canonical_best_frame(surface):
     field carries its exact form omega = sum_k theta_k M^{-1} A_k M."""
     if surface.frame is None or surface.constant_curvatures is None:
         raise GeometryError(f"no canonical frame for {surface.name!r}: it needs an "
-                            "analytic principal frame and constant curvatures")
+                            "exact principal frame and constant curvatures")
     a, c = surface.constant_curvatures
     M = _adapted_mix(a, c)
     uv = surface.domain.mesh()

@@ -13,7 +13,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,11 @@ from . import spaceforms as sf
 from .metrics import GeometryError
 
 RANK_TOL = 1e-8
-DUPIN_TOL = 1e-8  # classify's Dupin tolerance on analytic jets
+# classify's tolerances: curvature spread, curvature derivative along its own
+# line, and the umbilic cut root(tr^2 - 4 det) < UMBILIC_TOL (1 + |tr|)
+ISO_TOL = 1e-6
+DUPIN_TOL = 1e-8
+UMBILIC_TOL = 1e-9
 
 
 class SingularPointError(GeometryError):
@@ -101,26 +105,22 @@ class ParametricSurface:
     """An immersion of a rectangular (possibly periodic) domain into a space form.
 
     ``position(u, v)`` and ``jet(u, v) -> Jet`` map (u, v) arrays to (..., dim)
-    arrays.  Without an analytic ``jet`` the surface differentiates
-    ``position`` by central differences (``analytic`` is then False).
-    ``normal`` and ``frame`` optionally supply the analytic unit normal and
-    oriented principal frames (e1, e2, e3) of the canonical catalog, and
+    arrays; ``jet`` is the exact 3-jet, the surface's one differentiation
+    path.  ``normal`` and ``frame`` optionally supply the exact unit normal
+    and oriented principal frames (e1, e2, e3) of the canonical catalog, and
     ``constant_curvatures`` its principal curvatures (a, c), a < c.
     """
 
     constant_curvatures = None
 
-    def __init__(self, form, position, domain, name="surface", params=None,
-                 jet=None, normal=None, frame=None):
+    def __init__(self, form, position, domain, name="surface", params=None, *,
+                 jet, normal=None, frame=None):
         self.form = form
         self.position = position
         self.domain = domain
         self.name = name
         self.params = dict(params or {})
-        self.analytic = jet is not None
-        # partial, not a bound method: self.jet = self.method would be a
-        # reference cycle, which only the cycle collector frees
-        self.jet = jet or partial(self._finite_difference_jet, position, domain)
+        self.jet = jet
         self.normal = normal
         self.frame = frame
 
@@ -142,33 +142,6 @@ class ParametricSurface:
             return 1.0
         mean = float(data.a[0] + data.c[0])
         return -1.0 if abs(mean) > 1e-9 and mean < 0 else 1.0
-
-    @staticmethod
-    def _finite_difference_jet(position, domain, u, v):
-        """Central differences of position: steps h = 1e-5 of the parameter
-        span for first partials, H = sqrt(h) for second and third partials;
-        the whole 17-point stencil goes through one position call."""
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        hu = 1e-5 * (domain.u_range[1] - domain.u_range[0])
-        hv = 1e-5 * (domain.v_range[1] - domain.v_range[0])
-        Hu, Hv = np.sqrt(hu), np.sqrt(hv)
-        U = np.stack([u, u + hu, u - hu, u, u, u + Hu, u - Hu, u, u,
-                      u + Hu, u + Hu, u - Hu, u - Hu, u + 2 * Hu, u - 2 * Hu, u, u])
-        V = np.stack([v, v, v, v + hv, v - hv, v, v, v + Hv, v - Hv,
-                      v + Hv, v - Hv, v + Hv, v - Hv, v, v, v + 2 * Hv, v - 2 * Hv])
-        p = position(U, V)
-        return Jet(
-            p[0],
-            (p[1] - p[2]) / (2 * hu),
-            (p[3] - p[4]) / (2 * hv),
-            (p[5] - 2 * p[0] + p[6]) / Hu**2,
-            (p[9] - p[10] - p[11] + p[12]) / (4 * Hu * Hv),
-            (p[7] - 2 * p[0] + p[8]) / Hv**2,
-            (p[13] - 2 * p[5] + 2 * p[6] - p[14]) / (2 * Hu**3),
-            (p[9] - 2 * p[7] + p[11] - p[10] + 2 * p[8] - p[12]) / (2 * Hu**2 * Hv),
-            (p[9] - 2 * p[5] + p[10] - p[11] + 2 * p[6] - p[12]) / (2 * Hu * Hv**2),
-            (p[15] - 2 * p[7] + 2 * p[8] - p[16]) / (2 * Hv**3),
-        )
 
     def constraint_residual(self):
         """Max deviation of sampled positions from the form's constraint set
@@ -193,7 +166,7 @@ def _unoriented_normal(s, jet):
 
 
 def surface_normal(s, u, v, jet=None):
-    """Oriented unit normal; analytic when the surface carries one, else the
+    """Oriented unit normal; exact when the surface carries one, else the
     unoriented normal of the jet (evaluated here unless given) times the
     surface's orientation."""
     if s.normal is not None:
@@ -297,15 +270,14 @@ class CurvatureData:
                 - 3.0 * kappa * mt.inner(x_dd, x_d, self.metric))
 
 
-def principal_curvatures(s, u, v, umbilic_tol=1e-9):
+def principal_curvatures(s, u, v):
     """Principal curvatures (ordered a <= c), I-orthonormal directions and the
     derivatives of each curvature along its own direction."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     jet = s.jet(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular points raise below
         normal = surface_normal(s, u, v, jet)
-    return _curvatures(*fundamental_forms(s, u, v, jet, normal), umbilic_tol,
-                       s.metric, jet, normal)
+    return _curvatures(*fundamental_forms(s, u, v, jet, normal), s.metric, jet, normal)
 
 
 def _entries(I, II):
@@ -314,7 +286,7 @@ def _entries(I, II):
     return E, F, G, II[..., 0, 0], II[..., 0, 1], II[..., 1, 1], E * G - F * F
 
 
-def _curvatures(I, II, umbilic_tol=1e-9, *jet_context):
+def _curvatures(I, II, *jet_context):
     """CurvatureData of the forms I and II; ``jet_context`` is the metric,
     jet and normal its curvature derivatives need."""
     E, F, G, L, M, N, detI = _entries(I, II)
@@ -328,7 +300,7 @@ def _curvatures(I, II, umbilic_tol=1e-9, *jet_context):
     big = 0.5 * (tr + np.copysign(root, tr))
     small = np.divide(det, big, out=np.zeros_like(big), where=big != 0)
     a, c = np.minimum(big, small), np.maximum(big, small)
-    umb = root < umbilic_tol * (1.0 + np.abs(tr))
+    umb = root < UMBILIC_TOL * (1.0 + np.abs(tr))
     return CurvatureData(a, c, umb, I, II, *jet_context)
 
 
@@ -395,7 +367,7 @@ def _product(form, name, params, domain, profile_u, profile_v):
         return ((e_u, e_v) if kappa_u <= kappa_v else (e_v, e_u)) + (normal(u, v),)
 
     surf = ParametricSurface(form, lambda u, v: scaled(u, v, 0, scale_u, scale_v), domain,
-                             name, params, jet, normal, frame)
+                             name, params, jet=jet, normal=normal, frame=frame)
     surf.constant_curvatures = (min(kappa_u, kappa_v), max(kappa_u, kappa_v))
     return surf
 
@@ -540,9 +512,7 @@ def pushforward(s, mapping):
     """Compose a surface with stereo / hyp_stereo / identity into R^3.
 
     Both charts are phi = y/d, with y a slice of three coordinates and d one
-    plus the fourth; an analytic source jet goes through ``quotient_jet``,
-    and the image of any other surface differentiates its own position by
-    central differences.
+    plus the fourth; the source jet goes through ``quotient_jet``.
     """
     if mapping == "identity":
         return s
@@ -563,8 +533,7 @@ def pushforward(s, mapping):
 
     return ParametricSurface(
         "euclidean", lambda u, v: phi(s.position(u, v)), s.domain,
-        name=f"{s.name}_{mapping}", params=dict(s.params),
-        jet=jet if s.analytic else None,
+        name=f"{s.name}_{mapping}", params=dict(s.params), jet=jet,
     )
 
 
@@ -573,24 +542,19 @@ def pushforward(s, mapping):
 def classify(s):
     """Isoparametric / Dupin verdicts over the surface's sample grid.
 
-    isoparametric: each principal curvature has spread < iso_tol over the grid.
+    isoparametric: each principal curvature has spread < ISO_TOL over the grid.
     dupin: the derivatives e_a(a), e_c(c) of each principal curvature along its
-    own curvature line, exact from one 3-jet per vertex, stay below dupin_tol
+    own curvature line, exact from one 3-jet per vertex, stay below DUPIN_TOL
     everywhere, with distinct curvatures; umbilic points make the Dupin
-    verdict undefined there (excluded, reported).  iso_tol is 1e-6 and
-    dupin_tol DUPIN_TOL on analytic jets, both 1e-3 on finite-difference
-    ones; the report records both.  The grid is evaluated in slabs of whole
-    rows of at most export.BLOCK points, on the axis grids, keeping only
-    running reductions, so the working set does not grow with the grid.
+    verdict undefined there (excluded, reported).  The report records both
+    tolerances, as iso_tol and dupin_tol.  The grid is evaluated in slabs of
+    whole rows of at most export.BLOCK points, on the axis grids, keeping
+    only running reductions, so the working set does not grow with the grid.
     """
-    analytic = s.analytic
-    iso_tol = 1e-6 if analytic else 1e-3
-    dupin_tol = DUPIN_TOL if analytic else 1e-3
-    umbilic_tol = 1e-9 if analytic else 1e-5
     u, v = s.domain.grids()
     rows = max(1, export.BLOCK // len(v))
     lo, hi, umbilic, along = zip(*(
-        _classify_slab(s, u[r:r + rows, None], v[None, :], umbilic_tol, r)
+        _classify_slab(s, u[r:r + rows, None], v[None, :], r)
         for r in range(0, len(u), rows)))
     spread_a, spread_c = np.max(hi, axis=0) - np.min(lo, axis=0)
     umbilic_idx = np.concatenate(umbilic)
@@ -598,13 +562,13 @@ def classify(s):
         "surface": s.name,
         "params": dict(s.params),
         "grid": (s.domain.nu, s.domain.nv),
-        "iso_tol": iso_tol,
-        "dupin_tol": dupin_tol,
+        "iso_tol": ISO_TOL,
+        "dupin_tol": DUPIN_TOL,
         "spread_a": float(spread_a),
         "spread_c": float(spread_c),
         "umbilic_count": int(len(umbilic_idx)),
     }
-    isoparametric = report["spread_a"] < iso_tol and report["spread_c"] < iso_tol
+    isoparametric = report["spread_a"] < ISO_TOL and report["spread_c"] < ISO_TOL
     if len(umbilic_idx) == len(u) * len(v):
         warnings.warn("surface is umbilic on the whole grid; Dupin undefined")
         report["dupin_derivative_a"] = report["dupin_derivative_c"] = float("nan")
@@ -618,8 +582,8 @@ def classify(s):
     report["dupin_derivative_a"] = float(along_a)
     report["dupin_derivative_c"] = float(along_c)
     dupin = (
-        report["dupin_derivative_a"] < dupin_tol
-        and report["dupin_derivative_c"] < dupin_tol
+        report["dupin_derivative_a"] < DUPIN_TOL
+        and report["dupin_derivative_c"] < DUPIN_TOL
         and not len(umbilic_idx)
     )
     return {
@@ -630,12 +594,12 @@ def classify(s):
     }
 
 
-def _classify_slab(s, u, v, umbilic_tol, row):
+def _classify_slab(s, u, v, row):
     """classify's reductions over the grid rows from ``row`` on, sampled at
     u (rows, 1) and v (1, nv): (min a, min c), (max a, max c), the umbilics'
     grid indices, and (max|e_a(a)|, max|e_c(c)|) over the non-umbilic points,
     None where there are none.  The slab's CurvatureData is freed on return."""
-    data = principal_curvatures(s, u, v, umbilic_tol=umbilic_tol)
+    data = principal_curvatures(s, u, v)
     keep = ~data.umbilic
     along = ((np.max(np.abs(data.along_a[keep])), np.max(np.abs(data.along_c[keep])))
              if keep.any() else None)

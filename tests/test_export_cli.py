@@ -541,6 +541,53 @@ class TestTolFlags:
             "closure", "contact", "membership", "order"]
 
 
+def assert_one_line_error(rc, capsys, *words):
+    """rc is the exit code 2 of a rejected run, whose stderr is one error
+    line containing each of words."""
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1 and err[0].startswith("error: "), err
+    assert all(w in err[0] for w in words), err
+
+
+class TestBadTolerances:
+    """A non-finite or negative tolerance, from a flag or a config file,
+    exits 2 before any report is written; zero stays accepted
+    (TestTolFlags.test_verify_flag_is_read)."""
+
+    @pytest.mark.parametrize("name,value", [("membership", "nan"), ("order", "inf"),
+                                            ("contact", "-1")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_rejected(self, name, value, source, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        argv = ["verify", "framecalc", "--out", str(out)]
+        if source == "flag":
+            argv += [f"--tol-{name}", value]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{name} = {value}\n")
+            monkeypatch.setenv("DUPIN_CONFIG", str(cfg))
+        assert_one_line_error(main(argv), capsys, name)
+        assert not out.exists()
+
+
+class TestConfigErrors:
+    """A config file that cannot be read or parsed exits 2 with one line."""
+
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("membership = abc\n")
+        rc = main(["--config", str(cfg), "verify", "framecalc"])
+        assert_one_line_error(rc, capsys, "'membership'", "'abc'")
+
+    def test_missing_config_flag_file(self, tmp_path, capsys):
+        rc = main(["--config", str(tmp_path / "no_such.cfg"), "verify", "framecalc"])
+        assert_one_line_error(rc, capsys, "no_such.cfg")
+
+    def test_missing_config_env_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DUPIN_CONFIG", str(tmp_path / "no_such.cfg"))
+        assert_one_line_error(main(["verify", "framecalc"]), capsys, "no_such.cfg")
+
+
 class TestDeterminism:
     def test_gen_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a.obj"), str(tmp_path / "b.obj")

@@ -1,9 +1,10 @@
-"""The single surface-jet contract: analytic jets against central differences,
-the finite-difference jet builder, and the number of points classify and gen
-send through a surface's jet."""
+"""The single surface-jet contract: exact jets against central differences,
+the finite-difference reference builder, and the number of points classify
+and gen send through a surface's jet."""
 
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from dupin import cli
 from dupin import moebius as mb
 from dupin import surfaces as srf
 from dupin.surfaces import ParamDomain
+
+from conftest import fd_jet
 
 # analytic surface factory and parameter range, for every chart it is shown in
 CATALOG = {
@@ -69,7 +72,6 @@ def sample_point(s, fu, fv):
 def test_analytic_jet_matches_central_differences(name, chart, param, fu, fv):
     make, (lo, hi) = CATALOG[name]
     s = srf.pushforward(make(lo + param * (hi - lo)), chart)
-    assert s.analytic
     u, v = sample_point(s, fu, fv)
     jet = s.jet(u, v)
     assert len(jet) == len(srf.Jet._fields) == 10
@@ -101,14 +103,20 @@ def test_orbit_jet_matches_finite_differences(C):
     # the exact Lie-algebra jet against the central-difference builder on
     # the same position
     s = mb.orbit_surface(C)
-    assert s.analytic
     U, V = s.domain.mesh()
     exact = s.jet(U, V)
-    approx = srf.ParametricSurface._finite_difference_jet(s.position, s.domain, U, V)
+    approx = fd_jet(s.position, s.domain, U, V)
     assert np.array_equal(exact.x, s.position(U, V))
     assert np.max(np.abs(exact.x - approx.x)) <= 1e-12
     assert np.max(np.abs(exact.xu - approx.xu)) <= 1e-6
     assert np.max(np.abs(exact.xv - approx.xv)) <= 1e-6
+
+
+def test_jet_is_required():
+    # one differentiation path: a surface given by its position alone is not
+    # differentiated behind the caller's back
+    with pytest.raises(TypeError):
+        srf.ParametricSurface("euclidean", srf.warped_torus().position, ParamDomain())
 
 
 class TestFiniteDifferenceJet:
@@ -120,11 +128,11 @@ class TestFiniteDifferenceJet:
             calls.append(np.broadcast(u, v).size)
             return base.position(u, v)
 
-        return srf.ParametricSurface("euclidean", position, base.domain), calls
+        return srf.ParametricSurface("euclidean", position, base.domain,
+                                     jet=partial(fd_jet, position, base.domain)), calls
 
     def test_one_position_call_per_jet(self):
         s, calls = self.surface()
-        assert not s.analytic
         s.jet(np.linspace(0, 1, 5), np.linspace(1, 2, 5))
         assert calls == [17 * 5]
 
@@ -155,13 +163,6 @@ class TestFiniteDifferenceJet:
         )
         for field, got, ref in zip(srf.Jet._fields, s.jet(u, v), want):
             assert np.array_equal(got, ref), field
-
-    def test_pushforward_keeps_finite_difference_flag(self):
-        # a spherical surface given by its position alone
-        dom = ParamDomain((-1.0, 1.0), (-1.0, 1.0), 4, 4, False, False)
-        s = srf.ParametricSurface("sphere", srf.torus(0.5).position, dom)
-        assert not s.analytic
-        assert not srf.pushforward(s, "stereo").analytic
 
     def test_surface_is_freed_without_the_cycle_collector(self):
         # a reference cycle would keep the surface, and the frames its

@@ -2,6 +2,7 @@
 adapted frames, and the Dupin PDE residuals."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dupin import surfaces as srf
 from dupin.moebius import orbit_surface
 from dupin.surfaces import ParamDomain
 
-from conftest import traced_peak
+from conftest import fd_jet, traced_peak
 
 
 class TestCatalog:
@@ -66,7 +67,8 @@ class TestCatalog:
         def position(u, v):
             raise AssertionError("R^3 has no constraint to sample")
 
-        s = srf.ParametricSurface("euclidean", position, ParamDomain())
+        dom = ParamDomain()
+        s = srf.ParametricSurface("euclidean", position, dom, jet=partial(fd_jet, position, dom))
         assert s.constraint_residual() == 0.0
 
 
@@ -108,7 +110,7 @@ class TestComputedNormal:
         orientations = set()
         for pos, dom, args in [(cat.position, d, (U, V)),
                                (lambda u, v: cat.position(v, u), swapped, (V, U))]:
-            s = srf.ParametricSurface(cat.form, pos, dom)
+            s = srf.ParametricSurface(cat.form, pos, dom, jet=partial(fd_jet, pos, dom))
             n = srf.surface_normal(s, *args)
             assert np.max(np.abs(n - cat.normal(U, V))) < 1e-6
             orientations.add(s.orientation)
@@ -251,7 +253,6 @@ class TestPushforward:
         jet = lambda u, v: srf.Jet(*map(pad, patch.jet(u, v)))
         s = srf.ParametricSurface("sphere", pos, ParamDomain(), name="great_sphere", jet=jet)
         image = srf.pushforward(s, "stereo")
-        assert image.analytic
         u = np.array([0.3, np.pi, 2.0])
         v = np.array([0.1, 0.0, -0.4])
         with pytest.raises(sf.PoleError):
@@ -287,7 +288,7 @@ def flow_curvature_derivative(s, U, V, d0, which, arc_step=1e-3):
 
 
 def assert_dupin_with_margin(s, margin=100.0):
-    """classify calls s Dupin at its analytic tolerance, with both measured
+    """classify calls s Dupin at its tolerance, with both measured
     derivatives at least ``margin`` times below it."""
     out = srf.classify(s)
     rep = out["report"]
@@ -346,11 +347,9 @@ class TestClassify:
     def test_singular_point_error(self):
         # a degenerate "surface" collapsing one direction
         dom = ParamDomain(periodic_u=False, periodic_v=False, nu=8, nv=8)
-        s = srf.ParametricSurface(
-            "euclidean",
-            lambda u, v: np.stack(np.broadcast_arrays(u, u, 0 * v), axis=-1),
-            dom,
-        )
+        position = lambda u, v: np.stack(np.broadcast_arrays(u, u, 0 * v), axis=-1)
+        s = srf.ParametricSurface("euclidean", position, dom,
+                                  jet=partial(fd_jet, position, dom))
         with pytest.raises(srf.SingularPointError):
             srf.fundamental_forms(s, *dom.mesh())
 
@@ -364,9 +363,9 @@ SQUARE = ParamDomain((-1.0, 1.0), (-1.0, 1.0), periodic_u=False, periodic_v=Fals
 def graph_surface(position, name):
     """A surface over SQUARE from coordinate functions of (u, v),
     differentiated by central differences."""
-    return srf.ParametricSurface(
-        "euclidean", lambda u, v: np.stack(np.broadcast_arrays(*position(u, v)), axis=-1),
-        SQUARE, name)
+    stacked = lambda u, v: np.stack(np.broadcast_arrays(*position(u, v)), axis=-1)
+    return srf.ParametricSurface("euclidean", stacked, SQUARE, name,
+                                 jet=partial(fd_jet, stacked, SQUARE))
 
 
 def slab_surfaces():
@@ -427,6 +426,9 @@ class TestClassifySlabs:
         s = slab_surfaces()["paraboloid"]
         out, caught = classify_in_slabs(s, monkeypatch, 4 * s.domain.nv)
         assert out["umbilic_points"] == [[10, 8]] and out["dupin"] is False
+        # one tolerance set for every surface, finite-difference jets included
+        assert out["report"]["iso_tol"] == 1e-6
+        assert out["report"]["dupin_tol"] == srf.DUPIN_TOL
         assert caught == ["umbilic points found; excluded from the Dupin test"]
 
     def test_singular_point_raises_at_its_slab(self, monkeypatch):
@@ -434,9 +436,9 @@ class TestClassifySlabs:
         s = graph_surface(lambda u, v: (u * u, v, v * v), "fold")
         starts, real = [], srf.principal_curvatures
 
-        def recorded(s, u, v, umbilic_tol):
+        def recorded(s, u, v):
             starts.append(u[0, 0])
-            return real(s, u, v, umbilic_tol=umbilic_tol)
+            return real(s, u, v)
 
         messages = []
         for rows in (s.domain.nu, 4):
