@@ -27,19 +27,24 @@ from .spaceforms import hyp_stereo, stereo_off_pole
 
 def load_config(path=None):
     """The packaged defaults, updated from the file named by --config or
-    DUPIN_CONFIG, which must exist, else from ./dupin.cfg if there is one."""
-    cfg = {}
+    DUPIN_CONFIG, which must exist, else from ./dupin.cfg if there is one.
+    That file may only set keys the defaults have."""
     with resources.files(__package__).joinpath("defaults.cfg").open() as fh:
-        cfg.update(_parse_cfg(fh))
+        cfg = _parse_cfg(fh)
     path = path or os.environ.get("DUPIN_CONFIG")
     if not path and os.path.exists("dupin.cfg"):
         path = "dupin.cfg"
     if path:
         try:
             with open(path) as fh:
-                cfg.update(_parse_cfg(fh))
+                user = _parse_cfg(fh)
         except OSError as exc:
             raise GeometryError(f"cannot read config {path!r}: {exc.strerror}") from exc
+        unknown = [k for k in user if k not in cfg]
+        if unknown:
+            raise GeometryError(f"unknown config key {unknown[0]!r} in {path!r}; "
+                                f"the keys are {', '.join(cfg)}")
+        cfg.update(user)
     return cfg
 
 
@@ -58,8 +63,14 @@ def _parse_cfg(fh):
 
 
 def parse_grid(spec, cfg):
+    """(nu, nv) from a --grid spec such as 64x64, else from the config keys
+    grid_nu and grid_nv; each resolution must be an integer of at least 3."""
     if spec is None:
-        return int(cfg["grid_nu"]), int(cfg["grid_nv"])
+        for key in ("grid_nu", "grid_nv"):
+            if not (isinstance(cfg[key], int) and cfg[key] >= 3):
+                raise GeometryError(f"config key {key!r} must be an integer of at least 3, "
+                                    f"got {cfg[key]!r}")
+        return cfg["grid_nu"], cfg["grid_nv"]
     try:
         nu, nv = (int(n) for n in spec.lower().split("x"))
     except ValueError as exc:
@@ -120,7 +131,7 @@ def cmd_gen(args, cfg):
         raise GeometryError("hyperbolic mesh needs --project hyp_stereo for 3d output")
     cls = srf.classify(s)
     mesh = grid_mesh(
-        s.position(*s.domain.mesh()),
+        s.position(*s.domain.axes()),
         periodic_u=s.domain.periodic_u,
         periodic_v=s.domain.periodic_v,
     )

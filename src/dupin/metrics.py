@@ -9,6 +9,7 @@ structure needed to coordinatize the matrix algebras so(gram).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from math import factorial, isqrt
@@ -396,28 +397,48 @@ def e3_inverse(T):
     return inv
 
 
+def _nonfinite(y):
+    """inf when some entry of y is NaN or inf, else 0.0: a residual term for
+    the entries a residual does not otherwise read."""
+    return 0.0 if np.isfinite(y).all() else np.inf
+
+
+_E3_TOP = np.array([1.0, 0.0, 0.0, 0.0])
+
+
 def e3_residual(T):
+    """Max-abs entry of A^T A - I and of the top row's deviation from
+    (1, 0, 0, 0), for T = [[1, 0], [y, A]]; zero iff T is in E(3), NaN or inf
+    when an entry of T is.  A^T A is symmetric, so its six distinct entries
+    are taken one coordinate plane at a time,
+    (A^T A)_ij = T[1, i] T[1, j] + T[2, i] T[2, j] + T[3, i] T[3, j]."""
     T = np.asarray(T, dtype=float)
-    A = T[..., 1:, 1:]
-    r1 = np.max(np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(3)))
-    top = np.zeros(4)
-    top[0] = 1.0
-    r2 = np.max(np.abs(T[..., 0, :] - top))
-    return float(max(r1, r2))
+    worst = [np.max(np.abs(T[..., 0, :] - _E3_TOP)), _nonfinite(T[..., 1:, 0])]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every gate
+        for i, j in itertools.combinations_with_replacement((1, 2, 3), 2):
+            d = (T[..., 1, i] * T[..., 1, j] + T[..., 2, i] * T[..., 2, j]
+                 + T[..., 3, i] * T[..., 3, j])
+            worst.append(np.max(np.abs(d - 1.0 if i == j else d)))
+    return float(np.max(worst))
 
 
 def e3_algebra_residual(X):
+    """Max-abs entry of S + S^T and of the top row, for X = [[0, 0], [t, S]];
+    zero iff X is in e(3), NaN or inf when an entry of X is."""
     X = np.asarray(X, dtype=float)
     S = X[..., 1:, 1:]
-    r1 = np.max(np.abs(S + np.swapaxes(S, -1, -2)))
-    r2 = np.max(np.abs(X[..., 0, :]))
-    return float(max(r1, r2))
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which fails every gate
+        r = np.max(np.abs(S + np.swapaxes(S, -1, -2)))
+    return float(np.max([r, np.max(np.abs(X[..., 0, :])), _nonfinite(X[..., 1:, 0])]))
 
 
 def e3_algebra_project(X):
+    """Projection of X onto e(3): the top row zeroed, the translation column
+    t = X[1:, 0] kept and the block S = X[1:, 1:] replaced by (S - S^T) / 2."""
     X = np.asarray(X, dtype=float)
-    Y = X.copy()
+    Y = np.empty(X.shape)
     Y[..., 0, :] = 0.0
+    Y[..., 1:, 0] = X[..., 1:, 0]
     S = X[..., 1:, 1:]
     Y[..., 1:, 1:] = 0.5 * (S - np.swapaxes(S, -1, -2))
     return Y

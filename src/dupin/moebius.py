@@ -130,7 +130,7 @@ def canonical_best_frame(surface):
                             "exact principal frame and constant curvatures")
     a, c = surface.constant_curvatures
     M = _adapted_mix(a, c)
-    uv = surface.domain.mesh()
+    uv = surface.domain.axes()
     x, xu, xv = surface.jet(*uv)[:3]
     e = surface.frame(*uv)
     V = _lifted_frame(surface.form, x, *e)

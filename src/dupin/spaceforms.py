@@ -168,7 +168,7 @@ def group_embed(g, form):
     row = space_form(form)
     g = np.asarray(g, dtype=float)
     if form == "euclidean":
-        if mt.e3_residual(g) > 1e-8:
+        if not mt.e3_residual(g) <= 1e-8:
             raise mt.MembershipError("not a Euclidean motion matrix")
         y = g[1:, 0]
         A = g[1:, 1:]
@@ -180,7 +180,7 @@ def group_embed(g, form):
         rot = np.eye(5)
         rot[1:4, 1:4] = A
         return T @ rot
-    if mt.group_residual(g, row.metric) > 1e-8:
+    if not mt.group_residual(g, row.metric) <= 1e-8:
         raise mt.MembershipError(f"not an {row.group} matrix")
     T = np.eye(5)
     T[row.slots, row.slots] = g

@@ -60,7 +60,14 @@ class ParamDomain:
         v = np.linspace(*self.v_range, self.nv, endpoint=not self.periodic_v)
         return u, v
 
+    def axes(self):
+        """The sample grids as broadcasting axes u (nu, 1) and v (1, nv): the
+        library evaluates on these, and every result broadcasts to the grid."""
+        u, v = self.grids()
+        return u[:, None], v[None, :]
+
     def mesh(self):
+        """The full (nu, nv) coordinate arrays, for tests and demos."""
         u, v = self.grids()
         return np.meshgrid(u, v, indexing="ij")
 
@@ -149,7 +156,7 @@ class ParametricSurface:
         K = sf.space_form(self.form).K
         if K == 0:
             return 0.0
-        x = self.position(*self.domain.mesh())
+        x = self.position(*self.domain.axes())
         return float(np.max(np.abs(mt.inner(x, x, self.metric) - 1.0 / K)))
 
 
@@ -551,11 +558,11 @@ def classify(s):
     whole rows of at most export.BLOCK points, on the axis grids, keeping
     only running reductions, so the working set does not grow with the grid.
     """
-    u, v = s.domain.grids()
-    rows = max(1, export.BLOCK // len(v))
+    u, v = s.domain.axes()
+    nu, nv = s.domain.nu, s.domain.nv
+    rows = max(1, export.BLOCK // nv)
     lo, hi, umbilic, along = zip(*(
-        _classify_slab(s, u[r:r + rows, None], v[None, :], r)
-        for r in range(0, len(u), rows)))
+        _classify_slab(s, u[r:r + rows], v, r) for r in range(0, nu, rows)))
     spread_a, spread_c = np.max(hi, axis=0) - np.min(lo, axis=0)
     umbilic_idx = np.concatenate(umbilic)
     report = {
@@ -569,7 +576,7 @@ def classify(s):
         "umbilic_count": int(len(umbilic_idx)),
     }
     isoparametric = report["spread_a"] < ISO_TOL and report["spread_c"] < ISO_TOL
-    if len(umbilic_idx) == len(u) * len(v):
+    if len(umbilic_idx) == nu * nv:
         warnings.warn("surface is umbilic on the whole grid; Dupin undefined")
         report["dupin_derivative_a"] = report["dupin_derivative_c"] = float("nan")
         return {
@@ -615,8 +622,7 @@ def euclidean_best_frame(s):
     """
     if s.form != "euclidean":
         raise GeometryError("adapted Euclidean frames need a surface in R^3")
-    U, V = s.domain.mesh()
-    data = principal_curvatures(s, U, V)
+    data = principal_curvatures(s, *s.domain.axes())
     if data.umbilic.any():
         bad = np.argwhere(data.umbilic).tolist()
         raise UmbilicError(f"umbilic grid points: {bad[:8]}{'...' if len(bad) > 8 else ''}")
@@ -624,8 +630,7 @@ def euclidean_best_frame(s):
     e1, e2 = (d[..., 0:1] * jet.xu + d[..., 1:2] * jet.xv for d in (data.dir_a, data.dir_c))
     e1, e2 = (propagate_sign(e / np.linalg.norm(e, axis=-1, keepdims=True)) for e in (e1, e2))
     e3 = np.cross(e1, e2)
-    nu, nv = U.shape
-    mats = np.zeros((nu, nv, 4, 4))
+    mats = np.zeros((s.domain.nu, s.domain.nv, 4, 4))
     mats[..., 0, 0] = 1.0
     mats[..., 1:, 0] = jet.x
     mats[..., 1:, 1] = e1

@@ -56,17 +56,17 @@ def suite_surfaces(tols):
     worst = 0.0
     for alpha in np.linspace(0.04, np.pi / 4, 20):
         s = srf.torus(alpha)
-        d = srf.principal_curvatures(s, *s.domain.mesh())
+        d = srf.principal_curvatures(s, *s.domain.axes())
         worst = max(worst, float(np.max(np.abs(d.a * d.c + 1.0))))
     checks.append(check("torus_ac_plus_1", worst, 1e-8))
     worst = 0.0
     for a in np.linspace(0.05, 0.95, 20):
         s = srf.hyperboloid(a)
-        d = srf.principal_curvatures(s, *s.domain.mesh())
+        d = srf.principal_curvatures(s, *s.domain.axes())
         worst = max(worst, float(np.max(np.abs(d.a * d.c - 1.0))))
     checks.append(check("hyperboloid_ac_minus_1", worst, 1e-8))
     s = srf.cylinder(2.0)
-    d = srf.principal_curvatures(s, *s.domain.mesh())
+    d = srf.principal_curvatures(s, *s.domain.axes())
     checks.append(check("cylinder_ac", float(np.max(np.abs(d.a * d.c))), 1e-10))
     checks.append(check("cylinder_c_value", float(np.max(np.abs(d.c - 0.5))), 1e-8))
     fig1 = srf.pushforward(srf.torus(np.pi / 4), "stereo")

@@ -587,6 +587,45 @@ class TestConfigErrors:
         monkeypatch.setenv("DUPIN_CONFIG", str(tmp_path / "no_such.cfg"))
         assert_one_line_error(main(["verify", "framecalc"]), capsys, "no_such.cfg")
 
+    @pytest.mark.parametrize("text,key", [
+        ("grid_nu = 2\ngrid_nv = 1\n", "'grid_nu'"),
+        ("grid_nv = 1\n", "'grid_nv'"),
+        ("grid_nu = 0.5\n", "'grid_nu'"),
+        ("grid_nv = 1e400\n", "'grid_nv'"),
+        ("grid_nu = -64\n", "'grid_nu'"),
+        ("grid_nu = 64.0\n", "'grid_nu'"),
+    ])
+    @pytest.mark.parametrize("argv", [["gen", "cylinder", "--radius", "1"], ["orbit", "--C", "0.5"]],
+                             ids=["gen", "orbit"])
+    def test_grid_keys_checked_as_grid_flag(self, text, key, argv, tmp_path, capsys):
+        # a default grid from the config obeys --grid's rule: an integer >= 3
+        cfg, out = tmp_path / "grid.cfg", tmp_path / "m.obj"
+        cfg.write_text(text)
+        rc = main(["--config", str(cfg)] + argv + ["--out", str(out)])
+        assert_one_line_error(rc, capsys, key, "at least 3")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_grid_keys_set_default_grid(self, tmp_path):
+        cfg, out = tmp_path / "grid.cfg", str(tmp_path / "m.obj")
+        cfg.write_text("grid_nu = 5\ngrid_nv = 4\n")
+        assert main(["--config", str(cfg), "gen", "cylinder", "--radius", "1", "--out", out]) == 0
+        assert read_json(out[:-4] + ".report.json")["parameters"]["grid"] == "5x4"
+
+    @pytest.mark.parametrize("source", ["flag", "env", "cwd"])
+    def test_unknown_key_rejected(self, source, tmp_path, monkeypatch, capsys):
+        # a misspelt key must not fall back silently on the default it meant to set
+        cfg, out = tmp_path / "dupin.cfg", tmp_path / "r.json"
+        cfg.write_text("order = 1e-6\nordr = 0\n")
+        argv = ["verify", "framecalc", "--out", str(out)]
+        if source == "flag":
+            argv = ["--config", str(cfg)] + argv
+        elif source == "env":
+            monkeypatch.setenv("DUPIN_CONFIG", str(cfg))
+        else:
+            monkeypatch.chdir(tmp_path)
+        assert_one_line_error(main(argv), capsys, "'ordr'", "unknown config key")
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_gen_byte_identical(self, tmp_path):

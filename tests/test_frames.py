@@ -10,6 +10,7 @@ from dupin import surfaces as srf
 from dupin import frames as fr
 from dupin import liesphere as ls
 from dupin import moebius as mb
+from dupin import spaceforms as sf
 from dupin.surfaces import ParamDomain
 
 from conftest import traced_peak
@@ -128,6 +129,19 @@ class TestPullback:
         mats = np.broadcast_to(np.eye(3) * 1.5, (8, 8, 3, 3)).copy()
         with pytest.raises(mt.MembershipError):
             fr.pullback_mc(fr.FrameField("so3", mats, dom))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
+    def test_membership_gate_non_finite_e3(self, entry, bad):
+        # a NaN or inf in any one entry of one frame fails the E(3) gate
+        dom = ParamDomain(nu=4, nv=3)
+        ff = fr.FrameField("e3", np.broadcast_to(np.eye(4), (4, 3, 4, 4)).copy(), dom)
+        fr._check_membership(ff)
+        ff.mats[2, 1][entry] = bad
+        with pytest.raises(mt.MembershipError, match="leaves the group"):
+            fr._check_membership(ff)
+        with pytest.raises(mt.MembershipError):
+            sf.group_embed(ff.mats[2, 1], "euclidean")
 
     @pytest.mark.parametrize("group", sorted(mt.GROUPS))
     def test_matches_linear_solve(self, group):

@@ -1,6 +1,7 @@
 """Indefinite linear algebra: inner products, basis changes, group/algebra
 membership, exponentials, and constraint subalgebras."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -490,7 +491,102 @@ class TestSubalgebras:
             mt.subalgebra_from_constraints(hc_constraints(np.nan), mt.MOEB, HC_ENTRIES)
 
 
+def e3_residual_matmul(T):
+    """The E(3) residual as one 3x3 product per matrix, max|A^T A - I| and the
+    top row's deviation; numpy hands the strided product to BLAS."""
+    T = np.asarray(T, dtype=float)
+    A = T[..., 1:, 1:]
+    r1 = np.max(np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(3)))
+    r2 = np.max(np.abs(T[..., 0, :] - np.array([1.0, 0.0, 0.0, 0.0])))
+    return float(max(r1, r2))
+
+
+def e3_residual_scalar(T):
+    """The same residual one finite matrix at a time in Python floats, each
+    (A^T A)_ij summed left to right over the rows 1, 2, 3."""
+    worst = 0.0
+    for M in np.asarray(T, dtype=float).reshape(-1, 4, 4).tolist():
+        worst = max(worst, *(abs(M[0][j] - (j == 0)) for j in range(4)))
+        for i, j in itertools.combinations_with_replacement((1, 2, 3), 2):
+            d = M[1][i] * M[1][j] + M[2][i] * M[2][j] + M[3][i] * M[3][j]
+            worst = max(worst, abs(d - 1.0 if i == j else d))
+    return worst
+
+
+def e3_algebra_project_copy(X):
+    """The e(3) projection written over a copy of the whole input."""
+    X = np.asarray(X, dtype=float)
+    Y = X.copy()
+    Y[..., 0, :] = 0.0
+    S = X[..., 1:, 1:]
+    Y[..., 1:, 1:] = 0.5 * (S - np.swapaxes(S, -1, -2))
+    return Y
+
+
+def e3_stack(rng, shape, scale=1.0):
+    """Random E(3) elements of the given leading shape, their rotation blocks
+    from QR (times ``scale``, which takes them out of the group)."""
+    T = np.zeros(shape + (4, 4))
+    T[..., 0, 0] = 1.0
+    T[..., 1:, 0] = rng.normal(size=shape + (3,))
+    T[..., 1:, 1:] = np.linalg.qr(rng.normal(size=shape + (3, 3)))[0] * scale
+    return T
+
+
+def e3_inputs():
+    """Stacks, a single matrix, signed zeros and strided views."""
+    rng = np.random.default_rng(28)
+    big = e3_stack(rng, (12, 10))
+    signed = mt.e3_matrix([-0.0, 0.0, 1.5], [[1.0, -0.0, 0.0], [0.0, -1.0, -0.0], [-0.0, 0.0, 1.0]])
+    return {
+        "stack": e3_stack(rng, (40,)),
+        "grid": e3_stack(rng, (7, 9)),
+        "off_group": e3_stack(rng, (30,), scale=1.3),
+        "single": e3_stack(rng, ()),
+        "signed_zeros": signed,
+        "signed_zero_stack": np.stack([signed, -signed]),
+        "strided": big[::2, 1::3],
+        "entry_major": np.moveaxis(np.ascontiguousarray(np.moveaxis(big, (-2, -1), (0, 1))),
+                                   (0, 1), (-2, -1)),
+        "fortran": np.asfortranarray(big),
+    }
+
+
 class TestE3:
+    @pytest.mark.parametrize("name", sorted(e3_inputs()))
+    def test_residual_planes(self, name):
+        T = e3_inputs()[name]
+        r = mt.e3_residual(T)
+        assert type(r) is float and not np.signbit(r)
+        assert r == e3_residual_scalar(T), name
+        # the 3x3 product rounds through BLAS kernels, which may fuse
+        # multiply-adds: each of its entries is within a few units of the
+        # last place of the entries' largest term
+        terms = np.max(np.abs(T[..., 1:, 1:])) ** 2
+        assert abs(r - e3_residual_matmul(T)) <= 4 * np.finfo(float).eps * max(1.0, terms)
+
+    @pytest.mark.parametrize("name", sorted(e3_inputs()))
+    def test_algebra_project_bitwise(self, name):
+        rng = np.random.default_rng(3)
+        T = e3_inputs()[name]
+        for X in (T, T + rng.normal(size=T.shape), -T):
+            P, ref = mt.e3_algebra_project(X), e3_algebra_project_copy(X)
+            assert P.shape == ref.shape and P.dtype == ref.dtype
+            assert np.array_equal(P, ref) and np.array_equal(np.signbit(P), np.signbit(ref))
+            assert mt.e3_algebra_residual(P) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", list(itertools.product(range(4), range(4))))
+    def test_non_finite_entry_fails(self, entry, bad):
+        T = e3_stack(np.random.default_rng(1), (3,))
+        X = e3_algebra_project_copy(np.random.default_rng(2).normal(size=(3, 4, 4)))
+        assert mt.e3_residual(T) <= 1e-14 and mt.e3_algebra_residual(X) == 0.0
+        T[1][entry] = X[1][entry] = bad
+        assert not mt.e3_residual(T) <= 1e-8
+        assert not mt.e3_residual(T[1]) <= 1e-8
+        assert not mt.e3_algebra_residual(X) <= 1e-8
+        assert not mt.e3_algebra_residual(X[1]) <= 1e-8
+
     def test_membership(self):
         A = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1.0]])
         T = mt.e3_matrix([1.0, 2.0, 3.0], A)

@@ -273,3 +273,13 @@ class TestGroupEmbed:
     def test_bad_input_rejected(self):
         with pytest.raises(mt.MembershipError):
             sf.group_embed(np.eye(4) * 2.0, "sphere")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("form", sorted(sf.SPACE_FORMS))
+    def test_non_finite_input_rejected(self, form, bad):
+        # NaN compares false, so a gate written as residual > tol would let it through
+        g = np.eye(4)
+        g[1, 2] = bad
+        with pytest.raises(mt.MembershipError):
+            sf.group_embed(g, form)

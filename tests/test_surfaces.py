@@ -1,8 +1,10 @@
 """Surface geometry: catalog identities, fundamental forms, classification,
 adapted frames, and the Dupin PDE residuals."""
 
+import re
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from dupin import export as ex
 from dupin import metrics as mt
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
-from dupin.moebius import orbit_surface
+from dupin.moebius import canonical_best_frame, orbit_surface
 from dupin.surfaces import ParamDomain
 
 from conftest import fd_jet, traced_peak
@@ -539,3 +541,77 @@ class TestPropagateSign:
             flips = np.random.default_rng(7).choice([-1.0, 1.0], size=e.shape[:2])
             for f in (e, flips[..., None] * e):
                 assert np.array_equal(srf.propagate_sign(f), _propagate_sign_loop(f))
+
+
+def axis_grid_surfaces():
+    """slab_surfaces on their non-square grids, with the h_C orbit in each
+    regime's space form: sphere, R^3 and H^3."""
+    out = dict(slab_surfaces())
+    out.update({f"orbit_surface_{C:g}": orbit_surface(C, SQUARE) for C in (0.5, 1.0)})
+    return out
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype)
+    assert a.tobytes() == b.tobytes()  # tells -0.0 from 0.0 and compares NaN bits
+
+
+def on_mesh(monkeypatch, fn, *args):
+    """fn(*args) with ParamDomain.axes() handing out the full mesh instead."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ParamDomain, "axes", ParamDomain.mesh)
+        return fn(*args)
+
+
+class TestAxisGrids:
+    """The library evaluates surfaces on ParamDomain.axes(), the sample grids
+    as (nu, 1) and (1, nv) axes; every result broadcasts to the grid and is
+    bitwise what the full mesh gives."""
+
+    def test_axes_broadcast_to_mesh(self):
+        d = SQUARE
+        u, v = d.axes()
+        assert (u.shape, v.shape) == ((d.nu, 1), (1, d.nv))
+        for full, axis in zip(d.mesh(), np.broadcast_arrays(u, v)):
+            assert_bitwise(full, axis)
+
+    @pytest.mark.parametrize("name", sorted(axis_grid_surfaces()))
+    def test_principal_curvatures(self, name):
+        s = axis_grid_surfaces()[name]
+        axes, mesh = s.domain.axes(), s.domain.mesh()
+        assert_bitwise(s.position(*axes), s.position(*mesh))
+        got, ref = (srf.principal_curvatures(s, *uv) for uv in (axes, mesh))
+        for field in ("a", "c", "umbilic", "I", "II", "normal", "dir_a", "dir_c",
+                      "along_a", "along_c"):
+            assert_bitwise(getattr(got, field), getattr(ref, field))
+        for p, q in zip(got.jet, ref.jet):
+            assert_bitwise(np.broadcast_to(p, q.shape), q)
+
+    @pytest.mark.parametrize("name", sorted(axis_grid_surfaces()))
+    def test_constraint_residual(self, name, monkeypatch):
+        s = axis_grid_surfaces()[name]
+        assert_bitwise(s.constraint_residual(), on_mesh(monkeypatch, s.constraint_residual))
+
+    @pytest.mark.parametrize("name", ["cylinder", "torus_stereo", "hyperboloid_hyp_stereo",
+                                      "warped_torus", "orbit_surface_1"])
+    def test_euclidean_best_frame(self, name, monkeypatch):
+        s = axis_grid_surfaces()[name]
+        got = srf.euclidean_best_frame(s)
+        ref = on_mesh(monkeypatch, srf.euclidean_best_frame, s)
+        assert_bitwise(got.mats, ref.mats)
+
+    @pytest.mark.parametrize("name", ["torus", "cylinder", "hyperboloid"])
+    def test_canonical_best_frame(self, name, monkeypatch):
+        s = axis_grid_surfaces()[name]
+        got = canonical_best_frame(s)
+        ref = on_mesh(monkeypatch, canonical_best_frame, s)
+        assert_bitwise(got.mats, ref.mats)
+        assert_bitwise(got.omega, ref.omega)
+
+    def test_library_calls_no_mesh(self):
+        # a guard on the rule above: mesh() is for tests and demos only
+        calls = [f"{path.name}:{n}" for path in sorted(Path(srf.__file__).parent.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), start=1)
+                 if re.search(r"\.mesh\(", line)]
+        assert calls == []
