@@ -49,11 +49,14 @@ def load_config(path=None):
 
 
 def _parse_cfg(fh):
+    """The key = value lines of an open config file; '#' starts a comment."""
     out = {}
-    for line in fh:
+    for n, line in enumerate(fh, 1):
         line = line.split("#", 1)[0].strip()
-        if not line or "=" not in line:
+        if not line:
             continue
+        if "=" not in line:
+            raise GeometryError(f"config {fh.name!r} line {n}: expected key = value, got {line!r}")
         k, v = (t.strip() for t in line.split("=", 1))
         try:
             out[k] = float(v) if "." in v or "e" in v.lower() else int(v)

@@ -82,18 +82,156 @@ def _vertex_labels(n):
     return labels
 
 
+_ROWS = 4096        # records per pass of the vectorised %.12g
+
+# Tables of the vectorised %.12g.  Each 4-digit group w in [0, 10^4) is one
+# little-endian word of its ASCII digits, and once more with its trailing
+# zeros as NULs: _c[j, d] is digit d as byte j, kept where it or a later digit
+# is nonzero.  The scales are 10^k for k in [-300, 305], correctly rounded
+# for k >= 0 and the rounded reciprocal of that below, and the decimal
+# exponent of 2^(b - 1023) for each biased binary exponent b.
+_c = (ord("0") + np.arange(10, dtype="<u4")) << (8 * np.arange(4, dtype="<u4"))[:, None]
+_nz = np.arange(10) > 0
+_DIGITS = (_c[0, :, None, None, None] | _c[1, :, None, None] | _c[2, :, None] | _c[3]).ravel()
+_keep2 = _nz[:, None] | _nz
+_keep1 = _nz[:, None, None] | _keep2
+_STRIPPED = (_c[0, :, None, None, None] * (_nz[:, None, None, None] | _keep1)
+             | _c[1, :, None, None] * _keep1 | _c[2, :, None] * _keep2 | _c[3] * _nz).ravel()
+_POW10 = np.array([10 ** j for j in range(306)], dtype=np.float64)
+_POW10 = np.concatenate([1 / _POW10[300:0:-1], _POW10])
+_EXP2 = np.floor((np.arange(2048) - 1023) * np.log10(2)).astype(np.intp)
+del _c, _nz, _keep1, _keep2
+
+
+def _exact_texts(values):
+    """Python's %.12g of each value, NUL-padded to 19 bytes: the longest text,
+    such as -1.23456789012e-300."""
+    return np.array([b"%.12g" % v for v in values.tolist()], dtype="S19")
+
+
+def _significands(coords):
+    """(m, e, exact) with |x| = m 10^(e - 11) to 12 significant digits, m a
+    float integer in [1e11, 1e12), for each coordinate marked exact; the
+    others, zeros and coordinates for _exact_texts, get m = e = 0.
+
+    Each |x| is scaled to y = |x| 10^(11-e), e its decimal exponent, by one
+    product with _POW10: three roundings in all, so y is within 3.4e-4 of
+    the exact value below 1e12 and m = rint(y) is the 12-digit significand
+    unless y lies within 1e-3 of a half (every exact tie does).  Those,
+    non-finite values and |x| < 1e-290 are not exact.  An m that rounds up
+    to 10^12 carries into the exponent."""
+    a = np.abs(coords)
+    fast = (a >= 1e-290) & (a <= np.finfo(np.float64).max)
+    a[~fast] = 1.0
+    e = _EXP2[a.view(np.int64) >> 52]
+    y = a * _POW10[311 - e]
+    off = (y >= 1e12).astype(np.intp) - (y < 1e11)      # e was one too small or large
+    fix = np.flatnonzero(off)
+    if fix.size:
+        e[fix] += off[fix]
+        y[fix] = a[fix] * _POW10[311 - e[fix]]
+    m = np.rint(y)
+    exact = fast & (np.abs(y - np.floor(y) - 0.5) >= 1e-3) & (m >= 1e11) & (m <= 1e12)
+    carry = m == 1e12
+    e += carry
+    m[carry] = 1e11
+    m[~exact] = 0
+    e[~exact] = 0
+    return m, e, exact
+
+
+def _digits(m):
+    """The 12 ASCII digits of each float integer m < 1e12, leading zeros
+    kept and trailing zeros as NULs: an (n, 12) uint8 array."""
+    w1 = np.floor(m / 1e8)
+    m = m - w1 * 1e8
+    w2 = np.floor(m / 1e4)
+    w3 = (m - w2 * 1e4).astype(np.intp)
+    w1, w2 = w1.astype(np.intp), w2.astype(np.intp)
+    digits = np.empty((len(m), 12), np.uint8)
+    words = digits.view("<u4")
+    words[:, 2] = _STRIPPED[w3]
+    words[:, 1] = np.where(w3 != 0, _DIGITS[w2], _STRIPPED[w2])
+    words[:, 0] = np.where((w3 != 0) | (w2 != 0), _DIGITS[w1], _STRIPPED[w1])
+    return digits
+
+
+def _g12_records(coords):
+    """The 'v %.12g %.12g %.12g' records of a flat run of coordinates, three
+    per record, byte for byte as Python's formatter writes them.
+
+    %g writes fixed notation for a decimal exponent -4 <= e < 12 of the
+    rounded value (see _significands), else d.ddde+XX.  Each coordinate's
+    text is laid out in its own 20 columns, ' ', sign and body, with NULs
+    where %g writes nothing; the bodies are built one layout at a time on the
+    coordinates sorted by layout, and the NULs are dropped from the finished
+    records.  Coordinates that are not exact take _exact_texts."""
+    n = len(coords)
+    m, e, exact = _significands(coords)
+    # layout 0: d.ddde+XX; layout e + 5: fixed notation (zeros print as fixed 0)
+    layout = np.where((e < -4) | (e >= 12), 0, e + 5).astype(np.int8)
+    order = np.argsort(layout, kind="stable")
+    bounds = np.searchsorted(layout[order], np.arange(18)).tolist()
+    digits, e = _digits(m[order]), e[order]
+    del m, layout
+
+    text = np.zeros((n, 20), np.uint8)
+    for k in range(17):
+        d, body = digits[bounds[k]:bounds[k + 1]], text[bounds[k]:bounds[k + 1], 2:]
+        if not len(d):
+            continue
+        if k == 0:
+            x = e[bounds[0]:bounds[1]]
+            body[:, 0] = d[:, 0]
+            body[:, 1] = np.where(d[:, 1] != 0, ord("."), 0)   # '.' before a digit
+            body[:, 2:13] = d[:, 1:]
+            body[:, 13] = ord("e")
+            body[:, 14] = np.where(x < 0, ord("-"), ord("+"))
+            x = np.abs(x)
+            body[:, 15] = np.where(x >= 100, ord("0") + x // 100, 0)
+            body[:, 16] = ord("0") + x // 10 % 10
+            body[:, 17] = ord("0") + x % 10
+        elif k >= 5:     # e + 1 integer digits, their zeros kept
+            q = k - 4
+            body[:, :q] = d[:, :q] | ord("0")
+            if q < 12:
+                body[:, q] = np.where(d[:, q] != 0, ord("."), 0)
+                body[:, q + 1:13] = d[:, q:]
+        else:            # 0., then -e - 1 zeros
+            z = 5 - k
+            body[:, 0] = ord("0")
+            body[:, 1] = ord(".")
+            body[:, 2:1 + z] = ord("0")
+            body[:, 1 + z:13 + z] = d
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    text = np.take(text, back, axis=0)
+    text[:, 0] = ord(" ")
+    text[:, 1] = np.where(np.signbit(coords), ord("-"), 0)
+    inexact = np.flatnonzero(~exact & (coords != 0))
+    if inexact.size:
+        text[inexact, 1:] = _exact_texts(coords[inexact]).view(np.uint8).reshape(-1, 19)
+    records = np.empty((n // 3, 62), np.uint8)
+    records[:, 0] = ord("v")
+    records[:, 1:61] = text.reshape(-1, 60)
+    records[:, 61] = ord("\n")
+    return records.tobytes().translate(None, b"\0")
+
+
 def _vertex_records(block):
     """The 'v %.12g %.12g %.12g' records of a block of vertices.  `%.12g`
     depends only on a float's 64 bits, so when at most half of the block's
     coordinates are distinct bit patterns (0.0 and -0.0 differ), each distinct
-    one is formatted once and the records are assembled from those texts."""
+    one is formatted once and the records are assembled from those texts;
+    otherwise _g12_records formats _ROWS records at a time."""
     coords = np.ascontiguousarray(block, dtype=np.float64).ravel()
     bits = coords.view(np.int64)
     order = np.argsort(bits)
     ordered = bits[order]
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # a new bit pattern starts
     if 2 * np.count_nonzero(first) > len(bits):
-        return (b"v %.12g %.12g %.12g\n" * len(block)) % tuple(coords.tolist())
+        step = 3 * _ROWS
+        return b"".join(_g12_records(coords[s:s + step]) for s in range(0, len(coords), step))
     keys = ordered[first]
     inv = np.empty(len(bits), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1

@@ -266,7 +266,7 @@ def integrate_mc(mc, base):
     max|pullback_mc(frame) - form|, one grid axis at a time.
     """
     sr = structure_residual(mc)
-    if sr > INTEGRABILITY_TOL:
+    if not sr <= INTEGRABILITY_TOL:      # NaN fails too
         raise IntegrabilityError(f"form is not flat enough (residual {sr:.3e})")
     e_rows, e_cols = _integrate(mc, base)
     dev = _max_abs_diff(e_cols, e_rows)  # the columns-first scan is scratch from here on

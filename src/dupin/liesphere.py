@@ -73,9 +73,9 @@ class PencilLine:
 def make_line(S0, S1):
     S0 = np.asarray(S0, dtype=float)
     S1 = np.asarray(S1, dtype=float)
-    if quadric_residual(S0) > QUADRIC_TOL or quadric_residual(S1) > QUADRIC_TOL:
+    if not (quadric_residual(S0) <= QUADRIC_TOL and quadric_residual(S1) <= QUADRIC_TOL):
         raise DegenerateLineError("representative off the quadric")
-    if np.max(np.abs(inner(S0, S1, mt.R42))) > QUADRIC_TOL:
+    if not np.max(np.abs(inner(S0, S1, mt.R42))) <= QUADRIC_TOL:
         raise DegenerateLineError("representatives are not orthogonal")
     svals = np.linalg.svd(np.stack([S0, S1]), compute_uv=False)
     if svals[-1] < 1e-9 * svals[0]:
@@ -486,7 +486,7 @@ def best_lie_frame_check(ff):
     if np.min(np.abs(wedge23)) < 1e-12:
         res["coframe_degenerate"] = True
         raise FrameOrderError("theta^2 wedge theta^3 vanishes somewhere on the grid")
-    if res["order1"] > ORDER_TOL:
+    if not res["order1"] <= ORDER_TOL:
         raise FrameOrderError(f"order-1 conditions fail (residual {res['order1']:.3e})")
 
     d = mc.domain

@@ -167,14 +167,14 @@ def frame_order_check(ff):
     w = mc.omega
     res = {}
     res["first_order"] = float(np.max(np.abs(w[..., 3, 0])))
-    if res["first_order"] > ORDER_TOL:
+    if not res["first_order"] <= ORDER_TOL:
         raise FrameOrderError(f"first order fails: |omega^3_0| = {res['first_order']:.3e}")
     w10, w20 = w[..., 1, 0], w[..., 2, 0]
     res["second_order"] = float(np.max(np.abs([w[..., 3, 1] - w10, w[..., 3, 2] + w20])))
-    if res["second_order"] > ORDER_TOL:
+    if not res["second_order"] <= ORDER_TOL:
         raise FrameOrderError(f"second order fails: residual {res['second_order']:.3e}")
     res["third_order"] = float(np.max(np.abs(w[..., 0, 3])))
-    if res["third_order"] > ORDER_TOL:
+    if not res["third_order"] <= ORDER_TOL:
         raise FrameOrderError(f"third order fails: |omega^0_3| = {res['third_order']:.3e}")
 
     q1, q2 = coframe_solve(w10, w20, w[..., 2, 1])

@@ -16,6 +16,7 @@ from dupin import cli
 from dupin.cli import main
 
 from conftest import read_obj, traced_peak
+from test_golden import CASES as GOLDEN_CASES
 
 
 def read_json(path):
@@ -234,6 +235,125 @@ class TestSharedCoordinates:
     @given(mesh=obj_meshes(pooled=True))
     def test_matches_reference_property_small_blocks(self, mesh):
         assert written_obj(mesh, block=7) == reference_obj(mesh)
+
+
+def assert_records_match(coords, block):
+    """`_vertex_records` on blocks of `block` vertices of coords (padded with
+    zeros to whole vertices) gives the bytes of `%` record by record."""
+    coords = np.asarray(coords, dtype=np.float64).ravel()
+    verts = np.concatenate([coords, np.zeros(-len(coords) % 3)]).reshape(-1, 3)
+    for s in range(0, len(verts), block):
+        part = verts[s:s + block]
+        got = ex._vertex_records(part)
+        want = (b"v %.12g %.12g %.12g\n" * len(part)) % tuple(part.ravel().tolist())
+        if got != want:
+            lines = zip(got.split(b"\n"), want.split(b"\n"))
+            i, g, w = next((i, g, w) for i, (g, w) in enumerate(lines) if g != w)
+            pytest.fail(f"vertex {s + i} {part[i].tolist()!r}: {g!r} != {w!r}")
+
+
+def ulp_neighbours(values, reach):
+    """Each finite value and the floats up to `reach` ulps either side of it."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    out = (bits[:, None] + np.arange(-reach, reach + 1)).view(np.float64).ravel()
+    return out[np.isfinite(out)]
+
+
+def random_bit_patterns(n=1_000_002):
+    """n uniformly random 64-bit patterns read as float64: every exponent,
+    subnormals, both zeros' neighbourhoods, infinities and NaN payloads."""
+    rng = np.random.default_rng(30)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, dtype=np.int64,
+                        endpoint=True)
+    bits[:6] = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]).view(np.int64)
+    return bits.view(np.float64)
+
+
+def near_ties():
+    """The floats nearest (k + 1/2) 10^(e - 11), three 12-digit k for each
+    e in [-300, 307], and their neighbours to 64 ulps, with random signs:
+    where rounding to 12 digits is closest to a tie."""
+    from fractions import Fraction
+    rng = np.random.default_rng(31)
+    ties = [float(Fraction(2 * k + 1, 2) * Fraction(10) ** (e - 11))
+            for e in range(-300, 308) for k in rng.integers(10 ** 11, 10 ** 12, 3).tolist()]
+    out = ulp_neighbours(ties, 64)
+    return out * rng.choice([-1.0, 1.0], len(out))
+
+
+def dyadic_ties():
+    """Floats exactly halfway between two 12-digit values, which %g rounds
+    to even, and their neighbours to 4 ulps."""
+    rng = np.random.default_rng(32)
+    k = rng.integers(10 ** 11, 10 ** 12, 2000)
+    ties = np.concatenate([[123456789012.5, 999999999999.5, 100000000000.5],
+                           k + 0.5, (10 * k + 5) * 10.0, (10 * k + 5) * 100.0, (10 * k + 5) * 1.0])
+    return np.concatenate([ulp_neighbours(ties, 4), -ties])
+
+
+def decade_edges():
+    """Every power of ten and every 9.999999999995eN, where the rounded
+    exponent differs from the unrounded one, with neighbours to 8 ulps."""
+    edges = [float(f"1e{e}") for e in range(-323, 309)]
+    edges += [float(f"9.999999999995e{e}") for e in range(-300, 308)]
+    out = ulp_neighbours([v for v in edges if v], 8)
+    return np.concatenate([out, -out, [0.0, -0.0, 5e-324, -5e-324]])
+
+
+BULK = {"random_bits": random_bit_patterns, "near_ties": near_ties,
+        "dyadic_ties": dyadic_ties, "decade_edges": decade_edges}
+
+
+class TestVectorisedFormat:
+    """The direct path's numpy %.12g gives the bytes of Python's formatter on
+    every kind of float, in blocks of 7, 4096 (one formatting pass) and
+    BLOCK records.  Blocks of 7 take an evenly strided sample of about 8000
+    vertices, which keeps every kind of value and the suite's run time."""
+
+    @pytest.mark.parametrize("block", [7, 4096, ex.BLOCK])
+    @pytest.mark.parametrize("case", BULK)
+    def test_matches_percent(self, case, block):
+        coords = BULK[case]()
+        if block == 7:
+            verts = np.concatenate([coords, np.zeros(-len(coords) % 3)]).reshape(-1, 3)
+            coords = verts[::max(1, len(verts) // 8000)]
+        assert_records_match(coords, block)
+
+
+FALLBACK_CASES = {
+    **{name: argv for name, argv in GOLDEN_CASES.items() if argv[0] in ("gen", "orbit", "fig7")},
+    "orbit_64": ["orbit", "--C", "0.5", "--grid", "64x64"],
+}
+
+
+class TestFallbackShare:
+    """The numpy %.12g formats all but a few coordinates itself: fewer than
+    1% of the nonzero coordinates of each CLI mesh go to Python's formatter
+    (`_exact_texts`), counted the way shared_blocks counts np.cumsum."""
+
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_fallback_share(self, case, tmp_path, monkeypatch):
+        meshes, fallback = [], []
+        write_obj, exact_texts = cli.write_obj, ex._exact_texts
+        monkeypatch.setattr(cli, "write_obj",
+                            lambda mesh, path: meshes.append(mesh) or write_obj(mesh, path))
+        monkeypatch.chdir(tmp_path)
+        assert main(FALLBACK_CASES[case] + ["--out", str(tmp_path / "m.obj")]) == 0
+        monkeypatch.setattr(ex, "_exact_texts", lambda v: fallback.append(len(v)) or exact_texts(v))
+        coords = meshes[0].vertices.ravel()
+        step = 3 * ex._ROWS
+        text = b"".join(ex._g12_records(coords[s:s + step]) for s in range(0, len(coords), step))
+        assert text == (b"v %.12g %.12g %.12g\n" * (len(coords) // 3)) % tuple(coords.tolist())
+        assert sum(fallback) < 0.01 * np.count_nonzero(coords)
+
+    def test_distinct_blocks_take_numpy_format(self, monkeypatch):
+        # every coordinate of an all-distinct mesh goes through _g12_records
+        mesh = random_grid_mesh(64, 64)
+        formatted, g12_records = [], ex._g12_records
+        monkeypatch.setattr(ex, "_g12_records",
+                            lambda c: formatted.append(len(c)) or g12_records(c))
+        assert written_obj(mesh) == reference_obj(mesh)
+        assert sum(formatted) == mesh.vertices.size
 
 
 class TestExportMemory:
@@ -578,6 +698,16 @@ class TestConfigErrors:
         cfg.write_text("membership = abc\n")
         rc = main(["--config", str(cfg), "verify", "framecalc"])
         assert_one_line_error(rc, capsys, "'membership'", "'abc'")
+
+    @pytest.mark.parametrize("text,line", [("order 0\n", 1),
+                                           ("# tolerances\norder = 1e-6\ncontact\n", 3)])
+    def test_line_without_equals_names_file_and_line(self, text, line, tmp_path, capsys):
+        # a line that is neither blank, a comment nor key = value is an error, not skipped
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "r.json"
+        cfg.write_text(text)
+        rc = main(["--config", str(cfg), "verify", "framecalc", "--out", str(out)])
+        assert_one_line_error(rc, capsys, "bad.cfg", f"line {line}")
+        assert not out.exists()
 
     def test_missing_config_flag_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "no_such.cfg"), "verify", "framecalc"])

@@ -350,6 +350,16 @@ class TestCongruence:
 
 
 class TestIntegrateMC:
+    def test_nan_form_rejected(self):
+        # NaN > tol is False: a NaN in the form must fail the integrability
+        # gate, not come back as a finite frame with NaN residuals
+        X1, X2 = cylinder_distribution()
+        dom = ParamDomain((0, 2 * np.pi), (-1.0, 1.0), 8, 8, False, False)
+        omega = np.broadcast_to(np.stack([X1, X2])[:, None, None], (2, 8, 8, 4, 4)).copy()
+        omega[0, 4, 4, 1, 0] = np.nan
+        with pytest.raises(fr.IntegrabilityError, match="nan"):
+            fr.integrate_mc(fr.MCForm("e3", omega, dom), np.eye(4))
+
     def test_cylinder_integration_solves_nothing(self, monkeypatch):
         # the midpoint steps of the 128x128 cylinder form have 1-norms 2pi/127
         # and 2/127, under theta_16: Taylor polynomials only, no Pade solve

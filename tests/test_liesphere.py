@@ -46,6 +46,22 @@ class TestLines:
         with pytest.raises(ls.DegenerateLineError):
             ls.make_line(eps(0) + eps(4), eps(0) - eps(4))
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_representative_rejected(self, which):
+        # NaN > tol is False: a NaN residual must fail the quadric gate
+        S = [eps(0) + eps(4), eps(1) + eps(5)]
+        S[which][2] = np.nan
+        with pytest.raises(ls.DegenerateLineError, match="off the quadric"):
+            ls.make_line(*S)
+
+    def test_nan_inner_product_rejected(self, monkeypatch):
+        # the orthogonality gate on its own, behind a quadric gate that passes
+        monkeypatch.setattr(ls, "quadric_residual", lambda v: 0.0)
+        S1 = eps(1) + eps(5)
+        S1[2] = np.nan
+        with pytest.raises(ls.DegenerateLineError, match="not orthogonal"):
+            ls.make_line(eps(0) + eps(4), S1)
+
 
 class TestInclusions:
     def test_great_sphere(self):
@@ -281,6 +297,16 @@ class TestBestLieFrame:
         assert np.max(np.abs(coeffs.q)) < 1e-8
         assert res["exterior_1"] < 1e-8
         assert res["exterior_2"] < 1e-8
+
+    def test_nan_order1_rejected(self, monkeypatch):
+        # NaN > tol is False: a NaN order-1 residual must fail its gate
+        ff = ls.example_frame()
+        mc = pullback_mc(ff)
+        omega = np.broadcast_to(mc.omega, (2,) + ff.mats.shape).copy()
+        omega[0, 4, 4, 2, 0] = np.nan
+        monkeypatch.setattr(ls, "pullback_mc", lambda ff: replace(mc, omega=omega))
+        with pytest.raises(ls.FrameOrderError, match="order-1"):
+            ls.best_lie_frame_check(ff)
 
     def test_constant_frame_fails(self):
         dom = ParamDomain(nu=8, nv=8)

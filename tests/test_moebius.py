@@ -1,7 +1,7 @@
 """Moebius geometry: the oriented-sphere model, tangent/curvature spheres,
 adapted frames and the invariant C, and the h_C orbit surfaces."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -271,6 +271,18 @@ class TestFrameOrderCheck:
                 mats[i, j] = sf.group_embed(g[i, j], "sphere")
         ff = FrameField("moebius", mats, s.domain)
         with pytest.raises(mb.FrameOrderError, match="second order"):
+            mb.frame_order_check(ff)
+
+    @pytest.mark.parametrize("entry,order", [((3, 0), "first"), ((3, 1), "second"),
+                                             ((0, 3), "third")])
+    def test_nan_order_residual_rejected(self, entry, order, monkeypatch):
+        # NaN > tol is False: a NaN residual must fail its order's gate
+        ff = mb.canonical_best_frame(srf.torus(np.pi / 6))
+        mc = pullback_mc(ff)
+        omega = np.broadcast_to(mc.omega, (2,) + ff.mats.shape).copy()
+        omega[(1, 4, 4) + entry] = np.nan
+        monkeypatch.setattr(mb, "pullback_mc", lambda ff: replace(mc, omega=omega))
+        with pytest.raises(mb.FrameOrderError, match=f"{order} order"):
             mb.frame_order_check(ff)
 
     def test_column_swap_fails_first_order(self):
