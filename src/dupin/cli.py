@@ -133,11 +133,11 @@ def cmd_gen(args, cfg):
     if s.form == "hyperbolic":
         raise GeometryError("hyperbolic mesh needs --project hyp_stereo for 3d output")
     cls = srf.classify(s)
-    mesh = grid_mesh(
-        s.position(*s.domain.axes()),
-        periodic_u=s.domain.periodic_u,
-        periodic_v=s.domain.periodic_v,
-    )
+    if cls["dupin"] is None:
+        raise GeometryError(f"the {args.surface} is umbilic on every grid point, "
+                            "so its Dupin test is undefined")
+    mesh = grid_mesh(s.position(*s.domain.axes()), periodic_u=s.domain.periodic_u,
+                     periodic_v=s.domain.periodic_v)
     out = _out_path(args.out)
     write_obj(mesh, out)
     measured = cls["report"]

@@ -297,58 +297,58 @@ def canonical_base_frame(C):
     return base @ hc_swap_conjugation() if C < 0 else base.copy()
 
 
-def hc_orbit(C, s_grid, t_grid):
-    """Orbit surface base * exp(s X1) exp(t X2) [delta0] of the h_C subgroup,
-    pulled back to the space form indicated by the regime of C; chart failures
-    are flagged, not fatal, and placed at the chart's origin.  Raises
-    GeometryError if the orbit overflows on the grid."""
-    base = canonical_base_frame(C)  # first: it rejects a |C| too large for a hyperboloid
+def _hc_lift(C):
+    """The h_C orbit q = base e^{u X1} e^{v X2} delta0, in epsilon coordinates,
+    as (X1, the regime's form, factors): factors(u, v) is A = base e^{u X1} and
+    W = e^{v X2} [w0 w1 w2 w3], w_k = X2^k delta0, each one mat_exp over its samples."""
+    # the frame in epsilon coordinates, so q comes out in them (change_basis is linear)
+    base = mt.change_basis(canonical_base_frame(C), 5, "delta", "epsilon", kind="frame")
     X1, X2 = hc_basis(C).elements
-    s_grid = np.asarray(s_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    W0 = np.stack([np.linalg.matrix_power(X2, k)[:, 0] for k in range(4)], axis=-1)
+
+    def factors(u, v):
+        return (base @ mt.mat_exp(np.asarray(u)[..., None, None] * X1),
+                mt.mat_exp(np.asarray(v)[..., None, None] * X2) @ W0)
+
+    return X1, canonical_surface_for_C(C).form, factors
+
+
+def hc_orbit(C, s_grid, t_grid):
+    """Orbit base exp(s X1) exp(t X2) [delta0] of the h_C subgroup in the chart of
+    C's regime; chart failures are flagged, not fatal, and placed at the chart's
+    origin.  Raises GeometryError if the orbit overflows on the grid."""
+    _, form, factors = _hc_lift(C)  # first: it rejects a |C| too large for a hyperboloid
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
-        exp_s = base @ mt.mat_exp(s_grid[:, None, None] * X1)
-        # exp(t X2) delta0 is the first column, since delta0 is the first basis
-        # vector; pts[s, t] = exp_s[s] @ that column
-        pts = mt.mat_exp(t_grid[:, None, None] * X2)[..., 0] @ np.swapaxes(exp_s, -1, -2)
-    if not np.isfinite(pts).all():
+        A, W = factors(s_grid, t_grid)
+        q = W[..., 0] @ np.swapaxes(A, -1, -2)  # q[s, t] = A[s] w0[t]
+    if not np.isfinite(q).all():
         span = max(np.max(np.abs(s_grid)), np.max(np.abs(t_grid)))
         raise GeometryError(f"C = {C:g}, span = {span:g}: the h_C orbit overflows; "
                             "use a smaller |C| or span")
-    pts = mt.projective_normalize(pts)
-    form = canonical_surface_for_C(C).form
-    chart, valid = sf.moebius_chart(mt.change_basis(pts, 5, "delta", "epsilon"), form)
+    chart, valid = sf.moebius_chart(q, form)  # the chart is projective: q needs no scaling
     chart[~valid] = 0.0 if form == "euclidean" else np.eye(4)[3]
+    pts = mt.projective_normalize(mt.change_basis(q, 5, "epsilon", "delta"))
     return OrbitResult(C, hc_regime(C), pts, chart, valid)
 
 
 def orbit_surface(C, domain=None):
     """The h_C orbit q = base e^{u X1} e^{v X2} delta0 as a ParametricSurface
     in its regime's space form, with an exact jet from the Lie algebra: with
-    A = base e^{u X1} and w_k = e^{v X2} X2^k delta0,
+    A = base e^{u X1} and w_k = e^{v X2} X2^k delta0 (``_hc_lift``),
         q = A w0,  q_u = A X1 w0,  q_v = A w1,
         q_uu = A X1^2 w0,  q_uv = A X1 w1,  q_vv = A w2,
-        q_uuu = A X1^3 w0,  q_uuv = A X1^2 w1,  q_uvv = A X1 w2,  q_vvv = A w3,
-    one mat_exp per generator for the whole jet; the chart's quotient rule
-    (``surfaces.quotient_jet``) carries it into the space form.  Position and
-    jet raise GeometryError when a point escapes the chart."""
-    # the frame in epsilon coordinates, so q comes out in them (change_basis is linear)
-    base = mt.change_basis(canonical_base_frame(C), 5, "delta", "epsilon", kind="frame")
-    X1, X2 = hc_basis(C).elements
-    W0 = np.stack([np.linalg.matrix_power(X2, k)[:, 0] for k in range(4)],
-                  axis=-1)  # X2^k delta0, k = 0..3
-    domain = domain or ParamDomain(
-        u_range=(-1.0, 1.0), v_range=(-1.0, 1.0),
-        nu=32, nv=32, periodic_u=False, periodic_v=False,
-    )
-    form = canonical_surface_for_C(C).form
+        q_uuu = A X1^3 w0,  q_uuv = A X1^2 w1,  q_uvv = A X1 w2,  q_vvv = A w3;
+    axis grids cost nu + nv exponentials per generator, and the products
+    broadcast to the grid.  The chart's quotient rule (``surfaces.quotient_jet``)
+    carries the jet into the space form.  Position and jet raise
+    GeometryError when a point escapes the chart."""
+    X1, form, factors = _hc_lift(C)
+    domain = domain or ParamDomain((-1.0, 1.0), (-1.0, 1.0), 32, 32, False, False)
     num, den = sf.quotient_chart(form)
 
     def lift(u, v, partials):
         """q, and with ``partials`` its nine partials, in epsilon coordinates."""
-        u, v = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
-        A = base @ mt.mat_exp(u[..., None, None] * X1)
-        W = mt.mat_exp(v[..., None, None] * X2) @ W0  # columns w0, w1, w2, w3
+        A, W = factors(np.atleast_1d(u), np.atleast_1d(v))  # W's columns: w0, w1, w2, w3
         q = (A @ W[..., :1])[..., 0]  # apart from the partials: jet.x == position bitwise
         if not partials:
             return q

@@ -187,6 +187,16 @@ class TestNoPerPointLoops:
         surf.jet(*np.meshgrid(S_GRID, T_GRID, indexing="ij"))
         assert exp_calls == [(7, 5, 5, 5)] * 2
 
+    @pytest.mark.parametrize("C", [0.5, 1.0, 5 / 3, -2.5])
+    @pytest.mark.parametrize("evaluate", ["position", "jet"])
+    def test_orbit_surface_axes_one_call_per_axis(self, exp_calls, C, evaluate):
+        # on axis grids each generator is exponentiated over its own samples only
+        dom = ParamDomain((-1.0, 1.0), (-1.0, 1.0), 7, 5, False, False)
+        surf = mb.orbit_surface(C, dom)
+        exp_calls.clear()
+        getattr(surf, evaluate)(*dom.axes())
+        assert exp_calls == [(7, 1, 5, 5), (1, 5, 5, 5)]
+
     def test_integrate_mc_calls_per_sweep(self, exp_calls):
         nu, nv = 9, 7
         mc, base = flat_so4_form(nu, nv)

@@ -516,6 +516,17 @@ class TestCLI:
             assert "C = 1, span = 1e+10" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("radius", ["1e9", "1e10"])
+    @pytest.mark.filterwarnings("ignore:surface is umbilic")  # classify's, before the error
+    def test_gen_umbilic_on_every_grid_point(self, tmp_path, capsys, radius):
+        # the Dupin test is undefined there: exit 2 rather than a NaN report
+        out = tmp_path / "c.obj"
+        argv = ["gen", "cylinder", "--radius", radius, "--grid", "5x5", "--out", str(out)]
+        assert main(argv) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and "umbilic on every grid point" in last
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the chart maps
     def test_orbit_regimes(self, tmp_path):
         for argv, regime, chart_failures, null_cone, passed in [

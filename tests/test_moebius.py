@@ -375,6 +375,16 @@ class TestHCOrbits:
         d = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2)
         assert np.max(np.abs(d - 1.0)) < 1e-8
 
+    @pytest.mark.parametrize("C", [0.0, 0.45, 1.0, -1.0, 1.6667, -1.6667, -2.5, 3.0])
+    @pytest.mark.parametrize("nu, nv", [(9, 9), (16, 12), (33, 33), (64, 64)])
+    def test_hc_orbit_matches_orbit_surface(self, C, nu, nv):
+        # the two evaluators of the h_C orbit give the same points on the same grid
+        dom = ParamDomain((-1.0, 1.0), (-1.0, 1.0), nu, nv, False, False)
+        orb = mb.hc_orbit(C, *dom.grids())
+        pos = mb.orbit_surface(C, dom).position(*dom.axes())
+        assert orb.valid.all()
+        assert np.max(np.abs(orb.chart_points - pos)) <= 1e-14 * np.max(np.abs(pos))
+
     def test_torus_regime_isoparametric(self):
         surf = mb.orbit_surface(0.0)
         d = srf.principal_curvatures(surf, *surf.domain.mesh())
