@@ -169,34 +169,35 @@ def cmd_orbit(args, cfg):
     nu, nv = parse_grid(args.grid, cfg)
     tols = tolerances(args, cfg)
     span = args.span
-    s_grid = np.linspace(-span, span, nu)
-    t_grid = np.linspace(-span, span, nv)
-    orb = mb.hc_orbit(args.C, s_grid, t_grid)
-    valid = orb.valid.copy()
+    regime, pts3, flags, checks = _orbit_points(args.C, np.linspace(-span, span, nu),
+                                                np.linspace(-span, span, nv))
+    mesh = grid_mesh(pts3, flags=flags)
+    out = _out_path(args.out)
+    write_obj(mesh, out)
+    rep = make_report("orbit", {"C": args.C, "regime": regime, "grid": f"{nu}x{nv}", "span": span},
+                      checks, tols)
+    rep["mesh"] = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
+    write_report(rep, _report_path(out))
+    print(f"wrote {out} (regime: {regime})")
+    return 0
+
+
+def _orbit_points(C, s_grid, t_grid):
+    """The h_C orbit's regime, its points in R^3, their vertex flags and its
+    checks; the OrbitResult is freed on return, before the mesh is built."""
+    orb = mb.hc_orbit(C, s_grid, t_grid)
+    flags = ~orb.valid
+    null_cone = np.max(np.abs(inner(orb.points_delta, orb.points_delta, MOEB)))
+    checks = [check("chart_failures", float(np.sum(flags)), 1),
+              check("null_cone", float(null_cone), 1e-10)]
     if orb.regime == "torus":
         pts3, pole = stereo_off_pole(orb.chart_points)
-        valid &= ~pole
+        flags |= pole
     elif orb.regime == "cylinder":
         pts3 = orb.chart_points
     else:
         pts3 = hyp_stereo(orb.chart_points)
-    mesh = grid_mesh(pts3, flags=~valid)
-    out = _out_path(args.out)
-    write_obj(mesh, out)
-    null_cone = np.max(np.abs(inner(orb.points_delta, orb.points_delta, MOEB)))
-    checks = [
-        check("chart_failures", float(np.sum(~orb.valid)), 1),
-        check("null_cone", float(null_cone), 1e-10),
-    ]
-    rep = make_report(
-        "orbit",
-        {"C": args.C, "regime": orb.regime, "grid": f"{nu}x{nv}", "span": span},
-        checks, tols,
-    )
-    rep["mesh"] = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
-    write_report(rep, _report_path(out))
-    print(f"wrote {out} (regime: {orb.regime})")
-    return 0
+    return orb.regime, pts3, flags, checks
 
 
 def cmd_fig7(args, cfg):
@@ -204,9 +205,7 @@ def cmd_fig7(args, cfg):
         raise GeometryError(f"--t must be finite, got {args.t}")
     nu, nv = parse_grid(args.grid, cfg) if args.grid else (33, 33)
     tols = tolerances(args, cfg)
-    s_grid = np.linspace(-4.0, 4.0, nu)
-    t_grid = np.linspace(-4.0, 4.0, nv)
-    out_data = ls.fig7_pipeline(args.t, s_grid, t_grid)
+    out_data = ls.fig7_pipeline(args.t, np.linspace(-4.0, 4.0, nu), np.linspace(-4.0, 4.0, nv))
     mesh = grid_mesh(out_data["points"], flags=out_data["singular_mask"])
     out = _out_path(args.out)
     write_obj(mesh, out)

@@ -10,7 +10,7 @@ with length 1 along an axis they do not vary along; pullback_mc's are full."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,22 +145,24 @@ class FrameField:
     def membership_residual(self):
         return self.handle().membership_residual(self.mats)
 
-    def left_translated(self, g):
-        return replace(self, mats=g @ self.mats)
-
 
 def orbit_frame(group, M, X, Y, domain):
     """The frame field T = M e^{uX} e^{vY} on domain.grids(), one mat_exp per
     generator over that generator's own grid axis, with its Maurer-Cartan form
     omega_u = e^{-vY} X e^{vY}, omega_v = Y.  That form depends on v only, and
     not on M, so it is kept per v, shape (2, 1, nv, n, n)."""
+    A, B, omega = _orbit_factors(group, M, X, Y, domain)
+    return FrameField(group, A[:, None] @ B, domain, omega)
+
+
+def _orbit_factors(group, M, X, Y, domain):
+    """orbit_frame's factors A = M e^{uX} per u sample and B = e^{vY} per v
+    sample, so T = A[:, None] @ B, and its form omega."""
     u, v = domain.grids()
     A = M @ mat_exp(u[:, None, None] * X)
     B = mat_exp(v[:, None, None] * Y)
-    T = A[:, None] @ B
     omega_u = GROUPS[group].inverse(B) @ X @ B
-    omega = np.stack([omega_u, np.broadcast_to(Y, omega_u.shape)])[:, None]
-    return FrameField(group, T, domain, omega)
+    return A, B, np.stack([omega_u, np.broadcast_to(Y, omega_u.shape)])[:, None]
 
 
 @dataclass

@@ -16,9 +16,9 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
-from .frames import (ORDER_TOL, FrameOrderError, coframe_solve, exterior_d,
-                     grid_differential, orbit_frame, pencil, pencil_roots,
-                     pullback_mc, wedge)
+from .frames import (ORDER_TOL, FrameField, FrameOrderError, MCForm, _orbit_factors,
+                     coframe_solve, exterior_d, grid_differential, orbit_frame, pencil,
+                     pencil_roots, pullback_mc, wedge)
 from .surfaces import ParamDomain, propagate_sign
 
 
@@ -349,19 +349,29 @@ def coset_orbit(A, s_grid, t_grid):
     reproduces the homogeneous example (spherical projection a great circle)
     and boosts produce the singular surfaces of revolution.
     """
-    domain = ParamDomain(
-        (float(s_grid[0]), float(s_grid[-1])),
-        (float(t_grid[0]), float(t_grid[-1])),
-        len(s_grid), len(t_grid), periodic_u=False, periodic_v=False,
-    )
+    return _coset_line(A, s_grid, t_grid, frame=True)
+
+
+def _coset_line(A, s_grid, t_grid, frame):
+    """coset_orbit's (lm, ff), from orbit_frame's factors A(s) = A M e^{s X_theta2}
+    and B(t) = e^{t X_theta3} and its omega per t (M the base frame).  Without
+    ``frame``, ff is the frame's MCForm and lm holds only S0 and S1, from the
+    first two frame columns A(s) B(t)[:, :2]: all that fig7 reads."""
+    domain = ParamDomain((float(s_grid[0]), float(s_grid[-1])),
+                         (float(t_grid[0]), float(t_grid[-1])),
+                         len(s_grid), len(t_grid), periodic_u=False, periodic_v=False)
     u, v = domain.grids()
     if not (np.allclose(u, s_grid) and np.allclose(v, t_grid)):
         raise GeometryError("coset orbit grids must be uniformly spaced")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
         M = np.asarray(A, dtype=float) @ example_base_frame()
-        ff = orbit_frame("lie", M, *slice_generators(), domain)
-        lm = frame_line(ff)
-    if not all(np.isfinite(F).all() for F in (ff.mats, ff.omega, lm.S0, lm.S1, lm.dS0, lm.dS1)):
+        Au, B, omega = _orbit_factors("lie", M, *slice_generators(), domain)
+        T = Au[:, None] @ (B if frame else np.ascontiguousarray(B[..., :2]))
+        ff = FrameField("lie", T, domain, omega) if frame else MCForm("lie", omega, domain)
+        # the two columns in epsilon coordinates, as frame_line takes them
+        lm = frame_line(ff) if frame else LegendreMap(*np.moveaxis(T, -1, 0) @ mt.P_LAMBDA.T, domain)
+    if not all(np.isfinite(F).all() for F in (T, omega, lm.S0, lm.S1, lm.dS0, lm.dS1)
+               if F is not None):
         raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
     _check_line_immersion(ff)
     return lm, ff
@@ -384,7 +394,7 @@ def _check_line_immersion(ff):
     times the largest (or 1)."""
     svals = line_motion_svals(ff)
     dependent = np.broadcast_to(svals[..., 1] < 1e-8 * max(float(np.max(svals)), 1.0),
-                                ff.mats.shape[:2])
+                                (ff.domain.nu, ff.domain.nv))
     if dependent.any():
         nu, nv = dependent.shape
         raise GeometryError(
@@ -427,11 +437,9 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None):
     which f changes sign are flagged singular, as are the pole and points off
     the chart.  A boost whose projection has a relative rounding bound above
     PROJECTION_TOL is rejected (see projection_precision)."""
-    if s_grid is None:
-        s_grid = np.linspace(-4.0, 4.0, 33)
-    if t_grid is None:
-        t_grid = np.linspace(-4.0, 4.0, 33)
-    lm, ff = coset_orbit(boost(boost_t), s_grid, t_grid)
+    grid = np.linspace(-4.0, 4.0, 33)
+    s_grid, t_grid = (grid if g is None else g for g in (s_grid, t_grid))
+    lm, ff = _coset_line(boost(boost_t), s_grid, t_grid, frame=False)
     bound = projection_precision(lm.S0, lm.S1)
     check_projection_precision(bound)
     x, on_chart = sf.moebius_chart(spherical_projection(lm.S0, lm.S1), "sphere")

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import metrics as mt
 from . import spaceforms as sf
+from .export import BLOCK
 from .metrics import GeometryError, inner
 from .frames import (ORDER_TOL, FrameField, FrameOrderError, coframe_solve,
                      grid_differential, pencil, pencil_roots, pullback_mc, wedge)
@@ -316,18 +317,26 @@ def _hc_lift(C):
 def hc_orbit(C, s_grid, t_grid):
     """Orbit base exp(s X1) exp(t X2) [delta0] of the h_C subgroup in the chart of
     C's regime; chart failures are flagged, not fatal, and placed at the chart's
-    origin.  Raises GeometryError if the orbit overflows on the grid."""
+    origin.  The grid is filled in slabs of whole s-rows of at most
+    export.BLOCK points, so only the results grow with it.  Raises
+    GeometryError if the orbit overflows on the grid."""
     _, form, factors = _hc_lift(C)  # first: it rejects a |C| too large for a hyperboloid
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
         A, W = factors(s_grid, t_grid)
-        q = W[..., 0] @ np.swapaxes(A, -1, -2)  # q[s, t] = A[s] w0[t]
-    if not np.isfinite(q).all():
-        span = max(np.max(np.abs(s_grid)), np.max(np.abs(t_grid)))
-        raise GeometryError(f"C = {C:g}, span = {span:g}: the h_C orbit overflows; "
-                            "use a smaller |C| or span")
-    chart, valid = sf.moebius_chart(q, form)  # the chart is projective: q needs no scaling
+    nu, nv = len(A), len(W)
+    rows = max(1, BLOCK // nv)
+    chart = np.empty((nu, nv, 3 if form == "euclidean" else 4))
+    valid, pts = np.empty((nu, nv), dtype=bool), np.empty((nu, nv, 5))
+    for r in range(0, nu, rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = W[..., 0] @ np.swapaxes(A[r:r + rows], -1, -2)  # q[s, t] = A[s] w0[t]
+        if not np.isfinite(q).all():
+            span = max(np.max(np.abs(s_grid)), np.max(np.abs(t_grid)))
+            raise GeometryError(f"C = {C:g}, span = {span:g}: the h_C orbit overflows; "
+                                "use a smaller |C| or span")
+        chart[r:r + rows], valid[r:r + rows] = sf.moebius_chart(q, form)  # q needs no scaling
+        pts[r:r + rows] = mt.projective_normalize(mt.change_basis(q, 5, "epsilon", "delta"))
     chart[~valid] = 0.0 if form == "euclidean" else np.eye(4)[3]
-    pts = mt.projective_normalize(mt.change_basis(q, 5, "epsilon", "delta"))
     return OrbitResult(C, hc_regime(C), pts, chart, valid)
 
 

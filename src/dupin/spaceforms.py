@@ -42,12 +42,13 @@ def stereo(x):
 
 def stereo_off_pole(x):
     """stereo on every point but those within POLE_TOL of the pole, which go to
-    the origin; returns (image, pole mask)."""
+    the origin; returns (image, pole mask).  x is copied only if it has a pole."""
     x = np.asarray(x, dtype=float)
     pole = np.abs(1.0 + x[..., 0]) < POLE_TOL
-    safe = x.copy()
-    safe[pole] = np.eye(4)[0]
-    return stereo(safe), pole
+    if pole.any():
+        x = x.copy()
+        x[pole] = np.eye(4)[0]
+    return stereo(x), pole
 
 
 def stereo_inv(y):

@@ -81,13 +81,6 @@ class ParamDomain:
         span = self.v_range[1] - self.v_range[0]
         return span / self.nv if self.periodic_v else span / (self.nv - 1)
 
-    def shifted(self, su, sv):
-        return ParamDomain(
-            (self.u_range[0] + su, self.u_range[1] + su),
-            (self.v_range[0] + sv, self.v_range[1] + sv),
-            self.nu, self.nv, self.periodic_u, self.periodic_v,
-        )
-
 
 class Jet(NamedTuple):
     """Position and its partials up to third order at (u, v), each (..., dim)."""

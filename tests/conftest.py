@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,6 +18,17 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1] - base, out
     finally:
         tracemalloc.stop()
+
+
+def left_translated(ff, g):
+    """The frame field g ff, carrying ff's form (omega is left-invariant)."""
+    return replace(ff, mats=g @ ff.mats)
+
+
+def shifted_domain(domain, su, sv):
+    """domain with its u range moved by su and its v range by sv."""
+    return replace(domain, u_range=(domain.u_range[0] + su, domain.u_range[1] + su),
+                   v_range=(domain.v_range[0] + sv, domain.v_range[1] + sv))
 
 
 def read_obj(path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dupin
+from dupin import export as ex
 from dupin import frames as fr
 from dupin import liesphere as ls
 from dupin import metrics as mt
@@ -112,6 +113,32 @@ class TestAgainstPerPointFormula:
         ref = mt.projective_normalize(ref)
         assert np.max(np.abs(orb.points_delta - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("shape", [(256, 256), (300, 100)])
+    @pytest.mark.parametrize("C", [0.45, 1.0, -1.0, -2.5])
+    def test_hc_orbit_slabs_bitwise(self, C, shape):
+        # hc_orbit's slabs of whole s-rows (several, the last one partial at
+        # 300 x 100) give the whole-grid formulas bit for bit
+        s, t = (np.linspace(-1.0, 1.0, n) for n in shape)
+        assert shape[0] > ex.BLOCK // shape[1]
+        orb = mb.hc_orbit(C, s, t)
+        _, form, factors = mb._hc_lift(C)
+        A, W = factors(s, t)
+        q = W[..., 0] @ np.swapaxes(A, -1, -2)
+        chart, valid = sf.moebius_chart(q, form)
+        chart[~valid] = 0.0 if form == "euclidean" else np.eye(4)[3]
+        pts = mt.projective_normalize(mt.change_basis(q, 5, "epsilon", "delta"))
+        assert np.array_equal(orb.chart_points, chart)
+        assert np.array_equal(orb.valid, valid)
+        assert np.array_equal(orb.points_delta, pts)
+
+    @pytest.mark.filterwarnings("error")
+    def test_hc_orbit_overflow_in_a_late_slab(self):
+        # the first slabs are finite; a later one overflows and is rejected
+        s, t = np.linspace(0.0, 700.0, 300), np.linspace(-1.0, 1.0, 100)
+        mb.hc_orbit(2.5, s[:ex.BLOCK // len(t)], t)
+        with pytest.raises(mt.GeometryError, match="overflows"):
+            mb.hc_orbit(2.5, s, t)
+
     @pytest.mark.parametrize("rows_first", [True, False])
     def test_integrate_bitwise(self, rows_first):
         mc, base = flat_so4_form()
@@ -166,6 +193,10 @@ class TestNoPerPointLoops:
     def test_coset_orbit_two_calls(self, exp_calls):
         ls.coset_orbit(ls.boost(1.0), S_GRID, T_GRID)
         assert len(exp_calls) == 2
+
+    def test_fig7_line_two_calls(self, exp_calls):
+        ls.fig7_pipeline(1.0, S_GRID, T_GRID)
+        assert exp_calls == [(7, 6, 6), (5, 6, 6)]
 
     def test_example_frame_two_calls(self, exp_calls):
         ls.example_frame(ParamDomain(nu=8, nv=6))

@@ -384,6 +384,16 @@ class TestExportMemory:
         assert peak <= 1.5 * mesh.faces.nbytes
 
 
+class TestOrbitMemory:
+    def test_orbit_cli_traced_peak(self, tmp_path):
+        # hc_orbit fills its grid in slabs, and the OrbitResult is freed before
+        # the mesh is built: 10.8 MiB at 256 x 256 with whole-grid arrays
+        argv = ["orbit", "--C", "0.5", "--grid", "256x256", "--out", str(tmp_path / "o.obj")]
+        peak, rc = traced_peak(main, argv)
+        assert rc == 0
+        assert peak <= 7.5 * 2**20
+
+
 class TestAtomicWrite:
     @staticmethod
     def fail_replace(src, dst):

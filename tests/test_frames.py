@@ -13,7 +13,7 @@ from dupin import moebius as mb
 from dupin import spaceforms as sf
 from dupin.surfaces import ParamDomain
 
-from conftest import traced_peak
+from conftest import left_translated, traced_peak
 
 RNG = np.random.default_rng(99)
 
@@ -296,7 +296,7 @@ class TestCongruence:
         dom = ParamDomain(nu=24, nv=6)
         ff = exp_field(X, np.zeros((3, 3)), dom, "so3")
         g0 = mt.mat_exp(0.37 * so3_generator() + mt.algebra_project(RNG.normal(size=(3, 3)), mt.R3))
-        out = fr.congruence_test(ff, ff.left_translated(g0))
+        out = fr.congruence_test(ff, left_translated(ff, g0))
         assert out["congruent"]
         assert np.max(np.abs(out["g"] - g0)) < 1e-10
 
@@ -438,7 +438,7 @@ def round_trip_field(rng):
     Y[1, 2], Y[2, 1] = -0.4, 0.4
     dom = ParamDomain((0, 1.5), (0, 1.1), 24, 18, False, False)
     g0 = mt.mat_exp(mt.algebra_project(rng.normal(size=(3, 3)), mt.R3))
-    return exp_field(X, Y, dom, "so3").left_translated(g0)
+    return left_translated(exp_field(X, Y, dom, "so3"), g0)
 
 
 def materialised(mc):
@@ -528,7 +528,7 @@ class TestLeftInvariance:
         ff = srf.euclidean_best_frame(fig1)
         g = mt.e3_matrix([1.0, -2.0, 0.5], mt.mat_exp(mt.algebra_project(RNG.normal(size=(3, 3)), mt.R3)))
         mc1 = fr.pullback_mc(ff)
-        mc2 = fr.pullback_mc(ff.left_translated(g))
+        mc2 = fr.pullback_mc(left_translated(ff, g))
         assert np.max(np.abs(mc1.omega[0] - mc2.omega[0])) < 1e-9
         assert np.max(np.abs(mc1.omega[1] - mc2.omega[1])) < 1e-9
 
@@ -541,7 +541,7 @@ class TestLeftInvariance:
         ff = fr.orbit_frame("lie", M, X, Y, d)
         assert ff.omega.shape == (2, 1, 5, 6, 6)
         assert np.max(np.abs(fr.pullback_mc(ff).omega - ff.omega)) < 1e-12
-        assert ff.left_translated(M).omega is ff.omega
+        assert left_translated(ff, M).omega is ff.omega
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["open", "periodic_u"])
@@ -674,7 +674,7 @@ class TestFrameMemory:
 
     def test_congruence_test(self, cylinder128):
         _, _, ff = cylinder128
-        other = ff.left_translated(mt.e3_matrix([1.0, 2.0, 3.0], np.eye(3)))
+        other = left_translated(ff, mt.e3_matrix([1.0, 2.0, 3.0], np.eye(3)))
         peak, _ = traced_peak(fr.congruence_test, ff, other)
         assert peak <= 2 * ff.mats.nbytes + SLACK
 

@@ -17,6 +17,8 @@ from dupin.frames import (pullback_mc, FrameField, grid_differential, orbit_fram
                           pencil_roots)
 from dupin.surfaces import ParamDomain
 
+from conftest import left_translated, traced_peak
+
 RNG = np.random.default_rng(4242)
 
 
@@ -319,11 +321,11 @@ class TestBestLieFrame:
         ff = ls.example_frame()
         A = ls.boost(0.8)
         mc1 = pullback_mc(ff)
-        mc2 = pullback_mc(ff.left_translated(A))
+        mc2 = pullback_mc(left_translated(ff, A))
         assert np.max(np.abs(mc1.omega[0] - mc2.omega[0])) < 1e-9
         assert np.max(np.abs(mc1.omega[1] - mc2.omega[1])) < 1e-9
         _, res1 = ls.best_lie_frame_check(ff)
-        _, res2 = ls.best_lie_frame_check(ff.left_translated(A))
+        _, res2 = ls.best_lie_frame_check(left_translated(ff, A))
         for k in ("order1", "order2", "order3", "contact"):
             assert abs(res1[k] - res2[k]) < 1e-9
 
@@ -544,6 +546,26 @@ class TestCosetOrbit:
         for F in (ff.mats, ff.omega, lm.S0, lm.S1, lm.dS0, lm.dS1):
             assert np.isfinite(F).all()
 
+    @pytest.mark.parametrize("n", [9, 33, 129])
+    @pytest.mark.parametrize("A", [np.eye(6), ls.boost(0.0), ls.boost(1.0), ls.boost(5.0)],
+                             ids=["identity", "t0", "t1", "t5"])
+    def test_line_path_bitwise(self, A, n):
+        # fig7's line path, S = A(s) B(t)[:, :2], gives coset_orbit's S0 and S1
+        # bit for bit, and the same form, without the 6x6 frame grid
+        s = np.linspace(-4.0, 4.0, n)
+        lm, ff = ls.coset_orbit(A, s, s)
+        line, mc = ls._coset_line(A, s, s, frame=False)
+        assert np.array_equal(line.S0, lm.S0) and np.array_equal(line.S1, lm.S1)
+        assert np.array_equal(mc.omega, ff.omega)
+        assert line.dS0 is None and line.dS1 is None
+
+    def test_fig7_traced_peak(self):
+        # fig7 holds the line, not the frame grid: 12.6 MiB at 129 x 129 with it
+        grid = np.linspace(-4.0, 4.0, 129)
+        peak, out = traced_peak(ls.fig7_pipeline, 1.1, grid, grid)
+        assert not out["degenerate"]
+        assert peak <= 6 * 2**20
+
     def test_orbit_lines_valid(self):
         s = np.linspace(-2, 2, 15)
         lm, _ = ls.coset_orbit(ls.boost(1.0), s, s)
@@ -564,17 +586,17 @@ class TestCosetOrbit:
         # at t = 0 every point sphere is a curvature sphere: a0 = <S0, eps5>
         # is round-off.  Relative noise of 1e-16 in the representatives S0 and
         # S1, which the pencil determinant reads, must not change the verdict
-        real = ls.coset_orbit
+        real = ls._coset_line
         rng = np.random.default_rng(7)
         noisy = lambda S: S + 1e-16 * np.abs(S).max(axis=-1, keepdims=True) * rng.standard_normal(S.shape)
         seen = []
 
-        def perturbed(A, s_grid, t_grid):
-            lm, ff = real(A, s_grid, t_grid)
+        def perturbed(A, s_grid, t_grid, frame):
+            lm, ff = real(A, s_grid, t_grid, frame)
             seen.append((lm, replace(lm, S0=noisy(lm.S0), S1=noisy(lm.S1))))
             return seen[-1][1], ff
 
-        monkeypatch.setattr(ls, "coset_orbit", perturbed)
+        monkeypatch.setattr(ls, "_coset_line", perturbed)
         grid = np.linspace(-4.0, 4.0, n)
         out = ls.fig7_pipeline(0.0, grid, grid)
         assert out["degenerate"] and out["singular_count"] == out["grid_size"]

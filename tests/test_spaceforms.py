@@ -92,6 +92,20 @@ class TestStereo:
         with pytest.raises(sf.PoleError):
             sf.stereo(np.array([-1.0, 0, 0, 0]))
 
+    def test_off_pole_matches_stereo(self):
+        # pole points go to stereo(eps0), the origin; the rest are stereo's
+        # values bit for bit; the input is left as it is
+        x = random_sphere_points(200)
+        x[::7] = [-1.0, 0.0, 0.0, 0.0]
+        x[3] = [-1.0 + 1e-10, 1e-5, 0.0, 0.0]
+        before = x.copy()
+        y, pole = sf.stereo_off_pole(x)
+        ref = x.copy()
+        ref[np.abs(1.0 + x[:, 0]) < sf.POLE_TOL] = [1.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(pole, np.abs(1.0 + x[:, 0]) < sf.POLE_TOL) and pole[3]
+        assert np.array_equal(y, sf.stereo(ref))
+        assert np.array_equal(x, before)
+
     def test_inverse_lands_on_sphere(self):
         y = random_ball_points(200, rmax=5.0)
         _check_sphere_point(sf.stereo_inv(y))

@@ -17,7 +17,7 @@ from dupin import surfaces as srf
 from dupin.moebius import canonical_best_frame, orbit_surface
 from dupin.surfaces import ParamDomain
 
-from conftest import fd_jet, traced_peak
+from conftest import fd_jet, shifted_domain, traced_peak
 
 
 class TestCatalog:
@@ -312,7 +312,7 @@ class TestClassify:
 
     def test_reparametrization_invariance(self):
         base = srf.torus(np.pi / 5)
-        shifted = srf.torus(np.pi / 5, base.domain.shifted(0.31, 0.77))
+        shifted = srf.torus(np.pi / 5, shifted_domain(base.domain, 0.31, 0.77))
         out1 = srf.classify(base)
         out2 = srf.classify(shifted)
         assert out1["isoparametric"] == out2["isoparametric"]
