@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -132,7 +133,9 @@ def cmd_gen(args, cfg):
         raise GeometryError("spherical mesh needs --project stereo for 3d output")
     if s.form == "hyperbolic":
         raise GeometryError("hyperbolic mesh needs --project hyp_stereo for 3d output")
-    cls = srf.classify(s)
+    with warnings.catch_warnings():  # the whole-grid umbilic case is the error below
+        warnings.filterwarnings("ignore", "surface is umbilic on the whole grid")
+        cls = srf.classify(s)
     if cls["dupin"] is None:
         raise GeometryError(f"the {args.surface} is umbilic on every grid point, "
                             "so its Dupin test is undefined")

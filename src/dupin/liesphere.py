@@ -16,9 +16,9 @@ import numpy as np
 from . import metrics as mt
 from . import spaceforms as sf
 from .metrics import GeometryError, inner
-from .frames import (ORDER_TOL, FrameField, FrameOrderError, MCForm, _orbit_factors,
-                     coframe_solve, exterior_d, grid_differential, orbit_frame, pencil,
-                     pencil_roots, pullback_mc, wedge)
+from .frames import (ORDER_TOL, FrameOrderError, MCForm, _orbit_factors, coframe_solve,
+                     exterior_d, grid_differential, orbit_frame, pencil, pencil_roots,
+                     pullback_mc, wedge)
 from .surfaces import ParamDomain, propagate_sign
 
 
@@ -84,35 +84,27 @@ def make_line(S0, S1):
 
 
 def _point_sphere(S0, S1):
-    """(a0, a1, sigma) with a_i = <S_i, eps5> and sigma = a1 S0 - a0 S1, the
-    combination orthogonal to eps5."""
-    S0 = np.asarray(S0, dtype=float)
-    S1 = np.asarray(S1, dtype=float)
-    a0 = inner(S0, np.eye(6)[5], mt.R42)
-    a1 = inner(S1, np.eye(6)[5], mt.R42)
-    return a0, a1, a1[..., None] * S0 - a0[..., None] * S1
+    """(a0, a1) with a_i = <S_i, eps5>: sigma = a1 S0 - a0 S1 is the
+    combination of the line orthogonal to eps5."""
+    return inner(S0, np.eye(6)[5], mt.R42), inner(S1, np.eye(6)[5], mt.R42)
 
 
 def spherical_projection(S0, S1):
-    """The unique point sphere on each line: the combination orthogonal to eps5,
-    returned as an R^{4,1} representative.  Vectorized over grids."""
-    a0, a1, w = _point_sphere(S0, S1)
+    """(sigma, bound): the unique point sphere on each line, the combination
+    orthogonal to eps5, as an R^{4,1} representative, vectorized over grids;
+    and the relative rounding bound of sigma over the grid, eps * kappa
+    maximised, with kappa = (|a1| |S0| + |a0| |S1|) / |sigma| the condition
+    number of the cancellation in sigma = a1 S0 - a0 S1.  The bound is NaN or
+    inf when the representatives overflow."""
+    norm = lambda x: np.linalg.norm(x, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a0, a1 = _point_sphere(S0, S1)
+        w = (a1[..., None] * S0 - a0[..., None] * S1)[..., :5]
+        kappa = (np.abs(a1) * norm(S0) + np.abs(a0) * norm(S1)) / norm(w)
     scale = np.maximum(np.abs(a0), np.abs(a1))
     if np.any(scale < 1e-12 * np.maximum(np.max(np.abs(S0), axis=-1), 1.0)):
         raise DegenerateLineError("line lies inside Moebius space (data error)")
-    return w[..., :5]
-
-
-def projection_precision(S0, S1):
-    """Relative rounding bound of spherical_projection over a grid: eps * kappa,
-    maximised, with kappa = (|a1| |S0| + |a0| |S1|) / |sigma| the condition
-    number of the cancellation in sigma = a1 S0 - a0 S1.  NaN or inf when the
-    representatives overflow."""
-    norm = lambda x: np.linalg.norm(x, axis=-1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a0, a1, w = _point_sphere(S0, S1)
-        kappa = (np.abs(a1) * norm(S0) + np.abs(a0) * norm(S1)) / norm(w[..., :5])
-        return float(np.finfo(float).eps * np.max(kappa))
+    return w, float(np.finfo(float).eps * np.max(kappa))
 
 
 def check_projection_precision(bound):
@@ -217,8 +209,7 @@ def sigma_rank_report(lm):
     """Singular values of the differential of sigma composed with the map;
     the second singular value vanishes where the projection is singular
     ("singular_everywhere": below 1e-10 on the whole grid)."""
-    sig = spherical_projection(lm.S0, lm.S1)
-    sig = _smooth_normalize(sig)
+    sig = _smooth_normalize(spherical_projection(lm.S0, lm.S1)[0])
     d = lm.domain
     J = np.moveaxis(grid_differential(sig, d), 0, -1)
     svals = np.linalg.svd(J, compute_uv=False)
@@ -342,21 +333,16 @@ def example_base_frame():
 
 
 def coset_orbit(A, s_grid, t_grid):
-    """Legendre map of the coset A * (base frame) * exp(s X_theta2) exp(t X_theta3)
-    through the line of the first two frame columns, on uniform grids.
+    """(lm, mc): the Legendre map of the coset A M exp(s X_theta2) exp(t X_theta3)
+    (M the base frame) through the line of its first two frame columns, on
+    uniform grids, and the frame's Maurer-Cartan form, omega per t.
 
     The base frame right-translates the exponential slice so that A = identity
     reproduces the homogeneous example (spherical projection a great circle)
-    and boosts produce the singular surfaces of revolution.
+    and boosts produce the singular surfaces of revolution.  The line is
+    A(s) B(t)[:, :2] from orbit_frame's factors, with no dS0, dS1 and no frame
+    grid; the frame is orbit_frame("lie", A M, *slice_generators(), lm.domain).
     """
-    return _coset_line(A, s_grid, t_grid, frame=True)
-
-
-def _coset_line(A, s_grid, t_grid, frame):
-    """coset_orbit's (lm, ff), from orbit_frame's factors A(s) = A M e^{s X_theta2}
-    and B(t) = e^{t X_theta3} and its omega per t (M the base frame).  Without
-    ``frame``, ff is the frame's MCForm and lm holds only S0 and S1, from the
-    first two frame columns A(s) B(t)[:, :2]: all that fig7 reads."""
     domain = ParamDomain((float(s_grid[0]), float(s_grid[-1])),
                          (float(t_grid[0]), float(t_grid[-1])),
                          len(s_grid), len(t_grid), periodic_u=False, periodic_v=False)
@@ -366,15 +352,14 @@ def _coset_line(A, s_grid, t_grid, frame):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
         M = np.asarray(A, dtype=float) @ example_base_frame()
         Au, B, omega = _orbit_factors("lie", M, *slice_generators(), domain)
-        T = Au[:, None] @ (B if frame else np.ascontiguousarray(B[..., :2]))
-        ff = FrameField("lie", T, domain, omega) if frame else MCForm("lie", omega, domain)
+        T = Au[:, None] @ np.ascontiguousarray(B[..., :2])
         # the two columns in epsilon coordinates, as frame_line takes them
-        lm = frame_line(ff) if frame else LegendreMap(*np.moveaxis(T, -1, 0) @ mt.P_LAMBDA.T, domain)
-    if not all(np.isfinite(F).all() for F in (T, omega, lm.S0, lm.S1, lm.dS0, lm.dS1)
-               if F is not None):
+        lm = LegendreMap(*np.moveaxis(T, -1, 0) @ mt.P_LAMBDA.T, domain)
+    if not all(np.isfinite(F).all() for F in (T, omega, lm.S0, lm.S1)):
         raise GeometryError("coset orbit is not finite on this grid; use a smaller boost")
-    _check_line_immersion(ff)
-    return lm, ff
+    mc = MCForm("lie", omega, domain)
+    _check_line_immersion(mc)
+    return lm, mc
 
 
 def line_motion_svals(ff):
@@ -403,14 +388,14 @@ def _check_line_immersion(ff):
         )
 
 
-def pencil_determinant(lm, ff):
+def pencil_determinant(lm, mc):
     """(f, bound) over the grid: f = det(a1 omega^{2..3}_0 - a0 omega^{2..3}_1)
     is the du^dv coefficient of the motion of sigma = a1 S0 - a0 S1 modulo the
     line, zero exactly where the point sphere sigma is a curvature sphere;
     bound is PENCIL_ROUNDING times the first-order change of f when each a_i
     moves by |S_i|, the scale of the rounding of a_i = <S_i, eps5>."""
-    a0, a1, _ = _point_sphere(lm.S0, lm.S1)
-    A, B = ff.omega[..., 2:4, 0], ff.omega[..., 2:4, 1]       # 1-forms (2, ..., 2)
+    a0, a1 = _point_sphere(lm.S0, lm.S1)
+    A, B = mc.omega[..., 2:4, 0], mc.omega[..., 2:4, 1]       # 1-forms (2, ..., 2)
     M = a1[..., None] * A - a0[..., None] * B
     (f, dA, _), (_, dB, _) = pencil(M, A), pencil(M, B)  # f, and its a1 and -a0 slopes
     norm = lambda S: np.linalg.norm(S, axis=-1)
@@ -436,15 +421,16 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None):
     f is zero to rounding and the nearer endpoint of each grid edge across
     which f changes sign are flagged singular, as are the pole and points off
     the chart.  A boost whose projection has a relative rounding bound above
-    PROJECTION_TOL is rejected (see projection_precision)."""
+    PROJECTION_TOL is rejected (see spherical_projection)."""
     grid = np.linspace(-4.0, 4.0, 33)
     s_grid, t_grid = (grid if g is None else g for g in (s_grid, t_grid))
-    lm, ff = _coset_line(boost(boost_t), s_grid, t_grid, frame=False)
-    bound = projection_precision(lm.S0, lm.S1)
+    lm, mc = coset_orbit(boost(boost_t), s_grid, t_grid)
+    sigma, bound = spherical_projection(lm.S0, lm.S1)
     check_projection_precision(bound)
-    x, on_chart = sf.moebius_chart(spherical_projection(lm.S0, lm.S1), "sphere")
+    x, on_chart = sf.moebius_chart(sigma, "sphere")
+    del sigma
     y, pole = sf.stereo_off_pole(x)
-    f, f_bound = pencil_determinant(lm, ff)
+    f, f_bound = pencil_determinant(lm, mc)
     singular = (np.abs(f) <= f_bound) | _sign_change_nodes(f) | pole | ~on_chart
     degenerate = bool(np.mean(singular) > DEGENERATE_FRACTION)
     return {

@@ -412,31 +412,6 @@ def hyperboloid(a, domain=None):
                     (_hyperbola_derivatives, 1.0 / b, -(a / b), a))
 
 
-def sphere_patch(radius=1.0, domain=None):
-    """Round sphere patch in R^3 (totally umbilic test case)."""
-    R = float(radius)
-    domain = domain or ParamDomain(
-        u_range=(-1.2, 1.2), v_range=(-1.2, 1.2),
-        periodic_u=False, periodic_v=False,
-    )
-
-    pos = lambda u, v: _stack(
-        R * np.cos(u) * np.cos(v), R * np.sin(u) * np.cos(v), R * np.sin(v)
-    )
-
-    def jet(u, v):
-        # d_u^i d_v^j of R (cos u cos v, sin u cos v, sin v)
-        cu, cv = _circle_derivatives(u), _circle_derivatives(v)
-        J = _jet_planes(u, v, 3)
-        for k, (i, j) in enumerate(_ORDERS):
-            J[k, 0], J[k, 1] = R * cu[i][0] * cv[j][0], R * cu[i][1] * cv[j][0]
-            J[k, 2] = R * cv[j][1] if i == 0 else 0.0
-        return Jet(*np.moveaxis(J, 1, -1))
-
-    return ParametricSurface("euclidean", pos, domain, name="sphere_patch",
-                             params={"radius": R}, jet=jet)
-
-
 def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
     """Torus of revolution with positions scaled radially by 1 + warp*sin(u):
     a non-Dupin negative control for the residual pipelines."""

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from dupin.surfaces import Jet
+from dupin import liesphere as ls
+from dupin.frames import orbit_frame
+from dupin.surfaces import (_ORDERS, Jet, ParamDomain, ParametricSurface,
+                            _circle_derivatives, _jet_planes, _stack)
 
 
 def traced_peak(fn, *args):
@@ -29,6 +32,42 @@ def shifted_domain(domain, su, sv):
     """domain with its u range moved by su and its v range by sv."""
     return replace(domain, u_range=(domain.u_range[0] + su, domain.u_range[1] + su),
                    v_range=(domain.v_range[0] + sv, domain.v_range[1] + sv))
+
+
+def coset_frame(A, s_grid, t_grid):
+    """The Lie frame field A M e^{s X_theta2} e^{t X_theta3} (M the base frame)
+    whose first two columns are ls.coset_orbit's line, with its form; its
+    frame_line carries the line's analytic dS0 and dS1."""
+    domain = ParamDomain((float(s_grid[0]), float(s_grid[-1])),
+                         (float(t_grid[0]), float(t_grid[-1])),
+                         len(s_grid), len(t_grid), periodic_u=False, periodic_v=False)
+    return orbit_frame("lie", np.asarray(A, dtype=float) @ ls.example_base_frame(),
+                       *ls.slice_generators(), domain)
+
+
+def sphere_patch(radius=1.0, domain=None):
+    """Round sphere patch in R^3 (totally umbilic test case)."""
+    R = float(radius)
+    domain = domain or ParamDomain(
+        u_range=(-1.2, 1.2), v_range=(-1.2, 1.2),
+        periodic_u=False, periodic_v=False,
+    )
+
+    pos = lambda u, v: _stack(
+        R * np.cos(u) * np.cos(v), R * np.sin(u) * np.cos(v), R * np.sin(v)
+    )
+
+    def jet(u, v):
+        # d_u^i d_v^j of R (cos u cos v, sin u cos v, sin v)
+        cu, cv = _circle_derivatives(u), _circle_derivatives(v)
+        J = _jet_planes(u, v, 3)
+        for k, (i, j) in enumerate(_ORDERS):
+            J[k, 0], J[k, 1] = R * cu[i][0] * cv[j][0], R * cu[i][1] * cv[j][0]
+            J[k, 2] = R * cv[j][1] if i == 0 else 0.0
+        return Jet(*np.moveaxis(J, 1, -1))
+
+    return ParametricSurface("euclidean", pos, domain, name="sphere_patch",
+                             params={"radius": R}, jet=jet)
 
 
 def read_obj(path):

@@ -17,6 +17,8 @@ from dupin import moebius as mb
 from dupin import spaceforms as sf
 from dupin.surfaces import ParamDomain
 
+from conftest import coset_frame
+
 S_GRID = np.linspace(-1.0, 1.0, 7)
 T_GRID = np.linspace(-0.8, 1.2, 5)
 DELTA0 = np.eye(5)[0]
@@ -89,7 +91,7 @@ class TestAgainstPerPointFormula:
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_coset_orbit(self, t):
         A = ls.boost(t)
-        _, ff = ls.coset_orbit(A, S_GRID, T_GRID)
+        ff = coset_frame(A, S_GRID, T_GRID)
         X2, X3 = ls.slice_generators()
         M = A @ ls.example_base_frame()
         ref = {k: np.empty_like(ff.mats) for k in ("T", "Tu", "Tv")}

@@ -527,14 +527,15 @@ class TestCLI:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("radius", ["1e9", "1e10"])
-    @pytest.mark.filterwarnings("ignore:surface is umbilic")  # classify's, before the error
+    @pytest.mark.filterwarnings("error")  # classify's umbilic warning is not a second line
     def test_gen_umbilic_on_every_grid_point(self, tmp_path, capsys, radius):
         # the Dupin test is undefined there: exit 2 rather than a NaN report
         out = tmp_path / "c.obj"
         argv = ["gen", "cylinder", "--radius", radius, "--grid", "5x5", "--out", str(out)]
         assert main(argv) == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("error: ") and "umbilic on every grid point" in last
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "umbilic on every grid point" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the chart maps

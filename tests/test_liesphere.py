@@ -17,7 +17,7 @@ from dupin.frames import (pullback_mc, FrameField, grid_differential, orbit_fram
                           pencil_roots)
 from dupin.surfaces import ParamDomain
 
-from conftest import left_translated, traced_peak
+from conftest import coset_frame, left_translated, traced_peak
 
 RNG = np.random.default_rng(4242)
 
@@ -88,7 +88,7 @@ class TestInclusions:
         e3 = srf.surface_normal(srf.torus(np.pi / 4), np.array(0.0), np.array(0.0))
         # any sphere through the point: use a tangent-style vector orthogonal to F
         S = mb.tangent_sphere(x, _unit_orthogonal(x), 1.1)
-        q = ls.spherical_projection(ls.include_point(F), ls.include_sphere(S))
+        q, _ = ls.spherical_projection(ls.include_point(F), ls.include_sphere(S))
         assert np.allclose(mt.projective_normalize(q), mt.projective_normalize(F), atol=1e-10)
 
 
@@ -191,7 +191,7 @@ class TestExampleImmersion:
         assert ls.contact_residual(self.lm) < 1e-10
 
     def test_projection_is_great_circle(self):
-        sig = ls.spherical_projection(self.lm.S0, self.lm.S1)
+        sig, _ = ls.spherical_projection(self.lm.S0, self.lm.S1)
         x, _ = sf.moebius_chart(sig, "sphere")
         # f_+ of the circle cos u eps0 + sin u eps3
         assert np.max(np.abs(x[..., 1])) < 1e-12
@@ -230,7 +230,7 @@ class TestLegendreLift:
 
     def test_projection_recovers_surface(self):
         lm, s = torus_lift()
-        sig = ls.spherical_projection(lm.S0, lm.S1)
+        sig, _ = ls.spherical_projection(lm.S0, lm.S1)
         x, _ = sf.moebius_chart(sig, "sphere")
         U, V = s.domain.mesh()
         assert np.max(np.abs(x - s.position(U, V))) < 1e-10
@@ -463,7 +463,8 @@ class TestCurvatureSphereFields:
 
     @pytest.mark.parametrize("make, tol", [
         (ls.example_lambda, 1e-12),
-        (lambda: ls.coset_orbit(ls.boost(1.0), *2 * [np.linspace(-4.0, 4.0, 33)])[0], 1e-12),
+        (lambda: ls.frame_line(coset_frame(ls.boost(1.0), *2 * [np.linspace(-4.0, 4.0, 33)])),
+         1e-12),
         (lambda: torus_lift()[0], 1e-12),
         (lambda: euclidean_lift("figure1"), 1e-4),
         (lambda: euclidean_lift("warped"), 1e-4),
@@ -519,9 +520,10 @@ def revolution_residual(out):
 class TestCosetOrbit:
     def test_identity_coset_great_circle(self):
         s = np.linspace(-3, 3, 25)
-        lm, ff = ls.coset_orbit(np.eye(6), s, s)
+        lm, _ = ls.coset_orbit(np.eye(6), s, s)
+        ff = coset_frame(np.eye(6), s, s)
         assert ff.membership_residual() < 1e-10
-        assert ls.contact_residual(lm) < 1e-8
+        assert ls.contact_residual(ls.frame_line(ff)) < 1e-8
         rep = ls.sigma_rank_report(lm)
         assert rep["max_second_singular_value"] < 1e-10
 
@@ -535,36 +537,50 @@ class TestCosetOrbit:
                                                 (709.7, 0.01, True)])
     def test_finite_or_rejected(self, t, span, finite):
         # near the overflow edge the orbit either comes back finite in all it
-        # returns (T, omega and the line with its differentials) or is rejected
-        # with a GeometryError and no numpy warning before it
+        # returns (the line and omega) or is rejected with a GeometryError and
+        # no numpy warning before it; a finite orbit's frame T and the line's
+        # differentials are finite too
         s = np.linspace(-span, span, 9)
         if not finite:
             with pytest.raises(mt.GeometryError, match="not finite"):
                 ls.coset_orbit(ls.boost(t), s, s)
             return
-        lm, ff = ls.coset_orbit(ls.boost(t), s, s)
-        for F in (ff.mats, ff.omega, lm.S0, lm.S1, lm.dS0, lm.dS1):
+        lm, mc = ls.coset_orbit(ls.boost(t), s, s)
+        ff = coset_frame(ls.boost(t), s, s)
+        ref = ls.frame_line(ff)
+        for F in (ff.mats, mc.omega, lm.S0, lm.S1, ref.dS0, ref.dS1):
             assert np.isfinite(F).all()
 
     @pytest.mark.parametrize("n", [9, 33, 129])
     @pytest.mark.parametrize("A", [np.eye(6), ls.boost(0.0), ls.boost(1.0), ls.boost(5.0)],
                              ids=["identity", "t0", "t1", "t5"])
     def test_line_path_bitwise(self, A, n):
-        # fig7's line path, S = A(s) B(t)[:, :2], gives coset_orbit's S0 and S1
-        # bit for bit, and the same form, without the 6x6 frame grid
+        # coset_orbit's line, S = A(s) B(t)[:, :2], is the first two columns of
+        # the orbit_frame coset frame bit for bit, with the same form, without
+        # the 6x6 frame grid
         s = np.linspace(-4.0, 4.0, n)
-        lm, ff = ls.coset_orbit(A, s, s)
-        line, mc = ls._coset_line(A, s, s, frame=False)
-        assert np.array_equal(line.S0, lm.S0) and np.array_equal(line.S1, lm.S1)
+        ff = coset_frame(A, s, s)
+        ref = ls.frame_line(ff)
+        line, mc = ls.coset_orbit(A, s, s)
+        assert np.array_equal(line.S0, ref.S0) and np.array_equal(line.S1, ref.S1)
         assert np.array_equal(mc.omega, ff.omega)
         assert line.dS0 is None and line.dS1 is None
 
     def test_fig7_traced_peak(self):
-        # fig7 holds the line, not the frame grid: 12.6 MiB at 129 x 129 with it
+        # fig7 holds the line, not the frame grid, and frees sigma before the
+        # pencil determinant: 4.81 MiB at 129 x 129
         grid = np.linspace(-4.0, 4.0, 129)
         peak, out = traced_peak(ls.fig7_pipeline, 1.1, grid, grid)
         assert not out["degenerate"]
-        assert peak <= 6 * 2**20
+        assert peak <= 4.85 * 2**20
+
+    def test_fig7_calls_coset_orbit_once(self, monkeypatch):
+        # through the module attribute, so a wrapper set there sees fig7's line
+        real, calls = ls.coset_orbit, []
+        monkeypatch.setattr(ls, "coset_orbit", lambda *args: calls.append(args) or real(*args))
+        grid = np.linspace(-4.0, 4.0, 9)
+        ls.fig7_pipeline(1.0, grid, grid)
+        assert len(calls) == 1
 
     def test_orbit_lines_valid(self):
         s = np.linspace(-2, 2, 15)
@@ -586,22 +602,22 @@ class TestCosetOrbit:
         # at t = 0 every point sphere is a curvature sphere: a0 = <S0, eps5>
         # is round-off.  Relative noise of 1e-16 in the representatives S0 and
         # S1, which the pencil determinant reads, must not change the verdict
-        real = ls._coset_line
+        real = ls.coset_orbit
         rng = np.random.default_rng(7)
         noisy = lambda S: S + 1e-16 * np.abs(S).max(axis=-1, keepdims=True) * rng.standard_normal(S.shape)
         seen = []
 
-        def perturbed(A, s_grid, t_grid, frame):
-            lm, ff = real(A, s_grid, t_grid, frame)
+        def perturbed(A, s_grid, t_grid):
+            lm, mc = real(A, s_grid, t_grid)
             seen.append((lm, replace(lm, S0=noisy(lm.S0), S1=noisy(lm.S1))))
-            return seen[-1][1], ff
+            return seen[-1][1], mc
 
-        monkeypatch.setattr(ls, "_coset_line", perturbed)
+        monkeypatch.setattr(ls, "coset_orbit", perturbed)
         grid = np.linspace(-4.0, 4.0, n)
         out = ls.fig7_pipeline(0.0, grid, grid)
         assert out["degenerate"] and out["singular_count"] == out["grid_size"]
         # the noise outweighs a0's own round-off, so the check is not vacuous
-        (a0, *_), (b0, *_) = (ls._point_sphere(lm.S0, lm.S1) for lm in seen[0])
+        (a0, _), (b0, _) = (ls._point_sphere(lm.S0, lm.S1) for lm in seen[0])
         assert np.max(np.abs(b0 - a0)) > np.max(np.abs(a0))
 
     def test_fig7_surface_of_revolution(self):
@@ -614,9 +630,9 @@ class TestCosetOrbit:
                              ids=["identity", "t0", "t1", "t5"])
     def test_line_motion_matches_svd_path(self, A, n):
         s = np.linspace(-4.0, 4.0, n)
-        lm, ff = ls.coset_orbit(A, s, s)
-        ref = svd_path_svals(lm)
-        got = ls.line_motion_svals(ff)
+        _, mc = ls.coset_orbit(A, s, s)
+        ref = svd_path_svals(ls.frame_line(coset_frame(A, s, s)))
+        got = ls.line_motion_svals(mc)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
         # the slice generators are dual to theta^2 and theta^3
         assert np.max(np.abs(got - 1.0)) < 1e-14
@@ -650,9 +666,9 @@ class TestFig7SingularSet:
         # the slice generators are dual to theta^2 and theta^3, so
         # f = -a0 a1 theta^2 ^ theta^3 = -a0 a1 on the boosted coset
         s = np.linspace(-4.0, 4.0, 17)
-        lm, ff = ls.coset_orbit(ls.boost(1.0), s, s)
-        a0, a1, _ = ls._point_sphere(lm.S0, lm.S1)
-        f, bound = ls.pencil_determinant(lm, ff)
+        lm, mc = ls.coset_orbit(ls.boost(1.0), s, s)
+        a0, a1 = ls._point_sphere(lm.S0, lm.S1)
+        f, bound = ls.pencil_determinant(lm, mc)
         assert np.max(np.abs(f + a0 * a1)) <= 1e-15 * np.max(np.abs(a0 * a1))
         assert np.all(bound <= 1e-13 * np.abs(a1))
 
@@ -677,7 +693,7 @@ class TestProjectionPrecision:
     def test_overflowing_representatives(self):
         s = np.linspace(-1.0, 1.0, 5)
         lm, _ = ls.coset_orbit(np.eye(6), s, s)
-        assert not np.isfinite(ls.projection_precision(1e200 * lm.S0, 1e200 * lm.S1))
+        assert not np.isfinite(ls.spherical_projection(1e200 * lm.S0, 1e200 * lm.S1)[1])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [20.0, -20.0, 50.0, 400.0])

@@ -17,7 +17,7 @@ from dupin import surfaces as srf
 from dupin.moebius import canonical_best_frame, orbit_surface
 from dupin.surfaces import ParamDomain
 
-from conftest import fd_jet, shifted_domain, traced_peak
+from conftest import fd_jet, shifted_domain, sphere_patch, traced_peak
 
 
 class TestCatalog:
@@ -192,7 +192,7 @@ class TestCurvatureKernel:
 
 class TestUmbilic:
     def test_round_sphere_umbilic(self):
-        s = srf.sphere_patch(1.0)
+        s = sphere_patch(1.0)
         I, II = srf.fundamental_forms(s, np.array([0.1]), np.array([0.2]))
         # total umbilicity: II proportional to I with the unit-curvature factor
         assert np.allclose(II, I, atol=1e-6)
@@ -202,7 +202,7 @@ class TestUmbilic:
 
     def test_umbilic_blocks_frame(self):
         with pytest.raises(srf.UmbilicError):
-            srf.euclidean_best_frame(srf.sphere_patch(2.0))
+            srf.euclidean_best_frame(sphere_patch(2.0))
 
 
 class TestPushforward:
@@ -249,7 +249,7 @@ class TestPushforward:
     def test_jet_through_the_pole_raises(self):
         # a great 2-sphere in S^3 through -eps0 at (u, v) = (pi, 0): the unit
         # sphere patch with a zero fourth coordinate
-        patch = srf.sphere_patch(1.0)
+        patch = sphere_patch(1.0)
         pad = lambda t: np.concatenate([t, 0 * t[..., :1]], axis=-1)
         pos = lambda u, v: pad(patch.position(u, v))
         jet = lambda u, v: srf.Jet(*map(pad, patch.jet(u, v)))
@@ -381,7 +381,7 @@ def slab_surfaces():
         "hyperboloid": hyperboloid,
         "torus_stereo": srf.pushforward(torus, "stereo"),
         "hyperboloid_hyp_stereo": srf.pushforward(hyperboloid, "hyp_stereo"),
-        "sphere_patch": srf.sphere_patch(1.0, SQUARE),
+        "sphere_patch": sphere_patch(1.0, SQUARE),
         "warped_torus": srf.warped_torus(domain=ParamDomain(**SLAB_GRID)),
         "orbit_surface": orbit_surface(2.0, SQUARE),
         # umbilic at the origin only
