@@ -82,7 +82,7 @@ def _vertex_labels(n):
     return labels
 
 
-_ROWS = 4096        # records per pass of the vectorised %.12g
+_ROWS = 4096        # records per pass of the layout, 3 _ROWS keys per pass of _g12_texts
 
 # Tables of the vectorised %.12g.  Each 4-digit group w in [0, 10^4) is one
 # little-endian word of its ASCII digits, and once more with its trailing
@@ -156,26 +156,26 @@ def _digits(m):
     return digits
 
 
-def _g12_records(coords):
-    """The 'v %.12g %.12g %.12g' records of a flat run of coordinates, three
-    per record, byte for byte as Python's formatter writes them.
+def _g12_texts(keys, text):
+    """Fill text, a (k, 20) uint8 table, with the ' %.12g' text of each of the
+    k keys, byte for byte as Python's formatter writes it, in layout order;
+    return each key's row.
 
     %g writes fixed notation for a decimal exponent -4 <= e < 12 of the
-    rounded value (see _significands), else d.ddde+XX.  Each coordinate's
-    text is laid out in its own 20 columns, ' ', sign and body, with NULs
-    where %g writes nothing; the bodies are built one layout at a time on the
-    coordinates sorted by layout, and the NULs are dropped from the finished
-    records.  Coordinates that are not exact take _exact_texts."""
-    n = len(coords)
-    m, e, exact = _significands(coords)
+    rounded value (see _significands), else d.ddde+XX.  A row holds ' ',
+    sign and body in 20 columns, with NULs where %g writes nothing; the
+    bodies are built one layout at a time on the keys sorted by layout.
+    Keys that are not exact take _exact_texts."""
+    m, e, exact = _significands(keys)
     # layout 0: d.ddde+XX; layout e + 5: fixed notation (zeros print as fixed 0)
     layout = np.where((e < -4) | (e >= 12), 0, e + 5).astype(np.int8)
     order = np.argsort(layout, kind="stable")
     bounds = np.searchsorted(layout[order], np.arange(18)).tolist()
     digits, e = _digits(m[order]), e[order]
     del m, layout
-
-    text = np.zeros((n, 20), np.uint8)
+    text[:] = 0
+    text[:, 0] = ord(" ")
+    text[:, 1] = np.where(np.signbit(keys[order]), ord("-"), 0)
     for k in range(17):
         d, body = digits[bounds[k]:bounds[k + 1]], text[bounds[k]:bounds[k + 1], 2:]
         if not len(d):
@@ -203,58 +203,55 @@ def _g12_records(coords):
             body[:, 1] = ord(".")
             body[:, 2:1 + z] = ord("0")
             body[:, 1 + z:13 + z] = d
-    back = np.empty_like(order)
-    back[order] = np.arange(n)
-    text = np.take(text, back, axis=0)
-    text[:, 0] = ord(" ")
-    text[:, 1] = np.where(np.signbit(coords), ord("-"), 0)
-    inexact = np.flatnonzero(~exact & (coords != 0))
-    if inexact.size:
-        text[inexact, 1:] = _exact_texts(coords[inexact]).view(np.uint8).reshape(-1, 19)
-    records = np.empty((n // 3, 62), np.uint8)
-    records[:, 0] = ord("v")
-    records[:, 1:61] = text.reshape(-1, 60)
-    records[:, 61] = ord("\n")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(keys))
+    inexact = ~exact & (keys != 0)
+    text[row[inexact], 1:] = _exact_texts(keys[inexact]).view(np.uint8).reshape(-1, 19)
+    return row
+
+
+def _records(tag, table, idx):
+    """The records of tag followed by the rows of table at each row of idx,
+    one record per row, NULs dropped, each ending in a newline."""
+    records = np.empty((len(idx), idx.shape[1] * table.shape[1] + 2), np.uint8)
+    records[:, 0] = ord(tag)
+    records[:, 1:-1] = np.take(table, idx, axis=0).reshape(len(idx), -1)
+    records[:, -1] = ord("\n")
     return records.tobytes().translate(None, b"\0")
 
 
 def _vertex_records(block):
-    """The 'v %.12g %.12g %.12g' records of a block of vertices.  `%.12g`
-    depends only on a float's 64 bits, so when at most half of the block's
-    coordinates are distinct bit patterns (0.0 and -0.0 differ), each distinct
-    one is formatted once and the records are assembled from those texts;
-    otherwise _g12_records formats _ROWS records at a time."""
-    coords = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    bits = coords.view(np.int64)
+    """The 'v %.12g %.12g %.12g' records of a block of vertices.  %.12g
+    depends only on a float's 64 bits, so each distinct bit pattern of the
+    block (0.0 and -0.0 differ, as do NaN payloads) is a key, formatted once
+    by _g12_texts, 3 _ROWS keys at a time.  Each coordinate's row of text is
+    its key's row, found by composing the sort of the bit patterns with the
+    keys' rows; the records are laid out _ROWS at a time."""
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64).ravel()
     order = np.argsort(bits)
-    ordered = bits[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # a new bit pattern starts
-    if 2 * np.count_nonzero(first) > len(bits):
-        step = 3 * _ROWS
-        return b"".join(_g12_records(coords[s:s + step]) for s in range(0, len(coords), step))
-    keys = ordered[first]
-    inv = np.empty(len(bits), dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1
-    text = ((b"%.12g\n" * len(keys)) % tuple(keys.view(np.float64).tolist())).split(b"\n")
-    return (b"v %b %b %b\n" * len(block)) % tuple(np.array(text, dtype=object)[inv].tolist())
+    first = np.concatenate(([True], np.diff(bits[order]) != 0))  # a new bit pattern starts
+    keys = bits[order[first]].view(np.float64)
+    text = np.empty((len(keys), 20), np.uint8)
+    row = np.empty(len(keys), np.intp)
+    for s in range(0, len(keys), 3 * _ROWS):
+        row[s:s + 3 * _ROWS] = s + _g12_texts(keys[s:s + 3 * _ROWS], text[s:s + 3 * _ROWS])
+    at = np.empty((len(block), 3), np.intp)
+    at.reshape(-1)[order] = row[np.cumsum(first) - 1]
+    del order, first, row
+    return b"".join(_records("v", text, at[s:s + _ROWS]) for s in range(0, len(at), _ROWS))
 
 
 def _obj_records(vertices, faces):
     """The OBJ bytes of write_obj in parts of at most BLOCK records each:
-    vertex records by `_vertex_records`, face records gathered from the label
-    table with the NULs dropped, so no part grows with the mesh."""
+    vertex records by `_vertex_records`, face records from the label table,
+    so no part grows with the mesh."""
     n = len(vertices)
     yield b"# vertices: %d faces: %d\n" % (n, len(faces))
     for s in range(0, n, BLOCK):
         yield _vertex_records(vertices[s:s + BLOCK])
     labels = _vertex_labels(n)
     for s in range(0, len(faces), BLOCK):
-        block = faces[s:s + BLOCK]
-        text = np.empty((len(block), 4 * labels.shape[1] + 2), dtype=np.uint8)
-        text[:, 0] = ord("f")
-        text[:, 1:-1] = np.take(labels, block, axis=0).reshape(len(block), -1)
-        text[:, -1] = ord("\n")
-        yield text[text != 0].tobytes()
+        yield _records("f", labels, faces[s:s + BLOCK])
 
 
 def write_obj(mesh, path):

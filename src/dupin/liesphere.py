@@ -84,23 +84,24 @@ def make_line(S0, S1):
 
 
 def _point_sphere(S0, S1):
-    """(a0, a1) with a_i = <S_i, eps5>: sigma = a1 S0 - a0 S1 is the
-    combination of the line orthogonal to eps5."""
-    return inner(S0, np.eye(6)[5], mt.R42), inner(S1, np.eye(6)[5], mt.R42)
+    """(a0, a1, |S0|, |S1|), a_i = <S_i, eps5>: sigma = a1 S0 - a0 S1 is the
+    combination of the line orthogonal to eps5; NaN or inf where S_i overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (inner(S0, np.eye(6)[5], mt.R42), inner(S1, np.eye(6)[5], mt.R42),
+                np.linalg.norm(S0, axis=-1), np.linalg.norm(S1, axis=-1))
 
 
-def spherical_projection(S0, S1):
+def spherical_projection(S0, S1, scales=None):
     """(sigma, bound): the unique point sphere on each line, the combination
     orthogonal to eps5, as an R^{4,1} representative, vectorized over grids;
     and the relative rounding bound of sigma over the grid, eps * kappa
     maximised, with kappa = (|a1| |S0| + |a0| |S1|) / |sigma| the condition
     number of the cancellation in sigma = a1 S0 - a0 S1.  The bound is NaN or
-    inf when the representatives overflow."""
-    norm = lambda x: np.linalg.norm(x, axis=-1)
+    inf when the representatives overflow.  scales is _point_sphere(S0, S1)."""
+    a0, a1, n0, n1 = _point_sphere(S0, S1) if scales is None else scales
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a0, a1 = _point_sphere(S0, S1)
         w = (a1[..., None] * S0 - a0[..., None] * S1)[..., :5]
-        kappa = (np.abs(a1) * norm(S0) + np.abs(a0) * norm(S1)) / norm(w)
+        kappa = (np.abs(a1) * n0 + np.abs(a0) * n1) / np.linalg.norm(w, axis=-1)
     scale = np.maximum(np.abs(a0), np.abs(a1))
     if np.any(scale < 1e-12 * np.maximum(np.max(np.abs(S0), axis=-1), 1.0)):
         raise DegenerateLineError("line lies inside Moebius space (data error)")
@@ -388,18 +389,17 @@ def _check_line_immersion(ff):
         )
 
 
-def pencil_determinant(lm, mc):
+def pencil_determinant(mc, scales):
     """(f, bound) over the grid: f = det(a1 omega^{2..3}_0 - a0 omega^{2..3}_1)
     is the du^dv coefficient of the motion of sigma = a1 S0 - a0 S1 modulo the
     line, zero exactly where the point sphere sigma is a curvature sphere;
     bound is PENCIL_ROUNDING times the first-order change of f when each a_i
-    moves by |S_i|, the scale of the rounding of a_i = <S_i, eps5>."""
-    a0, a1 = _point_sphere(lm.S0, lm.S1)
+    moves by |S_i|, the rounding scale of a_i.  scales is _point_sphere(S0, S1)."""
+    a0, a1, n0, n1 = scales
     A, B = mc.omega[..., 2:4, 0], mc.omega[..., 2:4, 1]       # 1-forms (2, ..., 2)
     M = a1[..., None] * A - a0[..., None] * B
     (f, dA, _), (_, dB, _) = pencil(M, A), pencil(M, B)  # f, and its a1 and -a0 slopes
-    norm = lambda S: np.linalg.norm(S, axis=-1)
-    return f, PENCIL_ROUNDING * (norm(lm.S0) * np.abs(dB) + norm(lm.S1) * np.abs(dA))
+    return f, PENCIL_ROUNDING * (n0 * np.abs(dB) + n1 * np.abs(dA))
 
 
 def _sign_change_nodes(f):
@@ -425,12 +425,13 @@ def fig7_pipeline(boost_t, s_grid=None, t_grid=None):
     grid = np.linspace(-4.0, 4.0, 33)
     s_grid, t_grid = (grid if g is None else g for g in (s_grid, t_grid))
     lm, mc = coset_orbit(boost(boost_t), s_grid, t_grid)
-    sigma, bound = spherical_projection(lm.S0, lm.S1)
+    scales = _point_sphere(lm.S0, lm.S1)
+    sigma, bound = spherical_projection(lm.S0, lm.S1, scales)
     check_projection_precision(bound)
     x, on_chart = sf.moebius_chart(sigma, "sphere")
     del sigma
     y, pole = sf.stereo_off_pole(x)
-    f, f_bound = pencil_determinant(lm, mc)
+    f, f_bound = pencil_determinant(mc, scales)
     singular = (np.abs(f) <= f_bound) | _sign_change_nodes(f) | pole | ~on_chart
     degenerate = bool(np.mean(singular) > DEGENERATE_FRACTION)
     return {

@@ -180,26 +180,46 @@ class TestObjBytes:
         assert written_obj(mesh, block) == reference_obj(mesh)
 
 
-def shared_blocks(vertices, block):
-    """The number of blocks `_vertex_records` formats distinct coordinates
-    once for, counted by its calls to np.cumsum, which numbers the distinct
-    bit patterns on that path only."""
-    calls = []
-    cumsum = np.cumsum
+def formatted_keys(vertices, block):
+    """The keys `_vertex_records` hands the text kernel `_g12_texts` on blocks
+    of `block` vertices, as int64 bit patterns: a list of calls per block."""
+    calls, g12_texts = [], ex._g12_texts
+
+    def counted(keys, text):
+        calls[-1].append(keys.view(np.int64).copy())
+        return g12_texts(keys, text)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        mp.setattr(ex, "_g12_texts", counted)
         for s in range(0, len(vertices), block):
+            calls.append([])
             ex._vertex_records(vertices[s:s + block])
-    return len(calls)
+    return calls
+
+
+def distinct_counts(vertices, block):
+    """Checks that the text kernel formats exactly each block's distinct bit
+    patterns (0.0 and -0.0 differ, as do NaN payloads), each once, in as few
+    passes of at most 3 _ROWS keys as hold them; the count per block."""
+    counts = []
+    for s, calls in zip(range(0, len(vertices), block), formatted_keys(vertices, block)):
+        part = np.ascontiguousarray(vertices[s:s + block], dtype=np.float64)
+        distinct = np.unique(part.view(np.int64))
+        assert len(calls) == -(-len(distinct) // (3 * ex._ROWS))
+        assert all(len(keys) <= 3 * ex._ROWS for keys in calls)
+        assert np.array_equal(np.sort(np.concatenate(calls)), distinct)
+        counts.append(len(distinct))
+    return counts
 
 
 class TestSharedCoordinates:
-    """Blocks with repeated coordinates format each distinct bit pattern once
-    and give the bytes of formatting every coordinate."""
+    """Each block formats its distinct bit patterns once and gives the bytes
+    of formatting every coordinate."""
 
     def test_pool_of_ten(self):
         mesh = random_grid_mesh(100, 100, True, True, pool=10)
-        assert shared_blocks(mesh.vertices, ex.BLOCK) == 2
+        counts = distinct_counts(mesh.vertices, ex.BLOCK)
+        assert len(counts) == 2 and max(counts) <= 10
         assert written_obj(mesh) == reference_obj(mesh)
 
     @pytest.mark.parametrize("block", [7, ex.BLOCK])
@@ -207,22 +227,22 @@ class TestSharedCoordinates:
         rng = np.random.default_rng(0)
         verts = rng.choice([0.0, -0.0], (3 * block, 3))
         mesh = ex.Mesh(verts, np.zeros((0, 4), dtype=int), np.zeros(len(verts), dtype=bool))
-        assert shared_blocks(verts, block) == 3
+        assert distinct_counts(verts, block) == [2, 2, 2]
         text = written_obj(mesh, block)
         assert b" 0" in text and b" -0" in text
         assert text == reference_obj(mesh)
 
-    @pytest.mark.parametrize("extra, shared", [(0, 1), (1, 0)], ids=["half", "half+1"])
-    def test_half_distinct(self, extra, shared):
-        """8 vertices, 24 coordinates: 12 distinct values take the shared
-        path, 13 the direct one."""
+    @pytest.mark.parametrize("extra", [0, 1], ids=["half", "half+1"])
+    def test_half_distinct(self, extra):
+        """8 vertices, 24 coordinates, 12 or 13 distinct values: each is
+        formatted once, in one call."""
         rng = np.random.default_rng(extra)
         values = rng.standard_normal(12 + extra)
         coords = np.concatenate([values, values[:12 - extra]])
         verts = rng.permutation(coords).reshape(8, 3)
         assert len(np.unique(verts)) == 12 + extra
         mesh = ex.Mesh(verts, np.arange(8).reshape(2, 4), np.zeros(8, dtype=bool))
-        assert shared_blocks(verts, 8) == shared
+        assert distinct_counts(verts, 8) == [12 + extra]
         assert written_obj(mesh, block=8) == reference_obj(mesh)
 
     @pytest.mark.parametrize("case", OBJ_CASES)
@@ -305,10 +325,10 @@ BULK = {"random_bits": random_bit_patterns, "near_ties": near_ties,
 
 
 class TestVectorisedFormat:
-    """The direct path's numpy %.12g gives the bytes of Python's formatter on
-    every kind of float, in blocks of 7, 4096 (one formatting pass) and
-    BLOCK records.  Blocks of 7 take an evenly strided sample of about 8000
-    vertices, which keeps every kind of value and the suite's run time."""
+    """The numpy %.12g gives the bytes of Python's formatter on every kind
+    of float, in blocks of 7, 4096 (one formatting pass) and BLOCK records.
+    Blocks of 7 take an evenly strided sample of about 8000 vertices, which
+    keeps every kind of value and the suite's run time."""
 
     @pytest.mark.parametrize("block", [7, 4096, ex.BLOCK])
     @pytest.mark.parametrize("case", BULK)
@@ -327,9 +347,9 @@ FALLBACK_CASES = {
 
 
 class TestFallbackShare:
-    """The numpy %.12g formats all but a few coordinates itself: fewer than
-    1% of the nonzero coordinates of each CLI mesh go to Python's formatter
-    (`_exact_texts`), counted the way shared_blocks counts np.cumsum."""
+    """The numpy %.12g formats all but a few keys itself: fewer than 1% of the
+    nonzero distinct coordinates of each block of each CLI mesh go to
+    Python's formatter (`_exact_texts`), counted as `write_obj` runs."""
 
     @pytest.mark.parametrize("case", FALLBACK_CASES)
     def test_fallback_share(self, case, tmp_path, monkeypatch):
@@ -337,23 +357,71 @@ class TestFallbackShare:
         write_obj, exact_texts = cli.write_obj, ex._exact_texts
         monkeypatch.setattr(cli, "write_obj",
                             lambda mesh, path: meshes.append(mesh) or write_obj(mesh, path))
+        monkeypatch.setattr(ex, "_exact_texts", lambda v: fallback.append(len(v)) or exact_texts(v))
         monkeypatch.chdir(tmp_path)
         assert main(FALLBACK_CASES[case] + ["--out", str(tmp_path / "m.obj")]) == 0
-        monkeypatch.setattr(ex, "_exact_texts", lambda v: fallback.append(len(v)) or exact_texts(v))
-        coords = meshes[0].vertices.ravel()
-        step = 3 * ex._ROWS
-        text = b"".join(ex._g12_records(coords[s:s + step]) for s in range(0, len(coords), step))
-        assert text == (b"v %.12g %.12g %.12g\n" * (len(coords) // 3)) % tuple(coords.tolist())
-        assert sum(fallback) < 0.01 * np.count_nonzero(coords)
+        assert (tmp_path / "m.obj").read_bytes() == reference_obj(meshes[0])
+        verts, keys = meshes[0].vertices, 0
+        for s in range(0, len(verts), ex.BLOCK):
+            distinct = np.unique(verts[s:s + ex.BLOCK].view(np.int64))
+            keys += np.count_nonzero(distinct.view(np.float64))
+        assert sum(fallback) < 0.01 * keys
 
     def test_distinct_blocks_take_numpy_format(self, monkeypatch):
-        # every coordinate of an all-distinct mesh goes through _g12_records
+        # every coordinate of an all-distinct mesh is a key of _g12_texts
         mesh = random_grid_mesh(64, 64)
-        formatted, g12_records = [], ex._g12_records
-        monkeypatch.setattr(ex, "_g12_records",
-                            lambda c: formatted.append(len(c)) or g12_records(c))
+        formatted, g12_texts = [], ex._g12_texts
+        monkeypatch.setattr(ex, "_g12_texts",
+                            lambda keys, text: formatted.append(len(keys)) or g12_texts(keys, text))
         assert written_obj(mesh) == reference_obj(mesh)
+        assert len(np.unique(mesh.vertices)) == mesh.vertices.size
         assert sum(formatted) == mesh.vertices.size
+
+
+def pooled(values, n, rng):
+    """n coordinates drawn from values with repeats, every value kept."""
+    return rng.permutation(np.concatenate([values, rng.choice(values, n - len(values))]))
+
+
+def composition_cases():
+    """Coordinates whose blocks repeat values in many layouts at once: the
+    rows `_exact_texts` fills and the rows each repeat reads back."""
+    rng = np.random.default_rng(34)
+    n = 6 * ex.BLOCK
+    ties = near_ties()[::997]           # about 3000 near-ties, every decade
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF,
+                     -0x0008000000000000, -0x000FFFFFFFFFFFFF], dtype=np.int64).view(np.float64)
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf], nans])
+    distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 14, n)
+    return {
+        "repeated_near_ties": pooled(np.concatenate([ties[:300], distinct[:300]]), n, rng),
+        "near_ties_and_distinct": np.where(rng.random(n) < 0.3, pooled(ties, n, rng), distinct),
+        "repeated_specials": pooled(np.concatenate([special, distinct[:20]]), n, rng),
+        "pooled_and_distinct": np.where(rng.random(n) < 0.5, pooled(distinct[-10:], n, rng),
+                                        distinct),
+        "pooled_runs": np.repeat(pooled(distinct[:50], n // 8, rng), 8),
+    }
+
+
+COMPOSITION = composition_cases()
+
+
+class TestIndexComposition:
+    """Each coordinate's row is the sort of the block's bit patterns composed
+    with its key's row in layout order.  Blocks that repeat near-ties, signed
+    zeros, infinities, NaN payloads and mixes of pooled and distinct values
+    give the bytes of `%` record by record, with each distinct key formatted
+    once.  Blocks of 7 take the first 2048 vertices."""
+
+    @pytest.mark.parametrize("block", [7, ex.BLOCK])
+    @pytest.mark.parametrize("case", COMPOSITION)
+    def test_matches_percent(self, case, block, monkeypatch):
+        coords = COMPOSITION[case][:3 * 2048 if block == 7 else None]
+        fallback, exact_texts = [], ex._exact_texts
+        monkeypatch.setattr(ex, "_exact_texts", lambda v: fallback.append(len(v)) or exact_texts(v))
+        assert_records_match(coords, block)
+        assert sum(fallback) > 0 or case.startswith("pooled")
+        assert sum(distinct_counts(coords.reshape(-1, 3), block)) < len(coords)
 
 
 class TestExportMemory:
@@ -367,9 +435,21 @@ class TestExportMemory:
 
     def test_write_obj_transient_shared(self, tmp_path):
         mesh = random_grid_mesh(256, 256, True, True, pool=10)
-        assert shared_blocks(mesh.vertices, ex.BLOCK) == 8
+        counts = distinct_counts(mesh.vertices, ex.BLOCK)
+        assert len(counts) == 8 and max(counts) <= 10
         peak, _ = traced_peak(ex.write_obj, mesh, str(tmp_path / "m.obj"))
         assert peak < 4e6
+
+    def test_write_obj_orbit_mesh(self, tmp_path, monkeypatch):
+        # the 256 x 256 orbit mesh is 55% distinct per block: 2,341,571
+        # bytes traced when such blocks were formatted coordinate by coordinate
+        meshes, write_obj = [], ex.write_obj
+        monkeypatch.setattr(cli, "write_obj", lambda mesh, path: meshes.append(mesh))
+        monkeypatch.chdir(tmp_path)
+        assert main(["orbit", "--C", "0.5", "--grid", "256x256", "--out", "o.obj"]) == 0
+        assert len(meshes[0].vertices) == 256 * 256
+        peak, _ = traced_peak(write_obj, meshes[0], str(tmp_path / "m.obj"))
+        assert peak <= 2_341_571
 
     def test_validate_transient(self):
         mesh = ex.grid_mesh(np.zeros((512, 512, 3)), None, True, True)

@@ -617,7 +617,7 @@ class TestCosetOrbit:
         out = ls.fig7_pipeline(0.0, grid, grid)
         assert out["degenerate"] and out["singular_count"] == out["grid_size"]
         # the noise outweighs a0's own round-off, so the check is not vacuous
-        (a0, _), (b0, _) = (ls._point_sphere(lm.S0, lm.S1) for lm in seen[0])
+        (a0, *_), (b0, *_) = (ls._point_sphere(lm.S0, lm.S1) for lm in seen[0])
         assert np.max(np.abs(b0 - a0)) > np.max(np.abs(a0))
 
     def test_fig7_surface_of_revolution(self):
@@ -662,13 +662,24 @@ class TestFig7SingularSet:
         assert np.flatnonzero(mask.all(axis=0)).tolist() == rows
         assert mask.sum() == 2 * n
 
+    @pytest.mark.parametrize("t", [0.0, 1.1])
+    def test_point_sphere_taken_once(self, monkeypatch, t):
+        # one a0, a1 for both the projection and the determinant's bound
+        calls, point_sphere = [], ls._point_sphere
+        monkeypatch.setattr(ls, "_point_sphere",
+                            lambda S0, S1: calls.append(1) or point_sphere(S0, S1))
+        grid = np.linspace(-4.0, 4.0, 17)
+        ls.fig7_pipeline(t, grid, grid)
+        assert len(calls) == 1
+
     def test_pencil_determinant_is_minus_a0_a1(self):
         # the slice generators are dual to theta^2 and theta^3, so
         # f = -a0 a1 theta^2 ^ theta^3 = -a0 a1 on the boosted coset
         s = np.linspace(-4.0, 4.0, 17)
         lm, mc = ls.coset_orbit(ls.boost(1.0), s, s)
-        a0, a1 = ls._point_sphere(lm.S0, lm.S1)
-        f, bound = ls.pencil_determinant(lm, mc)
+        scales = ls._point_sphere(lm.S0, lm.S1)
+        a0, a1 = scales[:2]
+        f, bound = ls.pencil_determinant(mc, scales)
         assert np.max(np.abs(f + a0 * a1)) <= 1e-15 * np.max(np.abs(a0 * a1))
         assert np.all(bound <= 1e-13 * np.abs(a1))
 
