@@ -152,12 +152,9 @@ def cmd_gen(args, cfg):
         check("dupin", max(measured["dupin_derivative_a"], measured["dupin_derivative_c"]),
               measured["dupin_tol"], passed=bool(cls["dupin"])),
     ]
-    rep = make_report(
-        "gen",
-        {"surface": args.surface, "project": args.project, "grid": f"{nu}x{nv}",
-         "alpha": args.alpha, "a": args.a, "radius": args.radius},
-        checks, tols,
-    )
+    rep = make_report("gen", {"surface": args.surface, "project": args.project,
+                              "grid": f"{nu}x{nv}", "alpha": args.alpha, "a": args.a,
+                              "radius": args.radius}, checks, tols)
     rep["mesh"] = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
     write_report(rep, _report_path(out))
     print(f"wrote {out} ({len(mesh.vertices)} vertices, {len(mesh.faces)} faces)")
@@ -218,11 +215,7 @@ def cmd_fig7(args, cfg):
         check("degenerate", out_data["singular_count"] / out_data["grid_size"],
               ls.DEGENERATE_FRACTION, passed=not out_data["degenerate"]),
     ]
-    rep = make_report(
-        "fig7",
-        {"t": args.t, "grid": f"{nu}x{nv}"},
-        checks, tols,
-    )
+    rep = make_report("fig7", {"t": args.t, "grid": f"{nu}x{nv}"}, checks, tols)
     rep["degenerate"] = out_data["degenerate"]
     rep["singular_grid_points"] = singular
     rep["mesh"] = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}

@@ -122,20 +122,27 @@ _BASIS_CHANGE = {
 
 
 def inner(u, v, metric):
-    """Bilinear form <u, v> = u^T gram v; broadcasts over leading axes."""
+    """Bilinear form <u, v> = u^T gram v = sum_a eta_a u_{a*} v_a over the
+    coordinate planes, each term added or subtracted by its sign eta_a = +-1;
+    broadcasts over leading axes."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[-1] != metric.dim or v.shape[-1] != metric.dim:
         raise MembershipError(
             f"dimension mismatch: got {u.shape[-1]}/{v.shape[-1]}, metric {metric.dim}"
         )
-    # a sum of whole-array terms eta_a u_{a*} v_a, one per coordinate: a
-    # reduction over the short last axis would loop over it once per point
-    terms = (e * u[..., b] * v[..., a]
-             for a, (b, e) in enumerate(zip(metric.dual_index, metric.eta)))
-    out = next(terms)
-    for t in terms:
-        out += t
+    # one whole-array term per coordinate: a reduction over the short last
+    # axis would loop over it once per point.  (-u) v = -(u v) exactly, so
+    # this is bitwise the product form eta_a u_{a*} v_a
+    out = None
+    for a, (b, e) in enumerate(zip(metric.dual_index, metric.eta)):
+        t = u[..., b] * v[..., a]
+        if out is None:
+            out = t if e > 0 else -t
+        elif e > 0:
+            out += t
+        else:
+            out -= t
     return out
 
 

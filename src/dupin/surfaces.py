@@ -156,11 +156,13 @@ class ParametricSurface:
 # --- normals ------------------------------------------------------------------
 
 def _unoriented_normal(s, jet):
-    """Unit normal of a jet: the cross product in R^3; in S^3 / H^3 the
-    cofactor vector <,>-orthogonal to x, xu and xv."""
-    if s.form == "euclidean":
-        n = np.cross(jet.xu, jet.xv)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+    """Unit normal of a jet, coordinate planes contiguous: the cross product
+    in R^3; in S^3 / H^3 the cofactor vector <,>-orthogonal to x, xu and xv."""
+    if s.form == "euclidean":  # plane by plane, bitwise np.cross over its norm
+        (a0, a1, a2), (b0, b1, b2) = np.moveaxis(jet.xu, -1, 0), np.moveaxis(jet.xv, -1, 0)
+        n = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+        n /= np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        return np.moveaxis(n, 0, -1)
     n = _generalized_cross(s.metric, jet.x, jet.xu, jet.xv)
     return n / np.sqrt(np.abs(mt.inner(n, n, s.metric)))[..., None]
 
@@ -187,17 +189,27 @@ def _generalized_cross(metric, a, b, c):
 
 # --- fundamental forms and curvature -------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a form that overflows raises below
 def _forms(s, jet, normal):
     """First and second fundamental forms of a jet, the second against the
-    unit normal normal(jet); raises at singular points, where
-    det I <= RANK_TOL * I11 * I22 (a scale-free, per-point test)."""
+    unit normal normal(jet); raises where a form overflows, and at singular
+    points, where det I <= RANK_TOL * I11 * I22 (a scale-free, per-point test)."""
     g = s.metric
     E, F, G = (mt.inner(p, q, g) for p, q in ((jet.xu, jet.xu), (jet.xu, jet.xv), (jet.xv, jet.xv)))
+    _require_finite("first fundamental form", E, F, G)
     if np.any(E * G - F ** 2 <= RANK_TOL * E * G):
         raise SingularPointError("first fundamental form is rank deficient")
     n = normal(jet)
-    return _sym2(E, F, G), _sym2(mt.inner(jet.xuu, n, g), mt.inner(jet.xuv, n, g),
-                                 mt.inner(jet.xvv, n, g))
+    L, M, N = (mt.inner(p, n, g) for p in (jet.xuu, jet.xuv, jet.xvv))
+    _require_finite("second fundamental form", L, M, N)
+    return _sym2(E, F, G), _sym2(L, M, N)
+
+
+def _require_finite(what, *fields):
+    """Raise GeometryError unless every field is finite: no test on inf or NaN holds."""
+    if not all(np.isfinite(f).all() for f in fields):
+        raise GeometryError(f"{what} is not finite: the surface overflows the "
+                            "floating-point range")
 
 
 def _sym2(e, f, g):
@@ -221,10 +233,10 @@ def fundamental_forms(s, u, v, jet=None, normal=None):
 class CurvatureData:
     """Principal curvatures a <= c of the shape operator W = I^{-1} II, in
     closed form from the six scalar fields of I and II (given as (..., 2, 2)
-    arrays), and the umbilic mask.  The parameter-space principal directions
-    dir_a and dir_c, I-unit, are computed on first access, and so are the
-    derivatives e_a(a) and e_c(c) of each curvature along its own I-unit
-    direction, which need the metric, the 3-jet and the oriented unit normal
+    arrays), and the umbilic mask.  On first access, as scalar fields: the
+    I-unit parameter-space directions dir_a and dir_c, from one W; and the
+    derivatives e_a(a), e_c(c) of each curvature along its own direction,
+    from ten jet contractions with the metric, 3-jet and oriented unit normal
     the forms were taken from."""
     a: np.ndarray          # smaller principal curvature
     c: np.ndarray          # larger principal curvature
@@ -240,19 +252,33 @@ class CurvatureData:
     along_a = cached_property(lambda self: self._along(self.a, self.dir_a))
     along_c = cached_property(lambda self: self._along(self.c, self.dir_c))
 
+    @cached_property
+    def _shape_operator(self):
+        """E, F, G of I and the entries w00, w01, w10, w11 of W."""
+        E, F, G, L, M, N, detI = _entries(self.I, self.II)
+        return (E, F, G, (G * L - F * M) / detI, (G * M - F * N) / detI,
+                (E * M - F * L) / detI, (E * N - F * M) / detI)
+
     def _direction(self, kappa):
         """Null vector (d0, d1) of W - kappa from its row of larger 1-norm,
         (1, 0) where both rows vanish (umbilics), scaled to unit length in I."""
-        E, F, G, L, M, N, detI = _entries(self.I, self.II)
-        w00, w01 = (G * L - F * M) / detI - kappa, (G * M - F * N) / detI
-        w10, w11 = (E * M - F * L) / detI, (E * N - F * M) / detI - kappa
+        E, F, G, w00, w01, w10, w11 = self._shape_operator
+        w00, w11 = w00 - kappa, w11 - kappa
         use0 = np.abs(w00) + np.abs(w01) >= np.abs(w10) + np.abs(w11)
         d0 = np.where(use0, w01, w11)
         d1 = np.where(use0, -w00, -w10)
         degenerate = np.abs(d0) + np.abs(d1) < 1e-14
         d0, d1 = np.where(degenerate, 1.0, d0), np.where(degenerate, 0.0, d1)
         norm = np.sqrt(E * d0 * d0 + 2.0 * F * d0 * d1 + G * d1 * d1)
-        return np.stack([d0 / norm, d1 / norm], axis=-1)
+        return np.moveaxis(np.stack([d0 / norm, d1 / norm]), 0, -1)
+
+    @cached_property
+    def _contractions(self):
+        """The ten fields e_kappa(kappa) is a cubic in: P_K = <x_K, n> for
+        K = uuu, uuv, uvv, vvv, and Q_K,l = <x_K, x_l> for K = uu, uv, vv."""
+        j, g = self.jet, self.metric
+        P = [mt.inner(x, self.normal, g) for x in (j.xuuu, j.xuuv, j.xuvv, j.xvvv)]
+        return P, [[mt.inner(x, xl, g) for x in (j.xuu, j.xuv, j.xvv)] for xl in (j.xu, j.xv)]
 
     def _along(self, kappa, d):
         """e_kappa(kappa) = sum_k d^k d^T(d_k II - kappa d_k I)d, the first-order
@@ -260,14 +286,15 @@ class CurvatureData:
         <x_i, x_jk> and d_k II_ij = <x_ijk, n> - sum_l W^l_k <x_ij, x_l>
         (n_k = -W x_k, as n is orthogonal to x in R^3, S^3 and H^3).  Contracted
         with W d = kappa d this is <x_ddd, n> - 3 kappa <x_dd, x_d>, with x_d,
-        x_dd and x_ddd the first three derivatives of x along d."""
-        j, d0, d1 = self.jet, d[..., 0:1], d[..., 1:2]
-        x_d = d0 * j.xu + d1 * j.xv
-        x_dd = d0 * (d0 * j.xuu + 2.0 * d1 * j.xuv) + d1 * d1 * j.xvv
-        x_ddd = (d0 * d0 * (d0 * j.xuuu + 3.0 * d1 * j.xuuv)
-                 + d1 * d1 * (3.0 * d0 * j.xuvv + d1 * j.xvvv))
-        return (mt.inner(x_ddd, self.normal, self.metric)
-                - 3.0 * kappa * mt.inner(x_dd, x_d, self.metric))
+        x_dd and x_ddd the first three derivatives of x along d = (d0, d1):
+            <x_ddd, n> = d0^3 P_uuu + 3 d0^2 d1 P_uuv + 3 d0 d1^2 P_uvv + d1^3 P_vvv,
+            <x_dd, x_d> = sum_l d_l (d0^2 Q_uu,l + 2 d0 d1 Q_uv,l + d1^2 Q_vv,l)."""
+        (p_uuu, p_uuv, p_uvv, p_vvv), Q = self._contractions
+        d0, d1 = d[..., 0], d[..., 1]
+        d00, d01, d11 = d0 * d0, 2.0 * d0 * d1, d1 * d1
+        ddd_n = d00 * (d0 * p_uuu + 3.0 * d1 * p_uuv) + d11 * (3.0 * d0 * p_uvv + d1 * p_vvv)
+        dd_d = [d00 * q_uu + d01 * q_uv + d11 * q_vv for q_uu, q_uv, q_vv in Q]
+        return ddd_n - 3.0 * kappa * (d0 * dd_d[0] + d1 * dd_d[1])
 
 
 def principal_curvatures(s, u, v):
@@ -452,34 +479,29 @@ def warped_torus(warp=0.1, R=2.0, r=0.7, domain=None):
 def quotient_jet(src, x, num, den, shift=0.0):
     """Jet of a quotient chart phi = y/d through a source jet: y is the
     coordinate slice ``num`` and d = shift + the sum of the coordinates
-    ``den``, affine in the source, so by Leibniz on y = phi d
-        phi_a   = (y_a - phi d_a) / d,
-        phi_ab  = (y_ab - phi d_ab - phi_a d_b - phi_b d_a) / d,
-        phi_abc = (y_abc - phi_ab d_c - phi_ac d_b - phi_bc d_a
-                   - phi_a d_bc - phi_b d_ac - phi_c d_ab - phi d_abc) / d.
+    ``den``, affine in the source, so by Leibniz on y = phi d, for each
+    multi-index K = u^i v^j, with binomial weights over the multisets below K,
+        phi_K = (y_K - phi d_K - sum_{0 < a + b < i + j} C(i, a) C(j, b)
+                 phi_(u^a v^b) d_(u^(i-a) v^(j-b))) / d,
+    e.g. phi_uuv = (y_uuv - phi d_uuv - 2 phi_u d_uv - phi_v d_uu
+                    - phi_uu d_v - 2 phi_uv d_u) / d.
     ``x`` is phi(src.x) from the chart itself, so the chart's own checks
     (poles, escapes) apply to the jet as to the position."""
     # coordinate planes first: each product below runs over whole planes
     src = {k: np.moveaxis(getattr(src, "x" + k), -1, 0) for k in _FIELD_INDEX}
-
-    def d(t):
-        out = t[den[0]]
-        for k in den[1:]:
-            out = out + t[k]
-        return out
-
+    d = lambda t: sum((t[k] for k in den[1:]), t[den[0]])
     inv_d = 1.0 / (shift + d(src[""]))
-    # phi_K and d_K by the multi-index K of u's and v's: phi_K subtracts
-    # phi_S d_(K - S) over the nonempty proper subsets S of K's positions
     phi, dk = {"": np.moveaxis(x, -1, 0)}, {}
-    for k in _FIELD_INDEX[1:]:
+    for k, (i, j) in zip(_FIELD_INDEX[1:], _ORDERS[1:]):
         dk[k] = d(src[k])
         out = src[k][num] - phi[""] * dk[k]
-        for r in range(1, len(k)):
-            for sub in itertools.combinations(range(len(k)), r):
-                rest = [i for i in range(len(k)) if i not in sub]
-                out -= phi["".join(k[i] for i in sub)] * dk["".join(k[i] for i in rest)]
-        phi[k] = out * inv_d
+        # (a, b) by ascending a + b, dropping (0, 0) and (i, j)
+        for a, b in sorted(itertools.product(range(i, -1, -1), range(j + 1)), key=sum)[1:-1]:
+            term = phi["u" * a + "v" * b] * dk["u" * (i - a) + "v" * (j - b)]
+            weight = math.comb(i, a) * math.comb(j, b)
+            out -= term if weight == 1 else weight * term
+        out *= inv_d
+        phi[k] = out
     return Jet(*(np.moveaxis(p, 0, -1) for p in phi.values()))
 
 
@@ -531,44 +553,28 @@ def classify(s):
     rows = max(1, export.BLOCK // nv)
     lo, hi, umbilic, along = zip(*(
         _classify_slab(s, u[r:r + rows], v, r) for r in range(0, nu, rows)))
+    along = [m for m in along if m is not None]
+    _require_finite("principal curvature data", lo, hi, *along)
     spread_a, spread_c = np.max(hi, axis=0) - np.min(lo, axis=0)
     umbilic_idx = np.concatenate(umbilic)
-    report = {
-        "surface": s.name,
-        "params": dict(s.params),
-        "grid": (s.domain.nu, s.domain.nv),
-        "iso_tol": ISO_TOL,
-        "dupin_tol": DUPIN_TOL,
-        "spread_a": float(spread_a),
-        "spread_c": float(spread_c),
-        "umbilic_count": int(len(umbilic_idx)),
-    }
+    report = {"surface": s.name, "params": dict(s.params), "grid": (nu, nv),
+              "iso_tol": ISO_TOL, "dupin_tol": DUPIN_TOL, "spread_a": float(spread_a),
+              "spread_c": float(spread_c), "umbilic_count": int(len(umbilic_idx))}
     isoparametric = report["spread_a"] < ISO_TOL and report["spread_c"] < ISO_TOL
-    if len(umbilic_idx) == nu * nv:
+    if not along:
         warnings.warn("surface is umbilic on the whole grid; Dupin undefined")
-        report["dupin_derivative_a"] = report["dupin_derivative_c"] = float("nan")
-        return {
-            "isoparametric": isoparametric, "dupin": None,
-            "umbilic_points": umbilic_idx.tolist(), "report": report,
-        }
-    if len(umbilic_idx):
-        warnings.warn("umbilic points found; excluded from the Dupin test")
-    along_a, along_c = np.max([m for m in along if m is not None], axis=0)
-    report["dupin_derivative_a"] = float(along_a)
-    report["dupin_derivative_c"] = float(along_c)
-    dupin = (
-        report["dupin_derivative_a"] < DUPIN_TOL
-        and report["dupin_derivative_c"] < DUPIN_TOL
-        and not len(umbilic_idx)
-    )
-    return {
-        "isoparametric": isoparametric,
-        "dupin": bool(dupin),
-        "umbilic_points": umbilic_idx.tolist(),
-        "report": report,
-    }
+        dupin, along_a, along_c = None, float("nan"), float("nan")
+    else:
+        if len(umbilic_idx):
+            warnings.warn("umbilic points found; excluded from the Dupin test")
+        along_a, along_c = np.max(along, axis=0)
+        dupin = bool(along_a < DUPIN_TOL and along_c < DUPIN_TOL and not len(umbilic_idx))
+    report["dupin_derivative_a"], report["dupin_derivative_c"] = float(along_a), float(along_c)
+    return {"isoparametric": isoparametric, "dupin": dupin,
+            "umbilic_points": umbilic_idx.tolist(), "report": report}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # classify rejects what overflows
 def _classify_slab(s, u, v, row):
     """classify's reductions over the grid rows from ``row`` on, sampled at
     u (rows, 1) and v (1, nv): (min a, min c), (max a, max c), the umbilics'
@@ -597,13 +603,9 @@ def euclidean_best_frame(s):
     jet = data.jet
     e1, e2 = (d[..., 0:1] * jet.xu + d[..., 1:2] * jet.xv for d in (data.dir_a, data.dir_c))
     e1, e2 = (propagate_sign(e / np.linalg.norm(e, axis=-1, keepdims=True)) for e in (e1, e2))
-    e3 = np.cross(e1, e2)
     mats = np.zeros((s.domain.nu, s.domain.nv, 4, 4))
     mats[..., 0, 0] = 1.0
-    mats[..., 1:, 0] = jet.x
-    mats[..., 1:, 1] = e1
-    mats[..., 1:, 2] = e2
-    mats[..., 1:, 3] = e3
+    mats[..., 1:, :] = np.stack(np.broadcast_arrays(jet.x, e1, e2, np.cross(e1, e2)), axis=-1)
     from .frames import FrameField  # local import to avoid a cycle
 
     return FrameField("e3", mats, s.domain)

@@ -53,18 +53,15 @@ def suite_spaceforms(tols):
 
 def suite_surfaces(tols):
     checks = []
-    worst = 0.0
-    for alpha in np.linspace(0.04, np.pi / 4, 20):
-        s = srf.torus(alpha)
-        d = srf.principal_curvatures(s, *s.domain.axes())
-        worst = max(worst, float(np.max(np.abs(d.a * d.c + 1.0))))
-    checks.append(check("torus_ac_plus_1", worst, 1e-8))
-    worst = 0.0
-    for a in np.linspace(0.05, 0.95, 20):
-        s = srf.hyperboloid(a)
-        d = srf.principal_curvatures(s, *s.domain.axes())
-        worst = max(worst, float(np.max(np.abs(d.a * d.c - 1.0))))
-    checks.append(check("hyperboloid_ac_minus_1", worst, 1e-8))
+    # a c = -K on the flat tori in S^3 (K = 1) and hyperboloids in H^3 (K = -1)
+    for name, make, params, ac in (("torus_ac_plus_1", srf.torus, (0.04, np.pi / 4), -1.0),
+                                   ("hyperboloid_ac_minus_1", srf.hyperboloid, (0.05, 0.95), 1.0)):
+        worst = 0.0
+        for param in np.linspace(*params, 20):
+            s = make(param)
+            d = srf.principal_curvatures(s, *s.domain.axes())
+            worst = max(worst, float(np.max(np.abs(d.a * d.c - ac))))
+        checks.append(check(name, worst, 1e-8))
     s = srf.cylinder(2.0)
     d = srf.principal_curvatures(s, *s.domain.axes())
     checks.append(check("cylinder_ac", float(np.max(np.abs(d.a * d.c))), 1e-10))

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from dupin import liesphere as ls
 from dupin.frames import orbit_frame
-from dupin.surfaces import (_ORDERS, Jet, ParamDomain, ParametricSurface,
+from dupin.surfaces import (_FIELD_INDEX, _ORDERS, Jet, ParamDomain, ParametricSurface,
                             _circle_derivatives, _jet_planes, _stack)
 
 
@@ -112,3 +113,78 @@ def fd_jet(position, domain, u, v):
         (p[9] - 2 * p[5] + p[10] - p[11] + 2 * p[6] - p[12]) / (2 * Hu * Hv**2),
         (p[15] - 2 * p[7] + 2 * p[8] - p[16]) / (2 * Hv**3),
     )
+
+
+# --- earlier kernels, kept as references for the scalar-field ones ---------------
+
+def ref_inner(u, v, metric):
+    """metrics.inner in product form: the sum of eta_a u_{a*} v_a, each term
+    multiplied by its sign eta_a = +-1."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    terms = (e * u[..., b] * v[..., a]
+             for a, (b, e) in enumerate(zip(metric.dual_index, metric.eta)))
+    out = next(terms)
+    for t in terms:
+        out += t
+    return out
+
+
+def ref_quotient_jet(src, x, num, den, shift=0.0):
+    """surfaces.quotient_jet by a sum over position subsets: phi_K subtracts
+    phi_S d_(K - S) over the nonempty proper subsets S of K's positions, so a
+    product repeated in K's multiset is formed once per subset."""
+    src = {k: np.moveaxis(getattr(src, "x" + k), -1, 0) for k in _FIELD_INDEX}
+
+    def d(t):
+        out = t[den[0]]
+        for k in den[1:]:
+            out = out + t[k]
+        return out
+
+    inv_d = 1.0 / (shift + d(src[""]))
+    phi, dk = {"": np.moveaxis(x, -1, 0)}, {}
+    for k in _FIELD_INDEX[1:]:
+        dk[k] = d(src[k])
+        out = src[k][num] - phi[""] * dk[k]
+        for r in range(1, len(k)):
+            for sub in itertools.combinations(range(len(k)), r):
+                rest = [i for i in range(len(k)) if i not in sub]
+                out -= phi["".join(k[i] for i in sub)] * dk["".join(k[i] for i in rest)]
+        phi[k] = out * inv_d
+    return Jet(*(np.moveaxis(p, 0, -1) for p in phi.values()))
+
+
+def ref_normal(jet):
+    """The Euclidean unit normal by np.cross over np.linalg.norm."""
+    n = np.cross(jet.xu, jet.xv)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+
+def ref_direction(I, II, kappa):
+    """The principal direction of kappa with W = I^{-1} II formed anew for
+    it: the null vector of the row of W - kappa of larger 1-norm, (1, 0) at
+    umbilics, I-unit, as an (..., 2) array."""
+    E, F, G = I[..., 0, 0], I[..., 0, 1], I[..., 1, 1]
+    L, M, N = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
+    detI = E * G - F * F
+    w00, w01 = (G * L - F * M) / detI - kappa, (G * M - F * N) / detI
+    w10, w11 = (E * M - F * L) / detI, (E * N - F * M) / detI - kappa
+    use0 = np.abs(w00) + np.abs(w01) >= np.abs(w10) + np.abs(w11)
+    d0 = np.where(use0, w01, w11)
+    d1 = np.where(use0, -w00, -w10)
+    degenerate = np.abs(d0) + np.abs(d1) < 1e-14
+    d0, d1 = np.where(degenerate, 1.0, d0), np.where(degenerate, 0.0, d1)
+    norm = np.sqrt(E * d0 * d0 + 2.0 * F * d0 * d1 + G * d1 * d1)
+    return np.stack([d0 / norm, d1 / norm], axis=-1)
+
+
+def ref_along(metric, jet, normal, kappa, d):
+    """e_kappa(kappa) = <x_ddd, n> - 3 kappa <x_dd, x_d> with the derivatives
+    x_d, x_dd, x_ddd of x along d formed as (..., dim) vectors."""
+    d0, d1 = d[..., 0:1], d[..., 1:2]
+    x_d = d0 * jet.xu + d1 * jet.xv
+    x_dd = d0 * (d0 * jet.xuu + 2.0 * d1 * jet.xuv) + d1 * d1 * jet.xvv
+    x_ddd = (d0 * d0 * (d0 * jet.xuuu + 3.0 * d1 * jet.xuuv)
+             + d1 * d1 * (3.0 * d0 * jet.xuvv + d1 * jet.xvvv))
+    return ref_inner(x_ddd, normal, metric) - 3.0 * kappa * ref_inner(x_dd, x_d, metric)

@@ -618,6 +618,23 @@ class TestCLI:
         assert "umbilic on every grid point" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("radius, message", [
+        # I and II are finite, the curvature 1/R = 1e160 is not: its I-unit
+        # direction and Dupin derivatives overflow
+        ("1e-160", "principal curvature data is not finite"),
+        # E = R^2 overflows: named as such, not as a rank deficiency
+        ("1e155", "first fundamental form is not finite"),
+    ])
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning: one stderr line
+    def test_gen_overflow_is_an_error(self, tmp_path, capsys, radius, message):
+        out = tmp_path / "c.obj"
+        argv = ["gen", "cylinder", "--radius", radius, "--grid", "5x5", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "overflows the floating-point range" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the chart maps
     def test_orbit_regimes(self, tmp_path):
         for argv, regime, chart_failures, null_cone, passed in [

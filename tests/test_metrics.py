@@ -17,6 +17,8 @@ from dupin import metrics as mt
 from dupin.moebius import hc_constraints
 from dupin.liesphere import h_constraints
 
+from conftest import ref_inner
+
 RNG = np.random.default_rng(20240811)
 
 
@@ -65,6 +67,49 @@ class TestInner:
             got = mt.inner(u, v, metric)
             assert got.shape == np.broadcast_shapes(su[:-1], sv[:-1])
             assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def signed_coordinates(rng, shape):
+    """Coordinates for the bitwise inner tests: 40% signed zeros, so some
+    whole sums come out +0.0 or -0.0, with infinities, NaN, subnormals,
+    values whose products overflow, and normal values."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 3e300, -7e-310])
+    x = rng.standard_normal(shape)
+    pick = rng.choice(len(pool) + 1, size=shape, p=[0.2, 0.2, 0.03, 0.03, 0.02, 0.03, 0.03, 0.46])
+    return np.where(pick < len(pool), pool[np.minimum(pick, len(pool) - 1)], x)
+
+
+class TestInnerBitwise:
+    """inner adds or subtracts each term u_{a*} v_a by the sign eta_a; the
+    product form eta_a u_{a*} v_a (conftest.ref_inner) is its bitwise
+    reference, sign bits included, with NaN equal to NaN."""
+
+    @pytest.mark.parametrize("metric", [mt.R3, mt.R4, mt.R31, mt.R41, mt.R42, mt.R41_DELTA,
+                                        mt.R42_LAMBDA], ids=lambda m: m.name)
+    @pytest.mark.parametrize("shapes", [((), ()), ((40,), (40,)), ((6, 1), (1, 7)),
+                                        ((), (5, 8)), ((9, 1), (3,))],
+                             ids=["0d", "1d", "outer", "vector_grid", "grid_vector"])
+    def test_matches_product_form(self, metric, shapes):
+        rng = np.random.default_rng(2024)
+        u, v = (signed_coordinates(rng, shape + (metric.dim,)) for shape in shapes)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got, ref = mt.inner(u, v, metric), ref_inner(u, v, metric)
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert np.array_equal(got, ref, equal_nan=True)
+        keep = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(got[keep]), np.signbit(ref[keep]))
+
+    @pytest.mark.parametrize("metric", [mt.R31, mt.R41_DELTA, mt.R42_LAMBDA],
+                             ids=lambda m: m.name)
+    def test_signed_zero_terms(self, metric):
+        # all terms zero, of one sign: the sum's sign must follow the product
+        # form's for eta_a = +1 and -1 alike
+        for zero in (0.0, -0.0):
+            u = np.full(metric.dim, zero)
+            for v in (np.full(metric.dim, 1.0), np.full(metric.dim, -1.0)):
+                got, ref = mt.inner(u, v, metric), ref_inner(u, v, metric)
+                assert got == ref and np.signbit(got) == np.signbit(ref)
 
 
 class TestChangeBasis:

@@ -9,15 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dupin import export as ex
 from dupin import metrics as mt
+from dupin import moebius as mb
 from dupin import spaceforms as sf
 from dupin import surfaces as srf
 from dupin.moebius import canonical_best_frame, orbit_surface
 from dupin.surfaces import ParamDomain
 
-from conftest import fd_jet, shifted_domain, sphere_patch, traced_peak
+from conftest import (fd_jet, ref_along, ref_direction, ref_inner, ref_normal,
+                      ref_quotient_jet, shifted_domain, sphere_patch, traced_peak)
 
 
 class TestCatalog:
@@ -188,6 +191,99 @@ class TestCurvatureKernel:
         assert d.a[0] == d.c[0] == lam and d.umbilic[0]
         for dvec in (d.dir_a, d.dir_c):
             assert np.array_equal(dvec[0], [1.0 / np.sqrt(E), 0.0])
+
+
+# surfaces for the scalar-field kernels: Figure 1, a hyperboloid through its
+# chart and h_C orbits in the three regimes go through quotient_jet; the
+# others, among them the non-Dupin warped tori and the umbilic sphere patch,
+# do not
+CHART_SURFACES = {
+    "figure1": lambda: srf.pushforward(srf.torus(np.pi / 4), "stereo"),
+    "hyperboloid_0.3_hyp_stereo": lambda: srf.pushforward(srf.hyperboloid(0.3), "hyp_stereo"),
+    **{f"orbit_surface_{C:g}": partial(orbit_surface, C) for C in (0.3, 1.0, -2.5)},
+}
+PLAIN_SURFACES = {
+    "torus_0.2": lambda: srf.torus(0.2),
+    "hyperboloid_0.3": lambda: srf.hyperboloid(0.3),
+    "cylinder_1.5": lambda: srf.cylinder(1.5),
+    "warped_torus_0.1": lambda: srf.warped_torus(0.1),
+    "warped_torus_1e-3": lambda: srf.warped_torus(1e-3),
+    "sphere_patch": sphere_patch,
+}
+DUPIN_SURFACES = {**CHART_SURFACES, **PLAIN_SURFACES}
+
+
+def bitwise_forms(s, u, v):
+    """I, II and the unit normal at (u, v) from the reference kernels: the
+    exact normal where the surface has one, else np.cross over its norm."""
+    jet, g = s.jet(u, v), s.metric
+    n = s.normal(u, v) if s.normal is not None else ref_normal(jet) * s.orientation
+    E, F, G, L, M, N = (ref_inner(p, q, g) for p, q in (
+        (jet.xu, jet.xu), (jet.xu, jet.xv), (jet.xv, jet.xv),
+        (jet.xuu, n), (jet.xuv, n), (jet.xvv, n)))
+    return srf._sym2(E, F, G), srf._sym2(L, M, N), n
+
+
+class TestScalarFieldKernels:
+    """The scalar-field kernels against the earlier vector ones
+    (conftest.ref_*): Dupin derivatives from ten jet contractions, the
+    multiset quotient rule, the plane-by-plane normal and one shape operator
+    for both principal directions."""
+
+    @pytest.mark.parametrize("name", sorted(DUPIN_SURFACES))
+    def test_dupin_derivatives_match_vector_kernel(self, name):
+        s = DUPIN_SURFACES[name]()
+        d = srf.principal_curvatures(s, *s.domain.axes())
+        for kappa, dvec, got in ((d.a, d.dir_a, d.along_a), (d.c, d.dir_c, d.along_c)):
+            ref = ref_along(d.metric, d.jet, d.normal, kappa, dvec)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(CHART_SURFACES))
+    def test_quotient_jet_matches_subset_sum(self, name, monkeypatch):
+        calls, real = [], srf.quotient_jet
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs, real(*args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(srf, "quotient_jet", recorded)
+        monkeypatch.setattr(mb, "quotient_jet", recorded)
+        s = CHART_SURFACES[name]()
+        s.jet(*s.domain.axes())
+        assert len(calls) == 1
+        args, kwargs, got = calls[0]
+        for field, p, q in zip(srf.Jet._fields, got, ref_quotient_jet(*args, **kwargs)):
+            assert np.max(np.abs(p - q)) <= 4 * np.finfo(float).eps * np.max(np.abs(q)), field
+
+    @pytest.mark.parametrize("name", sorted(PLAIN_SURFACES))
+    def test_curvatures_and_directions_bitwise(self, name):
+        s = PLAIN_SURFACES[name]()
+        u, v = s.domain.axes()
+        got = srf.principal_curvatures(s, u, v)
+        I, II, n = bitwise_forms(s, u, v)
+        ref = srf._curvatures(I, II)
+        for p, q in ((got.normal, n), (got.I, I), (got.II, II), (got.a, ref.a), (got.c, ref.c),
+                     (got.dir_a, ref_direction(I, II, ref.a)),
+                     (got.dir_c, ref_direction(I, II, ref.c))):
+            assert_bitwise(p, q)
+
+    @pytest.mark.parametrize("metric", [mt.R3, mt.R31], ids=["R3", "R31"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_dupin_derivative_on_random_jets(self, metric, data):
+        n, dim = 6, metric.dim
+        floats = st.floats(-2.0, 2.0)
+        fields = data.draw(hnp.arrays(np.float64, (11, n, dim), elements=floats))
+        kd = data.draw(hnp.arrays(np.float64, (3, n), elements=floats))
+        jet, normal, kappa, d = srf.Jet(*fields[:10]), fields[10], kd[0], kd[1:].T
+        got = srf.CurvatureData(kappa, kappa, np.zeros(n, bool), None, None,
+                                metric, jet, normal)._along(kappa, d)
+        ref = ref_along(metric, jet, normal, kappa, d)
+        # each term is at most |d|_1^3 dim max|x_K| (|n| + 3 |kappa| max|x_K|)
+        m = np.max(np.abs(fields[:10]), axis=(0, 2))
+        bound = np.sum(np.abs(d), axis=-1) ** 3 * dim * m * (np.max(np.abs(normal), axis=-1)
+                                                             + 3.0 * np.abs(kappa) * m)
+        assert np.all(np.abs(got - ref) <= 64 * np.finfo(float).eps * bound)
 
 
 class TestUmbilic:
