@@ -95,11 +95,6 @@ def _out_path(path):
     return path
 
 
-def _report_path(obj_path):
-    stem = obj_path[:-4] if obj_path.endswith(".obj") else obj_path
-    return stem + ".report.json"
-
-
 # The --tol-* flags (and config keys) each command reads; its report records them.
 COMMAND_TOLS = {"gen": (), "orbit": (), "fig7": (),
                 "verify": ("membership", "closure", "contact", "order")}
@@ -117,32 +112,30 @@ def tolerances(args, cfg):
     return tols
 
 
+# Each gen surface: its constructor, parameter flag and --project value into R^3.
+GEN_SURFACES = {"torus": (srf.torus, "--alpha (radians)", "stereo"),
+                "hyperboloid": (srf.hyperboloid, "--a", "hyp_stereo"),
+                "cylinder": (srf.cylinder, "--radius", "none")}
+
+
 def cmd_gen(args, cfg):
     nu, nv = parse_grid(args.grid, cfg)
     tols = tolerances(args, cfg)
-    make, value, flag = {"torus": (srf.torus, args.alpha, "--alpha (radians)"),
-                         "hyperboloid": (srf.hyperboloid, args.a, "--a"),
-                         "cylinder": (srf.cylinder, args.radius, "--radius")}[args.surface]
+    make, flag, project = GEN_SURFACES[args.surface]
+    value = getattr(args, flag.split()[0][2:])      # --alpha (radians) -> args.alpha
     if value is None:
         raise GeometryError(f"{args.surface} needs {flag}")
     s = make(value, replace(make(value).domain, nu=nu, nv=nv))
-
-    if args.project != "none":
-        s = srf.pushforward(s, args.project)
-    if s.form == "sphere":
-        raise GeometryError("spherical mesh needs --project stereo for 3d output")
-    if s.form == "hyperbolic":
-        raise GeometryError("hyperbolic mesh needs --project hyp_stereo for 3d output")
+    if args.project != project:
+        raise GeometryError(f"{args.surface} needs --project {project}, got {args.project}")
+    if project != "none":
+        s = srf.pushforward(s, project)
     with warnings.catch_warnings():  # the whole-grid umbilic case is the error below
         warnings.filterwarnings("ignore", "surface is umbilic on the whole grid")
         cls = srf.classify(s)
     if cls["dupin"] is None:
         raise GeometryError(f"the {args.surface} is umbilic on every grid point, "
                             "so its Dupin test is undefined")
-    mesh = grid_mesh(s.position(*s.domain.axes()), periodic_u=s.domain.periodic_u,
-                     periodic_v=s.domain.periodic_v)
-    out = _out_path(args.out)
-    write_obj(mesh, out)
     measured = cls["report"]
     checks = [
         check("constraint_residual", s.constraint_residual(), 1e-10),
@@ -152,13 +145,10 @@ def cmd_gen(args, cfg):
         check("dupin", max(measured["dupin_derivative_a"], measured["dupin_derivative_c"]),
               measured["dupin_tol"], passed=bool(cls["dupin"])),
     ]
-    rep = make_report("gen", {"surface": args.surface, "project": args.project,
-                              "grid": f"{nu}x{nv}", "alpha": args.alpha, "a": args.a,
-                              "radius": args.radius}, checks, tols)
-    rep["mesh"] = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
-    write_report(rep, _report_path(out))
-    print(f"wrote {out} ({len(mesh.vertices)} vertices, {len(mesh.faces)} faces)")
-    return 0
+    params = {"surface": args.surface, "project": args.project, "grid": f"{nu}x{nv}",
+              "alpha": args.alpha, "a": args.a, "radius": args.radius}
+    return _write_mesh(args, params, checks, tols, s.position(*s.domain.axes()),
+                       periodic=(s.domain.periodic_u, s.domain.periodic_v))
 
 
 def cmd_orbit(args, cfg):
@@ -171,15 +161,8 @@ def cmd_orbit(args, cfg):
     span = args.span
     regime, pts3, flags, checks = _orbit_points(args.C, np.linspace(-span, span, nu),
                                                 np.linspace(-span, span, nv))
-    mesh = grid_mesh(pts3, flags=flags)
-    out = _out_path(args.out)
-    write_obj(mesh, out)
-    rep = make_report("orbit", {"C": args.C, "regime": regime, "grid": f"{nu}x{nv}", "span": span},
-                      checks, tols)
-    rep["mesh"] = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
-    write_report(rep, _report_path(out))
-    print(f"wrote {out} (regime: {regime})")
-    return 0
+    params = {"C": args.C, "regime": regime, "grid": f"{nu}x{nv}", "span": span}
+    return _write_mesh(args, params, checks, tols, pts3, flags, note=f"regime: {regime}")
 
 
 def _orbit_points(C, s_grid, t_grid):
@@ -206,24 +189,36 @@ def cmd_fig7(args, cfg):
     nu, nv = parse_grid(args.grid, cfg) if args.grid else (33, 33)
     tols = tolerances(args, cfg)
     out_data = ls.fig7_pipeline(args.t, np.linspace(-4.0, 4.0, nu), np.linspace(-4.0, 4.0, nv))
-    mesh = grid_mesh(out_data["points"], flags=out_data["singular_mask"])
+    mask, count = out_data["singular_mask"], out_data["singular_count"]
+    checks = [check("singular_count", float(count)),
+              check("degenerate", count / out_data["grid_size"], ls.DEGENERATE_FRACTION,
+                    passed=not out_data["degenerate"])]
+    note = ("degenerate: projection is a curve, whole grid flagged" if out_data["degenerate"]
+            else f"{count} singular grid points")
+    return _write_mesh(args, {"t": args.t, "grid": f"{nu}x{nv}"}, checks, tols,
+                       out_data["points"], mask, note=note, degenerate=out_data["degenerate"],
+                       singular_grid_points=np.argwhere(mask).tolist())
+
+
+def _write_mesh(args, parameters, checks, tols, points, flags=None, periodic=(False, False),
+                note=None, **fields):
+    """The mesh commands' one output path: the grid mesh of the (nu, nv, 3) points
+    to args.out, its report (fields are extra top-level entries) beside it,
+    and the 'wrote' line, with note or else the mesh's size.  An OBJ whose
+    report cannot be written is removed."""
+    mesh = grid_mesh(points, flags, *periodic)
+    size = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
     out = _out_path(args.out)
     write_obj(mesh, out)
-    singular = np.argwhere(out_data["singular_mask"]).tolist()
-    checks = [
-        check("singular_count", float(out_data["singular_count"])),
-        check("degenerate", out_data["singular_count"] / out_data["grid_size"],
-              ls.DEGENERATE_FRACTION, passed=not out_data["degenerate"]),
-    ]
-    rep = make_report("fig7", {"t": args.t, "grid": f"{nu}x{nv}"}, checks, tols)
-    rep["degenerate"] = out_data["degenerate"]
-    rep["singular_grid_points"] = singular
-    rep["mesh"] = {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
-    write_report(rep, _report_path(out))
-    if out_data["degenerate"]:
-        print(f"wrote {out} (degenerate: projection is a curve, whole grid flagged)")
-    else:
-        print(f"wrote {out} ({out_data['singular_count']} singular grid points)")
+    report = (out[:-4] if out.endswith(".obj") else out) + ".report.json"
+    try:
+        write_report(make_report(args.command, parameters, checks, tols) | fields | {"mesh": size},
+                     report)
+    except BaseException:
+        os.unlink(out)
+        raise
+    note = note or f"{size['vertices']} vertices, {size['faces']} faces"
+    print(f"wrote {out} ({note})")
     return 0
 
 
@@ -290,7 +285,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, load_config(args.config))
-    except GeometryError as exc:
+    except (GeometryError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,12 +54,16 @@ def grid_mesh(points, flags=None, periodic_u=False, periodic_v=False):
 
 def _atomic_write(path, parts):
     """Write bytes parts (any iterable) one at a time to a temp file, then
-    rename it over path; nothing is left behind if a part fails."""
+    rename it over path with open()'s mode, 0o666 less the umask (mkstemp
+    gives 0o600); nothing is left behind if a part fails."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(parts)
+        umask = os.umask(0)     # read by setting it, then restored
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

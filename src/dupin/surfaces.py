@@ -590,9 +590,11 @@ def _classify_slab(s, u, v, row):
 
 # --- Euclidean adapted frames and the Dupin PDE system ---------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a direction that overflows raises below
 def euclidean_best_frame(s):
     """Adapted frame field (x, e) in E(3) with e1, e2 the principal directions
     ordered by curvature and e3 = e1 x e2; signs propagated from the base corner.
+    Raises GeometryError where the curvatures or directions are not finite.
     """
     if s.form != "euclidean":
         raise GeometryError("adapted Euclidean frames need a surface in R^3")
@@ -606,6 +608,7 @@ def euclidean_best_frame(s):
     mats = np.zeros((s.domain.nu, s.domain.nv, 4, 4))
     mats[..., 0, 0] = 1.0
     mats[..., 1:, :] = np.stack(np.broadcast_arrays(jet.x, e1, e2, np.cross(e1, e2)), axis=-1)
+    _require_finite("principal curvature data", mats)
     from .frames import FrameField  # local import to avoid a cycle
 
     return FrameField("e3", mats, s.domain)

@@ -520,6 +520,22 @@ class TestAtomicWrite:
         assert path.read_bytes() == want.encode()
 
 
+class TestFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_written_files_follow_the_umask(self, tmp_path, umask):
+        """Both writers' files get the mode open() gives, 0o666 less the umask."""
+        old = os.umask(umask)
+        try:
+            ex.write_obj(random_grid_mesh(4, 4), str(tmp_path / "m.obj"))
+            ex.write_report(ex.make_report("op", {}, [], {}), str(tmp_path / "r.json"))
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["m.obj", "r.json", "plain"], 0o666 & ~umask)
+
+
 class TestReports:
     def test_check_records_tolerance(self):
         c = ex.check("residual", 1e-12, 1e-10)
@@ -605,6 +621,51 @@ class TestCLI:
         if argv[:5] == ["orbit", "--C", "1", "--span", "1e10"]:  # and both values
             assert "C = 1, span = 1e+10" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("surface, project, needs", [
+        (["torus", "--alpha", "0.5"], "none", "stereo"),
+        (["torus", "--alpha", "0.5"], "hyp_stereo", "stereo"),
+        (["hyperboloid", "--a", "0.5"], "none", "hyp_stereo"),
+        (["hyperboloid", "--a", "0.5"], "stereo", "hyp_stereo"),
+        (["cylinder", "--radius", "1"], "stereo", "none"),
+        (["cylinder", "--radius", "1"], "hyp_stereo", "none"),
+    ])
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_gen_project_mismatch(self, tmp_path, capsys, surface, project, needs):
+        # each surface's space form reaches R^3 by one --project value only
+        argv = ["gen", *surface, "--project", project, "--grid", "8x8",
+                "--out", str(tmp_path / "g.obj")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {surface[0]} needs --project {needs}, got {project}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "cylinder", "--radius", "1"], ["orbit", "--C", "0"], ["fig7", "--t", "1"],
+        ["verify", "framecalc"],
+    ])
+    @pytest.mark.parametrize("blocked", ["report_is_dir", "parent_is_file", "grandparent_is_file"])
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch, argv, blocked):
+        # exit 2 with one line, and no OBJ is left without its report
+        monkeypatch.delenv("DUPIN_OUTDIR", raising=False)
+        out = "o.json" if argv[0] == "verify" else "o.obj"
+        blocker = tmp_path / ("o.json" if argv[0] == "verify" else "o.report.json")
+        if blocked == "report_is_dir":
+            blocker.mkdir()
+        else:
+            blocker = tmp_path / "f"
+            blocker.write_bytes(b"kept\n")
+            out = ("f/" if blocked == "parent_is_file" else "f/sub/") + out
+        assert main(argv + ["--grid", "8x8"] * (argv[0] != "verify")
+                    + ["--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [blocker]
+        if blocker.is_dir():
+            assert list(blocker.iterdir()) == []
+        else:
+            assert blocker.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("radius", ["1e9", "1e10"])
     @pytest.mark.filterwarnings("error")  # classify's umbilic warning is not a second line

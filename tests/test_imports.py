@@ -7,7 +7,7 @@ import pytest
 
 import dupin
 
-MODULES = sorted(p for p in Path(dupin.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(Path(dupin.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):

@@ -590,6 +590,13 @@ class TestBestFrameAndPDE:
         ff = srf.euclidean_best_frame(fig1)  # raises on umbilics
         assert ff.mats.shape[:2] == (fig1.domain.nu, fig1.domain.nv)
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning before the error
+    def test_non_finite_curvature_data_is_an_error(self):
+        # the curvature 1/R = 1e160 overflows the I-unit directions, as in classify
+        s = srf.cylinder(1e-160, ParamDomain(nu=5, nv=5, v_range=(-2.0, 2.0), periodic_v=False))
+        with pytest.raises(srf.GeometryError, match="principal curvature data is not finite"):
+            srf.euclidean_best_frame(s)
+
     def test_frame_form_relations(self):
         # theta^3 = 0, omega^3_1 = a theta^1, omega^3_2 = c theta^2
         from dupin.frames import pullback_mc
